@@ -65,9 +65,6 @@ def _add_gp_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=f"evidence evaluations for --optimize (default {_DEFAULT_BUDGET})",
     )
-    group.add_argument(
-        "--threads", type=int, default=1, help="worker threads for kernel assembly (default 1)"
-    )
 
 
 def _add_elo_flags(parser: argparse.ArgumentParser) -> None:
@@ -244,8 +241,6 @@ def _budget_from_args(args: argparse.Namespace) -> int:
     budget = _DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 1:
         raise UsageError(f"--budget must be >= 1, got {budget}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     return budget
 
 
@@ -260,9 +255,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     hyper = _hyper_from_args(args)
     budget = _budget_from_args(args)
     ds = parse_dataset(args.train)
-    model = train_model(
-        ds, hyper, optimize=args.optimize, budget=budget, threads=args.threads
-    )
+    model = train_model(ds, hyper, optimize=args.optimize, budget=budget)
     save_model(model, args.model_out)
     kp = model.posterior.hyper.kernel
     logger.info(
@@ -321,7 +314,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     _hyper_from_args(args),
                     optimize=args.optimize,
                     budget=budget,
-                    threads=args.threads,
                 )
             )
         elif name == "elo":

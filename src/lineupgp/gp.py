@@ -15,6 +15,7 @@ likelihood Hessian, nonnegative because the likelihood is log-concave).
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import logging
 import math
@@ -25,15 +26,19 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.optimize
+import scipy.sparse as sp
 
 from .data import Dataset, MatchRecord, Outcome
 from .errors import DataError, NumericalError
 from .kernel import (
+    PLAYERS_PER_SIDE,
     SELF_OVERLAP,
     KernelParams,
     MatchVector,
     build_match_vector,
-    overlap_matrix,
+    gram,
+    incidence,
+    match_incidence,
 )
 from .likelihood import (
     DrawParam,
@@ -106,7 +111,8 @@ class LaplacePosterior:
     ``mode = K @ dual_coef`` with K including ``jitter`` on the diagonal;
     ``grad`` is the likelihood gradient at the mode, ``sqrt_w`` the square
     root of its negated Hessian, and ``chol_b`` the lower Cholesky factor
-    of B = I + W^{1/2} K W^{1/2}.
+    of B = I + W^{1/2} K W^{1/2}.  The training set is kept as its signed
+    incidence ``train_z`` (N x P), home signs and outcome codes.
     """
 
     mode: np.ndarray
@@ -117,8 +123,9 @@ class LaplacePosterior:
     loglik: float
     jitter: float
     newton_iters: int
-    train_vectors: tuple[MatchVector, ...]
-    train_outcomes: tuple[Outcome, ...]
+    train_z: sp.csr_matrix
+    train_homes: np.ndarray
+    train_codes: np.ndarray
     hyper: Hyperparams
 
     @property
@@ -132,34 +139,25 @@ class _CholeskyFailure(Exception):
 
 @dataclass(frozen=True)
 class _TrainParts:
-    """Hyperparameter-independent pieces of the training Gram."""
+    """The training set as arrays plus the hyperparameter-free factors of its Gram."""
 
-    vectors: tuple[MatchVector, ...]
-    outcomes: tuple[Outcome, ...]
+    z: sp.csr_matrix
+    homes: np.ndarray
     codes: np.ndarray
     overlap: np.ndarray
     home_outer: np.ndarray
 
 
-def _make_parts(
-    vectors: Sequence[MatchVector], outcomes: Sequence[Outcome], threads: int = 1
-) -> _TrainParts:
-    overlap = overlap_matrix(vectors, vectors, threads=threads).astype(np.float64)
-    homes = np.array([v.home for v in vectors], dtype=np.int64)
+def _make_parts(train: Dataset) -> _TrainParts:
+    vectors = [build_match_vector(r, train.registry) for r in train.records]
+    z, homes = match_incidence(vectors, train.num_players)
     return _TrainParts(
-        vectors=tuple(vectors),
-        outcomes=tuple(outcomes),
-        codes=np.array([o.code for o in outcomes], dtype=np.int64),
-        overlap=overlap,
+        z=z,
+        homes=homes,
+        codes=np.array([r.outcome.code for r in train.records], dtype=np.int64),
+        overlap=(z @ z.T).toarray().astype(np.float64),
         home_outer=np.outer(homes, homes).astype(np.float64),
     )
-
-
-def _assemble_gram(parts: _TrainParts, kp: KernelParams, jitter: float) -> np.ndarray:
-    k = kp.sigma2 * parts.overlap + kp.sigma2_home * parts.home_outer
-    if jitter > 0.0:
-        k[np.diag_indices_from(k)] += jitter
-    return k
 
 
 def _chol_lower(mat: np.ndarray) -> np.ndarray:
@@ -239,12 +237,16 @@ def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
     alpha = hyper.alpha
     jitter = kp.effective_jitter
     while True:
-        k = _assemble_gram(parts, kp, jitter)
+        k = gram(parts.overlap, parts.home_outer, kp, jitter)
         try:
             f_hat, a_hat, iters = _newton_mode(k, parts.codes, alpha)
             d1, d2 = loglik_derivs_vector(parts.codes, f_hat, alpha)
             sqrt_w = np.sqrt(-d2)
-            chol_b = _chol_lower(np.eye(len(f_hat)) + (sqrt_w[:, None] * k) * sqrt_w[None, :])
+            b_mat = np.eye(len(f_hat)) + (sqrt_w[:, None] * k) * sqrt_w[None, :]
+            # C order, the layout load_model returns: solve_triangular rounds
+            # the two layouts differently, so a fresh model would not predict
+            # bit for bit like its reloaded copy
+            chol_b = np.ascontiguousarray(_chol_lower(b_mat))
         except _CholeskyFailure:
             nxt = jitter * 10.0 if jitter > 0.0 else 1e-6 * kp.sigma2
             if nxt > kp.max_jitter or nxt <= jitter:
@@ -264,19 +266,18 @@ def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
             loglik=float(np.sum(loglik_vector(parts.codes, f_hat, alpha))),
             jitter=jitter,
             newton_iters=iters,
-            train_vectors=parts.vectors,
-            train_outcomes=parts.outcomes,
+            train_z=parts.z,
+            train_homes=parts.homes,
+            train_codes=parts.codes,
             hyper=hyper,
         )
 
 
-def fit(train: Dataset, hyper: Hyperparams, *, threads: int = 1) -> LaplacePosterior:
+def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
     """Laplace fit on a training dataset; needs at least one match."""
     if train.n < 1:
         raise DataError("cannot fit on an empty training set")
-    vectors = [build_match_vector(r, train.registry) for r in train.records]
-    outcomes = [r.outcome for r in train.records]
-    return _fit_parts(_make_parts(vectors, outcomes, threads=threads), hyper)
+    return _fit_parts(_make_parts(train), hyper)
 
 
 def log_marginal(post: LaplacePosterior) -> float:
@@ -290,13 +291,10 @@ def _latent_batch(
     post: LaplacePosterior, vectors: Sequence[MatchVector]
 ) -> tuple[np.ndarray, np.ndarray]:
     kp = post.hyper.kernel
-    trains = list(post.train_vectors)
-    overlap = overlap_matrix(list(vectors), trains)
-    homes_test = np.array([v.home for v in vectors], dtype=np.int64)
-    homes_train = np.array([v.home for v in trains], dtype=np.int64)
-    k_star = kp.sigma2 * overlap.astype(np.float64) + kp.sigma2_home * np.outer(
-        homes_test, homes_train
-    ).astype(np.float64)
+    z, homes_test = match_incidence(vectors, post.train_z.shape[1])
+    # in C order, like every Gram: the BLAS products below round by layout
+    overlap = np.ascontiguousarray((post.train_z @ z.toarray().T).T)
+    k_star = gram(overlap, np.outer(homes_test, post.train_homes), kp)
     mu = k_star @ post.grad
     v = sla.solve_triangular(post.chol_b, post.sqrt_w[:, None] * k_star.T, lower=True)
     k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes_test.astype(np.float64) ** 2
@@ -350,8 +348,6 @@ def optimize_hyperparams(
     train: Dataset,
     init: Hyperparams,
     budget: int = 200,
-    *,
-    threads: int = 1,
 ) -> Hyperparams:
     """Evidence maximization over (log sigma2, log sigma2_home, log alpha).
 
@@ -365,9 +361,7 @@ def optimize_hyperparams(
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     if train.n < 1:
         raise DataError("cannot optimize on an empty training set")
-    vectors = [build_match_vector(r, train.registry) for r in train.records]
-    outcomes = [r.outcome for r in train.records]
-    parts = _make_parts(vectors, outcomes, threads=threads)
+    parts = _make_parts(train)
     requested_jitter = init.kernel.jitter
 
     theta0 = np.array(
@@ -477,12 +471,11 @@ def train_model(
     *,
     optimize: bool = False,
     budget: int = 200,
-    threads: int = 1,
 ) -> GPModel:
     """Fit (optionally after an evidence search) and wrap with the registry."""
     if optimize:
-        hyper = optimize_hyperparams(train, hyper, budget=budget, threads=threads)
-    post = fit(train, hyper, threads=threads)
+        hyper = optimize_hyperparams(train, hyper, budget=budget)
+    post = fit(train, hyper)
     return GPModel(posterior=post, registry=dict(train.registry))
 
 
@@ -495,9 +488,44 @@ def _encode_array(arr: np.ndarray, dtype: str) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=obj["dtype"]).reshape(obj["shape"]).copy()
+def _field(obj: dict, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]``, checked to be present and of the JSON type ``kind``."""
+    if key not in obj:
+        raise DataError(f"model file lacks {key!r}")
+    if not isinstance(obj[key], kind):
+        raise DataError(f"model field {key!r} has the wrong type")
+    return obj[key]
+
+
+def _finite(obj: dict, key: str) -> float:
+    value = _field(obj, key, (int, float))
+    if not math.isfinite(value):
+        raise DataError(f"model field {key!r} is not finite")
+    return value
+
+
+def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``payload[key]`` decoded and checked against ``dtype``, ``shape`` and finiteness."""
+    obj = _field(payload, key, dict)
+    if obj.get("dtype") != dtype or obj.get("shape") != list(shape):
+        raise DataError(
+            f"model array {key!r} is {obj.get('dtype')!r} of shape {obj.get('shape')!r}, "
+            f"expected {dtype!r} of shape {list(shape)}"
+        )
+    try:
+        raw = base64.b64decode(_field(obj, "data", str))
+    except binascii.Error as exc:
+        raise DataError(f"model array {key!r} is not base64: {exc}") from None
+    need = np.dtype(dtype).itemsize * math.prod(shape)
+    if len(raw) != need:
+        raise DataError(f"model array {key!r} holds {len(raw)} bytes, its shape needs {need}")
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise DataError(f"model array {key!r} has non-finite values")
+    return arr
+
+
+_TOKENS = {o.code: o.token for o in Outcome}
 
 
 def save_model(model: GPModel, path: str | Path) -> None:
@@ -506,6 +534,7 @@ def save_model(model: GPModel, path: str | Path) -> None:
     ids = [None] * len(model.registry)
     for pid, idx in model.registry.items():
         ids[idx] = pid
+    z = post.train_z
     payload = {
         "magic": MODEL_MAGIC,
         "version": MODEL_VERSION,
@@ -519,10 +548,11 @@ def save_model(model: GPModel, path: str | Path) -> None:
         "newton_iters": post.newton_iters,
         "loglik": post.loglik,
         "registry": ids,
-        "outcomes": "".join(o.token for o in post.train_outcomes),
-        "homes": [v.home for v in post.train_vectors],
-        "plus": _encode_array(np.array([v.plus_indices for v in post.train_vectors]), "<i4"),
-        "minus": _encode_array(np.array([v.minus_indices for v in post.train_vectors]), "<i4"),
+        "outcomes": "".join(_TOKENS[c] for c in post.train_codes.tolist()),
+        "homes": post.train_homes.tolist(),
+        # rows of Z hold their 22 entries sorted by column
+        "plus": _encode_array(z.indices[z.data > 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
+        "minus": _encode_array(z.indices[z.data < 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
         "mode": _encode_array(post.mode, "<f8"),
         "grad": _encode_array(post.grad, "<f8"),
         "sqrt_w": _encode_array(post.sqrt_w, "<f8"),
@@ -533,6 +563,7 @@ def save_model(model: GPModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GPModel:
+    """Read a model file, checking every field; any defect raises DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -544,35 +575,58 @@ def load_model(path: str | Path) -> GPModel:
             f"unsupported model version {payload.get('version')!r} "
             f"(this build reads version {MODEL_VERSION})"
         )
-    hyper_raw = payload["hyper"]
-    hyper = Hyperparams(
-        kernel=KernelParams(
-            sigma2=hyper_raw["sigma2"],
-            sigma2_home=hyper_raw["sigma2_home"],
-            jitter=hyper_raw["jitter"],
-        ),
-        draw=DrawParam(log_alpha=hyper_raw["log_alpha"]),
+    hyper_raw = _field(payload, "hyper", dict)
+    try:
+        hyper = Hyperparams(
+            kernel=KernelParams(
+                sigma2=_finite(hyper_raw, "sigma2"),
+                sigma2_home=_finite(hyper_raw, "sigma2_home"),
+                jitter=_field(hyper_raw, "jitter", (int, float, type(None))),
+            ),
+            draw=DrawParam(log_alpha=_finite(hyper_raw, "log_alpha")),
+        )
+    except ValueError as exc:
+        raise DataError(f"model hyperparameters are invalid: {exc}") from None
+
+    ids = _field(payload, "registry", list)
+    if not all(isinstance(pid, str) for pid in ids) or len(set(ids)) != len(ids):
+        raise DataError("model registry must list unique player ids")
+    codes = np.array(
+        [Outcome.from_token(t).code for t in _field(payload, "outcomes", str)], dtype=np.int64
     )
-    plus = _decode_array(payload["plus"])
-    minus = _decode_array(payload["minus"])
-    homes = payload["homes"]
-    vectors = tuple(
-        MatchVector(plus_indices=plus[i], minus_indices=minus[i], home=homes[i])
-        for i in range(len(homes))
-    )
-    outcomes = tuple(Outcome.from_token(t) for t in payload["outcomes"])
+    n = len(codes)
+    homes = _field(payload, "homes", list)
+    if len(homes) != n or any(type(h) is not int or h not in (-1, 0, 1) for h in homes):
+        raise DataError(f"model 'homes' must hold {n} signs in {{-1, 0, 1}}")
+    plus = _decode_array(payload, "plus", "<i4", (n, PLAYERS_PER_SIDE))
+    minus = _decode_array(payload, "minus", "<i4", (n, PLAYERS_PER_SIDE))
+    lineups = np.concatenate([plus, minus], axis=1)
+    if np.any(lineups < 0) or np.any(lineups >= len(ids)):
+        raise DataError("model lineups index players outside the registry")
+    if np.any(np.diff(plus, axis=1) <= 0) or np.any(np.diff(minus, axis=1) <= 0):
+        raise DataError("model lineups must be strictly increasing")
+    if np.any(np.diff(np.sort(lineups, axis=1), axis=1) == 0):
+        raise DataError("a model lineup puts a player on both sides")
+    chol_b = _decode_array(payload, "chol_b", "<f8", (n, n))
+    if np.any(np.triu(chol_b, 1)) or not np.all(np.diag(chol_b) > 0.0):
+        raise DataError("model 'chol_b' is not lower triangular with a positive diagonal")
+    jitter = _finite(payload, "jitter_used")
+    newton_iters = _field(payload, "newton_iters", int)
+    if jitter < 0.0 or newton_iters < 0:
+        raise DataError("model 'jitter_used' and 'newton_iters' must be >= 0")
+
     post = LaplacePosterior(
-        mode=_decode_array(payload["mode"]),
-        grad=_decode_array(payload["grad"]),
-        sqrt_w=_decode_array(payload["sqrt_w"]),
-        chol_b=_decode_array(payload["chol_b"]),
-        dual_coef=_decode_array(payload["dual_coef"]),
-        loglik=payload["loglik"],
-        jitter=payload["jitter_used"],
-        newton_iters=payload["newton_iters"],
-        train_vectors=vectors,
-        train_outcomes=outcomes,
+        mode=_decode_array(payload, "mode", "<f8", (n,)),
+        grad=_decode_array(payload, "grad", "<f8", (n,)),
+        sqrt_w=_decode_array(payload, "sqrt_w", "<f8", (n,)),
+        chol_b=chol_b,
+        dual_coef=_decode_array(payload, "dual_coef", "<f8", (n,)),
+        loglik=_finite(payload, "loglik"),
+        jitter=jitter,
+        newton_iters=newton_iters,
+        train_z=incidence(plus, minus, len(ids)),
+        train_homes=np.array(homes, dtype=np.int64),
+        train_codes=codes,
         hyper=hyper,
     )
-    registry = {pid: i for i, pid in enumerate(payload["registry"])}
-    return GPModel(posterior=post, registry=registry)
+    return GPModel(posterior=post, registry={pid: i for i, pid in enumerate(ids)})

@@ -7,10 +7,9 @@ team1's eleven, -1 for team2's) plus one home feature.  The kernel is
 
 where the player inner product reduces to signed overlap counts between
 two 22-sparse vectors, so it never touches the P-dimensional space.
-Pairwise evaluation intersects the sorted index lists directly; Gram
-matrices are assembled from the same counts via sparse integer matrix
-products over row blocks (optionally threaded; the result is bit-identical
-for any block split because every entry is computed independently).
+Pairwise evaluation intersects the sorted index lists directly.  A set of
+matches is otherwise held as its sparse signed incidence Z, and every Gram
+is assembled by :func:`gram` from the integer products Z_r Z_c'.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -151,54 +149,62 @@ def kernel_eval(a: MatchVector, b: MatchVector, p: KernelParams) -> float:
     return p.sigma2 * float(signed_overlap(a, b)) + p.sigma2_home * float(a.home * b.home)
 
 
-def _incidence(vectors: Sequence[MatchVector], dim: int) -> sp.csr_matrix:
-    n = len(vectors)
-    indptr = np.arange(0, n * SELF_OVERLAP + 1, SELF_OVERLAP, dtype=np.int64)
-    indices = np.empty(n * SELF_OVERLAP, dtype=np.int64)
-    data = np.empty(n * SELF_OVERLAP, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        base = i * SELF_OVERLAP
-        indices[base : base + PLAYERS_PER_SIDE] = v.plus_indices
-        indices[base + PLAYERS_PER_SIDE : base + SELF_OVERLAP] = v.minus_indices
-        data[base : base + PLAYERS_PER_SIDE] = 1
-        data[base + PLAYERS_PER_SIDE : base + SELF_OVERLAP] = -1
-    mat = sp.csr_matrix((data, indices, indptr), shape=(n, dim))
-    mat.sort_indices()
-    return mat
+def incidence(plus: np.ndarray, minus: np.ndarray, width: int) -> sp.csr_matrix:
+    """Signed incidence Z of stacked lineups, shape (n, width), indices sorted per row.
+
+    Row i holds +1 at ``plus[i]`` and -1 at ``minus[i]`` (both (n, 11)
+    index arrays).  Columns at or past ``width`` are dropped: a player
+    outside the other side's registry overlaps none of its matches.
+    """
+    cols = np.concatenate([plus, minus], axis=1)
+    signs = np.repeat(np.array([1, -1], dtype=np.int64), PLAYERS_PER_SIDE)
+    keep = cols < width
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    z = sp.csr_matrix(
+        (np.broadcast_to(signs, cols.shape)[keep], cols[keep], indptr), shape=(len(cols), width)
+    )
+    z.sort_indices()
+    return z
 
 
-def _feature_dim(rows: Sequence[MatchVector], cols: Sequence[MatchVector]) -> int:
-    top = 0
-    for v in list(rows) + list(cols):
-        top = max(top, int(v.plus_indices[-1]), int(v.minus_indices[-1]))
-    return top + 1
+def match_incidence(
+    vectors: Sequence[MatchVector], width: int | None = None
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(Z, home signs) of match vectors; ``width`` defaults to the largest index + 1."""
+    plus = np.array([v.plus_indices for v in vectors], dtype=np.int64).reshape(-1, PLAYERS_PER_SIDE)
+    minus = np.array([v.minus_indices for v in vectors], dtype=np.int64).reshape(plus.shape)
+    if width is None:
+        width = 1 + int(max(plus.max(initial=-1), minus.max(initial=-1)))
+    return incidence(plus, minus, width), np.array([v.home for v in vectors], dtype=np.int64)
 
 
-def overlap_matrix(
-    rows: Sequence[MatchVector],
-    cols: Sequence[MatchVector],
-    threads: int = 1,
+def gram(
+    overlap: np.ndarray, home_outer: np.ndarray, p: KernelParams, jitter: float = 0.0
 ) -> np.ndarray:
+    """sigma2 * overlap + sigma2_home * home_outer, plus ``jitter`` on the diagonal.
+
+    For match sets r and c, ``overlap`` = Z_r Z_c' holds their signed overlap
+    counts and ``home_outer`` = h_r h_c' the products of their home signs.
+    """
+    k = p.sigma2 * overlap + p.sigma2_home * home_outer
+    if jitter > 0.0:
+        k[np.diag_indices_from(k)] += jitter
+    return k
+
+
+def _cross(
+    rows: Sequence[MatchVector], cols: Sequence[MatchVector]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Z_r Z_c', h_r h_c') of two match lists, both integer."""
+    z_c, homes_c = match_incidence(cols)
+    z_r, homes_r = match_incidence(rows, z_c.shape[1])
+    return (z_r @ z_c.T).toarray(), np.outer(homes_r, homes_c)
+
+
+def overlap_matrix(rows: Sequence[MatchVector], cols: Sequence[MatchVector]) -> np.ndarray:
     """Integer signed-overlap counts, shape (len(rows), len(cols))."""
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)), dtype=np.int64)
-    dim = _feature_dim(rows, cols)
-    zc_t = _incidence(cols, dim).T.tocsc()
-
-    def block(vs: Sequence[MatchVector]) -> np.ndarray:
-        return (_incidence(vs, dim) @ zc_t).toarray()
-
-    if threads <= 1 or len(rows) < 2 * threads:
-        return block(rows)
-    bounds = np.linspace(0, len(rows), threads + 1).astype(int)
-    chunks = [rows[bounds[i] : bounds[i + 1]] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(block, chunks))
-    return np.vstack(parts)
-
-
-def _home_signs(vectors: Sequence[MatchVector]) -> np.ndarray:
-    return np.array([v.home for v in vectors], dtype=np.int64)
+    return _cross(rows, cols)[0]
 
 
 def kernel_matrix(
@@ -206,22 +212,15 @@ def kernel_matrix(
     cols: Sequence[MatchVector],
     p: KernelParams,
     add_jitter: bool = False,
-    threads: int = 1,
 ) -> np.ndarray:
     """Gram matrix K[i, j] = kernel_eval(rows[i], cols[j], p), bit-exactly.
 
     ``add_jitter`` adds ``p.effective_jitter`` to the diagonal and is only
     meaningful when ``rows`` and ``cols`` are the same sequence.
     """
-    overlap = overlap_matrix(rows, cols, threads=threads)
-    k = p.sigma2 * overlap.astype(np.float64) + p.sigma2_home * np.outer(
-        _home_signs(rows), _home_signs(cols)
-    ).astype(np.float64)
-    if add_jitter:
-        if len(rows) != len(cols):
-            raise ValueError("add_jitter requires a square Gram (rows == cols)")
-        k[np.diag_indices_from(k)] += p.effective_jitter
-    return k
+    if add_jitter and len(rows) != len(cols):
+        raise ValueError("add_jitter requires a square Gram (rows == cols)")
+    return gram(*_cross(rows, cols), p, jitter=p.effective_jitter if add_jitter else 0.0)
 
 
 def export_heatmap(

@@ -387,6 +387,18 @@ class TestExitCodes:
             assert cli.run(argv) == 2, argv
             assert "data error" in capsys.readouterr().err
 
+    def test_corrupt_model_exits_2(self, workspace, tmp_path, capsys):
+        payload = json.loads(workspace["model"].read_text())
+        no_chol = {k: v for k, v in payload.items() if k != "chol_b"}
+        n = payload["mode"]["shape"][0]
+        misshaped = dict(payload, mode=dict(payload["mode"], shape=[n + 1]))
+        for i, bad in enumerate((no_chol, misshaped)):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(bad))
+            assert cli.run(["predict", "--model", str(path), "--test", str(workspace["test"])]) == 2
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and err[0].startswith("data error:"), err
+
     def test_numerical_errors_exit_3(self, monkeypatch, capsys):
         def boom(args):
             raise NumericalError("synthetic failure")

@@ -9,6 +9,7 @@ Oracles used here:
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -23,7 +24,7 @@ from conftest import (
     random_dataset,
     random_record,
 )
-from lineupgp.baselines import primal_laplace_fit
+from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
 from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
 from lineupgp.errors import DataError
 from lineupgp.gp import (
@@ -41,6 +42,7 @@ from lineupgp.gp import (
 )
 from lineupgp.kernel import SELF_OVERLAP, build_match_vector, kernel_matrix
 from lineupgp.likelihood import DrawParam, log_likelihood_derivs, outcome_probs
+from lineupgp.simulate import SimConfig, simulate_dataset
 
 IDS = player_ids(80)
 
@@ -160,6 +162,34 @@ class TestDualPrimalEquivalence:
         mu_p, var_p = wsp.predict_latent(vec)
         assert abs(mu_d - mu_p) <= 1e-6
         assert abs(var_d - var_p) <= 1e-6
+
+    def test_partly_unseen_lineups(self):
+        # lineups mixing training players with unseen ones: the unseen half
+        # adds prior variance only, as under the train/test union registry
+        rng = np.random.default_rng(213)
+        ds = random_dataset(rng, 30, 40)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45, jitter=0.0)
+        model = train_model(ds, hyper)
+        seen = sorted(ds.registry)
+        fresh = [f"q{i:03d}" for i in range(10)]
+        union = dict(ds.registry)
+        for pid in fresh:
+            union[pid] = len(union)
+        wsp = primal_laplace_fit_vectors(
+            [build_match_vector(r, union) for r in ds.records],
+            [r.outcome for r in ds.records],
+            len(union),
+            hyper,
+        )
+        for i in range(8):
+            old = [seen[j] for j in rng.permutation(len(seen))[:14]]
+            new = [fresh[j] for j in rng.permutation(len(fresh))[:8]]
+            home = (HomeSide.TEAM1, HomeSide.TEAM2, HomeSide.NEUTRAL)[i % 3]
+            rec = make_record(f"t{i:04d}", old[:7] + new[:4], old[7:] + new[4:], home=home)
+            mu_d, var_d = model.predict_latent(rec)
+            mu_p, var_p = wsp.predict_latent(build_match_vector(rec, union))
+            assert abs(mu_d - mu_p) <= 1e-6
+            assert abs(var_d - var_p) <= 1e-6
 
 
 class TestPrediction:
@@ -337,16 +367,22 @@ class TestModelPersistence:
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         ds, model = self._trained()
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.registry == model.registry
         rng = np.random.default_rng(252)
-        for _ in range(10):
-            rec = random_record(rng, sorted(ds.registry), "t0009")
-            p = model.predict(rec)
-            q = back.predict(rec)
-            assert (p.p_w, p.p_d, p.p_l) == (q.p_w, q.p_d, q.p_l)
+        small = (model, [random_record(rng, sorted(ds.registry), "t0009") for _ in range(10)])
+        # 100 matches: large enough for the triangular solve to round a
+        # differently laid out factor of B differently
+        league = simulate_dataset(SimConfig(seed=0)).dataset.records
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        large = (train_model(Dataset.from_records(league[:100]), hyper), league[100:140])
+        for i, (fresh, records) in enumerate((small, large)):
+            path = tmp_path / f"model{i}.json"
+            save_model(fresh, path)
+            back = load_model(path)
+            assert back.registry == fresh.registry
+            for rec in records:
+                p = fresh.predict(rec)
+                q = back.predict(rec)
+                assert (p.p_w, p.p_d, p.p_l) == (q.p_w, q.p_d, q.p_l)
 
     def test_rejects_wrong_magic_and_version(self, tmp_path):
         ds, model = self._trained(seed=253)
@@ -363,6 +399,54 @@ class TestModelPersistence:
         bad.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="version"):
             load_model(bad)
+
+    def test_rejects_corrupt_payloads(self, tmp_path):
+        _, model = self._trained(seed=255)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        good = json.loads(path.read_text())
+        n = len(good["outcomes"])
+
+        def decoded(key):
+            obj = good[key]
+            return np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).reshape(obj["shape"])
+
+        def with_array(key, arr):
+            data = base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode()
+            return dict(good, **{key: dict(good[key], data=data)})
+
+        def with_entry(key, index, value):
+            arr = decoded(key).copy()
+            arr[index] = value
+            return with_array(key, arr)
+
+        plus = decoded("plus")
+        bad_payloads = [
+            {k: v for k, v in good.items() if k != "chol_b"},
+            {k: v for k, v in good.items() if k != "hyper"},
+            dict(good, hyper=dict(good["hyper"], sigma2=-1.0)),
+            dict(good, mode=dict(good["mode"], shape=[n + 1])),
+            dict(good, mode=dict(good["mode"], dtype="<f4")),
+            with_array("mode", decoded("mode")[:-1]),
+            dict(good, outcomes=good["outcomes"][:-1]),
+            dict(good, outcomes="X" + good["outcomes"][1:]),
+            dict(good, homes=good["homes"][:-1]),
+            dict(good, homes=[2] + good["homes"][1:]),
+            dict(good, registry=good["registry"][:-1] + good["registry"][:1]),
+            with_entry("plus", (0, -1), len(good["registry"])),
+            with_entry("plus", (0, 0), -1),
+            with_array("plus", plus[:, ::-1]),
+            with_entry("minus", 0, plus[0]),
+            with_entry("sqrt_w", 0, np.nan),
+            with_entry("chol_b", (0, 1), 1e-3),
+            with_entry("chol_b", (0, 0), 0.0),
+            dict(good, loglik=float("inf")),
+        ]
+        for i, bad in enumerate(bad_payloads):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(DataError):
+                load_model(path)
 
     def test_unseen_players_get_prior_prediction(self):
         ds, model = self._trained(seed=254)
@@ -388,10 +472,3 @@ class TestTrainModel:
         ds = random_dataset(np.random.default_rng(262), 12, 35)
         model = train_model(ds, Hyperparams.create(), optimize=True, budget=5)
         assert model.posterior.newton_iters < 100
-
-    def test_threads_give_same_fit(self):
-        ds = random_dataset(np.random.default_rng(263), 30, 45)
-        hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.4, alpha=0.5)
-        one = fit(ds, hyper, threads=1)
-        four = fit(ds, hyper, threads=4)
-        assert np.array_equal(one.mode, four.mode)

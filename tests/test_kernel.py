@@ -213,21 +213,10 @@ class TestKernelMatrix:
             for j in range(7):
                 assert cross[i, j] == kernel_eval(vecs[i], vecs[3 + j], params)
 
-    def test_threads_bit_identical(self):
-        _, vecs = _dataset_vectors(60, n=30, players=50)
-        one = overlap_matrix(vecs, vecs, threads=1)
-        four = overlap_matrix(vecs, vecs, threads=4)
-        assert np.array_equal(one, four)
-        params = KernelParams(sigma2=0.37, sigma2_home=0.61)
-        assert np.array_equal(
-            kernel_matrix(vecs, vecs, params, threads=1),
-            kernel_matrix(vecs, vecs, params, threads=4),
-        )
-
     def test_empty_inputs(self):
-        assert overlap_matrix([], [], threads=1).shape == (0, 0)
+        assert overlap_matrix([], []).shape == (0, 0)
         _, vecs = _dataset_vectors(61, n=2)
-        assert overlap_matrix(vecs, [], threads=1).shape == (2, 0)
+        assert overlap_matrix(vecs, []).shape == (2, 0)
 
 
 class TestHeatmapExport:
