@@ -53,6 +53,7 @@ ELO_LATENT_SCALE = math.log(10.0) / 400.0
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 _STATIONARITY_TOL = 1e-8
+_ROUNDING = 8.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -385,6 +386,9 @@ def primal_laplace_fit_vectors(
             raise NumericalError(f"weight-space Hessian factorization failed: {exc}") from None
         step = sla.cho_solve(chol, grad)
 
+        # the full step is also taken when the objective falls by no more
+        # than rounding noise; the gradient test below decides convergence
+        floor = obj - _ROUNDING * max(1.0, abs(obj))
         t = 1.0
         improved = False
         while t >= 1e-12:
@@ -393,7 +397,7 @@ def primal_laplace_fit_vectors(
             obj_try = float(np.sum(loglik_vector(codes, f_try, alpha))) - 0.5 * float(
                 (s_try * prior_prec) @ s_try
             )
-            if obj_try > obj:
+            if obj_try > obj or (t == 1.0 and obj_try >= floor):
                 improved = True
                 break
             t *= 0.5

@@ -7,9 +7,20 @@ posterior mode is found by damped Newton ascent on
     Psi(f) = log p(y | f) - 0.5 * f' K^{-1} f
 
 parametrized through dual coefficients ``a`` with ``f = K a`` so no solve
-against K is ever needed.  Prediction and the evidence use the standard
-well-conditioned factor B = I + W^{1/2} K W^{1/2} (W is the negated
+against K is ever needed.  Each Newton step, the evidence and prediction
+use the well-conditioned matrix B = I + W^{1/2} K W^{1/2} (W is the negated
 likelihood Hessian, nonnegative because the likelihood is log-concave).
+B is factored one of two ways, chosen by the shape of the training set:
+
+* N <= P+1 matches (P players): the dense N x N Cholesky factor of B;
+* N > P+1: the kernel has rank <= P+1 plus jitter, K = X S X' + jitter*I
+  with X = [Z | h] and S = diag(sigma2, ..., sigma2, sigma2_home), so
+  B = D + U U' with D = I + jitter*W and U = W^{1/2} X S^{1/2}, solved by
+  Woodbury through the Cholesky factor of the (P+1) x (P+1) matrix
+  C = I + U' D^{-1} U, with log|B| = log|D| + log|C|.
+
+A fitted posterior always keeps the dense factor of B at the mode, which
+prediction and the model file use.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -137,88 +148,213 @@ class _CholeskyFailure(Exception):
     pass
 
 
+# a fall in Psi within this share of |Psi| is rounding noise
+_ROUNDING = 8.0 * float(np.finfo(np.float64).eps)
+
+
+def _chol_upper(sym: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U (U'U = sym) of a C-order matrix held in its lower triangle.
+
+    ``sym.T`` is F-contiguous, so LAPACK factors it in place, and ``U.T`` is
+    the lower factor in C order.  The caller checks finiteness.
+    """
+    try:
+        return sla.cholesky(sym.T, lower=False, overwrite_a=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise _CholeskyFailure(str(exc)) from None
+
+
+@dataclass(frozen=True)
+class _BFactor:
+    """B = I + W^{1/2} K W^{1/2} factored: ``solve(v)`` is B^{-1} v.
+
+    ``upper`` is B's dense upper Cholesky factor, None on the low-rank route.
+    """
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    half_logdet: float
+    upper: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class _LowRankGram:
+    """K = X diag(s) X' + jitter * I for the sparse features X = [Z | h] (N x (P+1)).
+
+    ``pairs`` (sparse, (P+1)^2 x N) maps match weights u to the lower
+    triangle of X' diag(u) X, flattened in C order.
+    """
+
+    x: sp.csr_matrix
+    xt: sp.csc_matrix
+    pairs: sp.csc_matrix
+    s: np.ndarray
+    jitter: float
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.x @ (self.s * (self.xt @ v)) + self.jitter * v
+
+    def factor_b(self, sw: np.ndarray) -> _BFactor:
+        """B = D + U U' by Woodbury through C = I + U' D^{-1} U (see the module docstring)."""
+        d = 1.0 + self.jitter * (sw * sw)
+        rs = np.sqrt(self.s)
+        p1 = len(rs)
+        c = (self.pairs @ (sw * sw / d)).reshape(p1, p1)
+        c *= rs[:, None]
+        c *= rs
+        c[np.diag_indices(p1)] += 1.0
+        upper = _chol_upper(c)
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            y = v / d
+            t = sla.cho_solve((upper, False), rs * (self.xt @ (sw * y)), check_finite=False)
+            return y - sw * (self.x @ (rs * t)) / d
+
+        half_logdet = 0.5 * float(np.sum(np.log(d))) + float(np.sum(np.log(np.diagonal(upper))))
+        return _BFactor(solve, half_logdet)
+
+
+def _factor_b(k: np.ndarray | _LowRankGram, sw: np.ndarray) -> _BFactor:
+    if not np.all(np.isfinite(sw)):
+        raise NumericalError("non-finite likelihood curvature in the Laplace fit")
+    if isinstance(k, _LowRankGram):
+        return k.factor_b(sw)
+    b = k * sw[:, None]
+    b *= sw
+    b[np.diag_indices_from(b)] += 1.0
+    upper = _chol_upper(b)
+    return _BFactor(
+        lambda v: sla.cho_solve((upper, False), v, check_finite=False),
+        float(np.sum(np.log(np.diagonal(upper)))),
+        upper,
+    )
+
+
 @dataclass(frozen=True)
 class _TrainParts:
-    """The training set as arrays plus the hyperparameter-free factors of its Gram."""
+    """The training set as arrays plus the hyperparameter-free factors of its Gram.
+
+    With more matches than features (N > P+1) the Gram is kept in low-rank
+    form, as the features X = [Z | h] and their pair products; otherwise as
+    the dense overlap Z Z' and home products h h'.
+    """
 
     z: sp.csr_matrix
     homes: np.ndarray
     codes: np.ndarray
-    overlap: np.ndarray
-    home_outer: np.ndarray
+    x: sp.csr_matrix | None = None
+    pairs: sp.csc_matrix | None = None
+    overlap: np.ndarray | None = None
+    home_outer: np.ndarray | None = None
+
+    def gram(self, kp: KernelParams, jitter: float) -> np.ndarray | _LowRankGram:
+        """K with ``jitter`` on the diagonal, low-rank when the parts are."""
+        if self.pairs is None:
+            return self.dense_gram(kp, jitter)
+        s = np.full(self.x.shape[1], kp.sigma2)
+        s[-1] = kp.sigma2_home
+        # one transposed view per Gram: building it per product costs more than the product
+        return _LowRankGram(self.x, self.x.T, self.pairs, s, jitter)
+
+    def dense_gram(self, kp: KernelParams, jitter: float) -> np.ndarray:
+        """K with ``jitter`` on the diagonal as an N x N array."""
+        if self.overlap is None:
+            return gram(*_dense_products(self.z, self.homes), kp, jitter)
+        return gram(self.overlap, self.home_outer, kp, jitter)
+
+
+def _dense_products(z: sp.csr_matrix, homes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (z @ z.T).toarray().astype(np.float64), np.outer(homes, homes).astype(np.float64)
 
 
 def _make_parts(train: Dataset) -> _TrainParts:
     vectors = [build_match_vector(r, train.registry) for r in train.records]
     z, homes = match_incidence(vectors, train.num_players)
-    return _TrainParts(
-        z=z,
-        homes=homes,
-        codes=np.array([r.outcome.code for r in train.records], dtype=np.int64),
-        overlap=(z @ z.T).toarray().astype(np.float64),
-        home_outer=np.outer(homes, homes).astype(np.float64),
+    codes = np.array([r.outcome.code for r in train.records], dtype=np.int64)
+    n, p = z.shape
+    if n <= p + 1:
+        overlap, home_outer = _dense_products(z, homes)
+        return _TrainParts(z, homes, codes, overlap=overlap, home_outer=home_outer)
+    # row i of X: its 22 players in increasing column order, then the home
+    # column (stored even when zero), so every pair j >= k of a row's
+    # entries lands in the lower triangle of X' diag(u) X
+    cols = np.concatenate([z.indices.reshape(n, SELF_OVERLAP), np.full((n, 1), p)], axis=1)
+    vals = np.concatenate([z.data.reshape(n, SELF_OVERLAP), homes[:, None]], axis=1)
+    vals = vals.astype(np.float64)
+    width = cols.shape[1]
+    x = sp.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, n * width + 1, width)), shape=(n, p + 1)
     )
+    hi, lo = np.tril_indices(width)
+    pairs = sp.csc_matrix(
+        (
+            (vals[:, hi] * vals[:, lo]).ravel(),
+            (cols[:, hi] * (p + 1) + cols[:, lo]).ravel(),
+            np.arange(0, n * len(hi) + 1, len(hi)),
+        ),
+        shape=((p + 1) ** 2, n),
+    )
+    return _TrainParts(z, homes, codes, x=x, pairs=pairs)
 
 
-def _chol_lower(mat: np.ndarray) -> np.ndarray:
-    try:
-        return sla.cholesky(mat, lower=True)
-    except sla.LinAlgError as exc:
-        raise _CholeskyFailure(str(exc)) from None
+def _psi(codes: np.ndarray, f: np.ndarray, a: np.ndarray, alpha: float) -> float:
+    return float(np.sum(loglik_vector(codes, f, alpha))) - 0.5 * float(a @ f)
 
 
 def _newton_mode(
-    k: np.ndarray, codes: np.ndarray, alpha: float, a0: np.ndarray | None = None
+    k: np.ndarray | _LowRankGram,
+    codes: np.ndarray,
+    alpha: float,
+    a0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Damped Newton ascent; returns (f_hat, a_hat, iterations).
 
-    Starts from a = 0 (hence f = 0) unless ``a0`` is given.  The objective
-    is strictly concave in f, so every start reaches the same mode.
+    ``k`` is the Gram, dense or low-rank.  Starts from ``a0`` if given and
+    its Psi beats that of a = 0 (hence f = 0), else from a = 0.  The
+    objective is strictly concave in f, so every start reaches the same mode.
     """
     n = len(codes)
-    a = np.zeros(n) if a0 is None else np.asarray(a0, dtype=float).copy()
-    f = k @ a
-    psi = float(np.sum(loglik_vector(codes, f, alpha))) - 0.5 * float(a @ f)
+    a = np.zeros(n)
+    f = np.zeros(n)
+    psi = _psi(codes, f, a, alpha)
+    if a0 is not None:
+        a_warm = np.asarray(a0, dtype=float)
+        f_warm = k @ a_warm
+        psi_warm = _psi(codes, f_warm, a_warm, alpha)
+        if psi_warm > psi:
+            a, f, psi = a_warm, f_warm, psi_warm
     d1, d2 = loglik_derivs_vector(codes, f, alpha)
     last_delta = math.inf
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         w = -d2
         sw = np.sqrt(w)
-        b_mat = np.eye(n) + (sw[:, None] * k) * sw[None, :]
-        chol = _chol_lower(b_mat)
         b_vec = w * f + d1
-        kb = k @ b_vec
-        a_new = b_vec - sw * sla.cho_solve((chol, True), sw * kb)
-        step = a_new - a
+        step = b_vec - sw * _factor_b(k, sw).solve(sw * (k @ b_vec)) - a
+        k_step = k @ step
 
+        # a full step whose Psi falls by no more than rounding noise is
+        # taken; the stationarity test below then decides convergence
+        floor = psi - _ROUNDING * max(1.0, abs(psi))
         t = 1.0
-        improved = False
-        while t >= 1e-12:
+        while True:
             a_try = a + t * step
-            f_try = k @ a_try
-            psi_try = float(np.sum(loglik_vector(codes, f_try, alpha))) - 0.5 * float(
-                a_try @ f_try
-            )
-            if psi_try > psi:
-                improved = True
+            f_try = f + t * k_step
+            psi_try = _psi(codes, f_try, a_try, alpha)
+            if psi_try > psi or (t == 1.0 and psi_try >= floor):
                 break
             t *= 0.5
-
-        if not improved:
-            # ascent exhausted at floating-point resolution
-            if _stationary(f, k, d1, np.max(np.abs(f)), 1e-6):
-                return f, a, iteration - 1
-            raise NumericalError(
-                "Newton ascent stalled away from stationarity "
-                f"(|dPsi| floor reached after {iteration - 1} iterations)"
-            )
+            if t < 1e-12:
+                # ascent exhausted at floating-point resolution
+                if _stationary(f, k, d1, 1e-6):
+                    return f, a, iteration - 1
+                raise NumericalError(
+                    "Newton ascent stalled away from stationarity "
+                    f"(|dPsi| floor reached after {iteration - 1} iterations)"
+                )
 
         last_delta = psi_try - psi
         a, f, psi = a_try, f_try, psi_try
         d1, d2 = loglik_derivs_vector(codes, f, alpha)
-        if last_delta < _NEWTON_TOL and _stationary(
-            f, k, d1, np.max(np.abs(f)), _STATIONARITY_TOL
-        ):
+        if last_delta < _NEWTON_TOL and _stationary(f, k, d1, _STATIONARITY_TOL):
             return f, a, iteration
     raise NumericalError(
         f"Laplace Newton did not converge after {_NEWTON_MAX_ITER} iterations "
@@ -227,26 +363,50 @@ def _newton_mode(
 
 
 def _stationary(
-    f: np.ndarray, k: np.ndarray, d1: np.ndarray, f_scale: float, tol: float
+    f: np.ndarray, k: np.ndarray | _LowRankGram, d1: np.ndarray, tol: float
 ) -> bool:
-    return float(np.max(np.abs(f - k @ d1))) <= tol * max(1.0, float(f_scale))
+    """The mode's fixed point f = K d1, to ``tol`` relative to max(1, max |f|)."""
+    return float(np.max(np.abs(f - k @ d1))) <= tol * max(1.0, float(np.max(np.abs(f))))
 
 
-def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
+@dataclass(frozen=True)
+class _Mode:
+    """The mode of Psi, its dual coefficients, and B factored there."""
+
+    f: np.ndarray
+    a: np.ndarray
+    d1: np.ndarray
+    sqrt_w: np.ndarray
+    factor: _BFactor
+    loglik: float
+    jitter: float
+    iters: int
+
+    @property
+    def evidence(self) -> float:
+        return self.loglik - 0.5 * float(self.f @ self.a) - self.factor.half_logdet
+
+
+def _laplace(
+    parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None, dense_b: bool = False
+) -> _Mode:
+    """Newton to the mode from ``a0`` (see _newton_mode), then B factored there.
+
+    ``dense_b`` factors B densely whichever form the Gram took.  A failed
+    factorization escalates the jitter.
+    """
     kp = hyper.kernel
     alpha = hyper.alpha
     jitter = kp.effective_jitter
     while True:
-        k = gram(parts.overlap, parts.home_outer, kp, jitter)
+        k = parts.gram(kp, jitter)
         try:
-            f_hat, a_hat, iters = _newton_mode(k, parts.codes, alpha)
+            f_hat, a_hat, iters = _newton_mode(k, parts.codes, alpha, a0)
             d1, d2 = loglik_derivs_vector(parts.codes, f_hat, alpha)
             sqrt_w = np.sqrt(-d2)
-            b_mat = np.eye(len(f_hat)) + (sqrt_w[:, None] * k) * sqrt_w[None, :]
-            # C order, the layout load_model returns: solve_triangular rounds
-            # the two layouts differently, so a fresh model would not predict
-            # bit for bit like its reloaded copy
-            chol_b = np.ascontiguousarray(_chol_lower(b_mat))
+            if dense_b and isinstance(k, _LowRankGram):
+                k = parts.dense_gram(kp, jitter)
+            factor = _factor_b(k, sqrt_w)
         except _CholeskyFailure:
             nxt = jitter * 10.0 if jitter > 0.0 else 1e-6 * kp.sigma2
             if nxt > kp.max_jitter or nxt <= jitter:
@@ -257,20 +417,37 @@ def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
             logger.warning("Cholesky failure; escalating jitter %g -> %g", jitter, nxt)
             jitter = nxt
             continue
-        return LaplacePosterior(
-            mode=f_hat,
-            grad=d1,
+        return _Mode(
+            f=f_hat,
+            a=a_hat,
+            d1=d1,
             sqrt_w=sqrt_w,
-            chol_b=chol_b,
-            dual_coef=a_hat,
+            factor=factor,
             loglik=float(np.sum(loglik_vector(parts.codes, f_hat, alpha))),
             jitter=jitter,
-            newton_iters=iters,
-            train_z=parts.z,
-            train_homes=parts.homes,
-            train_codes=parts.codes,
-            hyper=hyper,
+            iters=iters,
         )
+
+
+def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
+    m = _laplace(parts, hyper, dense_b=True)
+    return LaplacePosterior(
+        mode=m.f,
+        grad=m.d1,
+        sqrt_w=m.sqrt_w,
+        # C order, the layout load_model returns: solve_triangular rounds
+        # the two layouts differently, so a fresh model would not predict
+        # bit for bit like its reloaded copy
+        chol_b=m.factor.upper.T,
+        dual_coef=m.a,
+        loglik=m.loglik,
+        jitter=m.jitter,
+        newton_iters=m.iters,
+        train_z=parts.z,
+        train_homes=parts.homes,
+        train_codes=parts.codes,
+        hyper=hyper,
+    )
 
 
 def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
@@ -296,7 +473,10 @@ def _latent_batch(
     overlap = np.ascontiguousarray((post.train_z @ z.toarray().T).T)
     k_star = gram(overlap, np.outer(homes_test, post.train_homes), kp)
     mu = k_star @ post.grad
-    v = sla.solve_triangular(post.chol_b, post.sqrt_w[:, None] * k_star.T, lower=True)
+    # chol_b is finite: factored from a finite B, or checked by load_model
+    v = sla.solve_triangular(
+        post.chol_b, post.sqrt_w[:, None] * k_star.T, lower=True, check_finite=False
+    )
     k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes_test.astype(np.float64) ** 2
     var = k_ss - np.einsum("ij,ij->j", v, v)
     bad = var < -1e-8
@@ -353,7 +533,8 @@ def optimize_hyperparams(
 
     Nelder-Mead restarted from ``init`` and two fixed perturbations of it;
     ``budget`` caps the total number of evidence evaluations (repeated
-    points hit a cache and are not recounted).  Deterministic given inputs;
+    points hit a cache and are not recounted).  Each evaluation's Newton
+    starts from the mode of the last one that succeeded.  Deterministic given inputs;
     returns the best point actually evaluated, so the result's evidence is
     never below the init's.
     """
@@ -386,9 +567,10 @@ def optimize_hyperparams(
     cache: dict[tuple[float, float, float], float] = {}
     best_ev = -math.inf
     best = init
+    warm: np.ndarray | None = None
 
     def objective(theta: np.ndarray, exact: Hyperparams | None = None) -> float:
-        nonlocal used, best_ev, best
+        nonlocal used, best_ev, best, warm
         key = (float(theta[0]), float(theta[1]), float(theta[2]))
         if key in cache:
             return cache[key]
@@ -399,10 +581,13 @@ def optimize_hyperparams(
             # round-tripping init through exp(log(.)) can slip an ulp, so the
             # first evaluation keeps the caller's exact parameter object
             h = exact if exact is not None else hyper_at(theta)
-            ev = log_marginal(_fit_parts(parts, h))
+            mode = _laplace(parts, h, warm)
         except (NumericalError, ValueError, OverflowError):
             cache[key] = 1e300
             return 1e300
+        # the next evaluation's Newton starts from this mode
+        warm = mode.a
+        ev = mode.evidence
         if ev > best_ev:
             best_ev = ev
             best = h

@@ -128,6 +128,18 @@ class TestTrainPredict:
         )
         assert rc == 0 and out.exists()
 
+    def test_train_where_last_newton_step_is_rounding_level(self, tmp_path):
+        # the default league's first 600 matches, at a point its evidence
+        # search visits: the last full Newton step changes Psi by rounding only
+        league = tmp_path / "league.csv"
+        assert cli.run(["simulate", "--seed", "0", "--out", str(league)]) == 0
+        train = tmp_path / "train.csv"
+        train.write_text("".join(league.read_text().splitlines(keepends=True)[:601]))
+        out = tmp_path / "model.json"
+        hyper = ["--sigma2", "0.0528", "--sigma2-home", "0.9995", "--alpha", "0.4274"]
+        assert cli.run(["train", "--train", str(train), "--model-out", str(out), *hyper]) == 0
+        assert len(json.loads(out.read_text())["outcomes"]) == 600
+
 
 class TestEvaluate:
     def test_table_and_csvs(self, workspace, tmp_path, capsys):

@@ -4,6 +4,7 @@ Oracles used here:
   * a bisection root-finder for the single-match posterior mode,
   * the weight-space (primal) Laplace fit for the multi-match case,
   * a tensor-grid integrator for the evidence on tiny datasets,
+  * the dense N x N Gram for the low-rank route's mode and evidence,
   * closed forms for fully disjoint test matches.
 """
 
@@ -24,11 +25,14 @@ from conftest import (
     random_dataset,
     random_record,
 )
+from lineupgp import gp
 from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
 from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
-from lineupgp.errors import DataError
+from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import (
     Hyperparams,
+    _laplace,
+    _make_parts,
     _newton_mode,
     fit,
     load_model,
@@ -41,7 +45,13 @@ from lineupgp.gp import (
     train_model,
 )
 from lineupgp.kernel import SELF_OVERLAP, build_match_vector, kernel_matrix
-from lineupgp.likelihood import DrawParam, log_likelihood_derivs, outcome_probs
+from lineupgp.likelihood import (
+    DrawParam,
+    log_likelihood_derivs,
+    loglik_derivs_vector,
+    loglik_vector,
+    outcome_probs,
+)
 from lineupgp.simulate import SimConfig, simulate_dataset
 
 IDS = player_ids(80)
@@ -188,6 +198,119 @@ class TestDualPrimalEquivalence:
             rec = make_record(f"t{i:04d}", old[:7] + new[:4], old[7:] + new[4:], home=home)
             mu_d, var_d = model.predict_latent(rec)
             mu_p, var_p = wsp.predict_latent(build_match_vector(rec, union))
+            assert abs(mu_d - mu_p) <= 1e-6
+            assert abs(var_d - var_p) <= 1e-6
+
+
+def _dense_evidence(ds, hyper):
+    """Mode by Newton on the dense N x N Gram, evidence with log|B| from slogdet."""
+    vecs = [build_match_vector(r, ds.registry) for r in ds.records]
+    k = kernel_matrix(vecs, vecs, hyper.kernel, add_jitter=True)
+    codes = np.array([r.outcome.code for r in ds.records])
+    f, a, _ = _newton_mode(k, codes, hyper.alpha)
+    _, d2 = loglik_derivs_vector(codes, f, hyper.alpha)
+    sw = np.sqrt(-d2)
+    sign, logdet = np.linalg.slogdet(np.eye(ds.n) + sw[:, None] * k * sw[None, :])
+    assert sign == 1.0
+    return f, float(np.sum(loglik_vector(codes, f, hyper.alpha)) - 0.5 * (f @ a) - 0.5 * logdet)
+
+
+def _neutral(ds):
+    return Dataset.from_records(
+        [dataclasses.replace(rec, home=HomeSide.NEUTRAL) for rec in ds.records],
+        registry=ds.registry,
+    )
+
+
+class TestLowRankRoute:
+    """N > P+1: Newton steps through the (P+1) x (P+1) factor of B."""
+
+    def _cases(self):
+        rng = np.random.default_rng(271)
+        wide = random_dataset(rng, 60, 40)
+        edge = random_dataset(rng, 32, 30)
+        assert wide.n > wide.num_players + 1 and edge.n == edge.num_players + 2
+        return [
+            (wide, Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)),
+            (wide, Hyperparams.create(sigma2=0.5, sigma2_home=3.0, alpha=0.2)),
+            (wide, Hyperparams.create(sigma2=0.2, sigma2_home=0.0, alpha=0.5)),
+            (wide, Hyperparams.create(sigma2=0.2, sigma2_home=0.7, alpha=0.5, jitter=0.0)),
+            (_neutral(wide), Hyperparams.create(sigma2=0.3, sigma2_home=1.0, alpha=0.6)),
+            (edge, Hyperparams.create(sigma2=0.15, sigma2_home=0.4, alpha=0.45)),
+        ]
+
+    def test_route_follows_shape(self):
+        rng = np.random.default_rng(272)
+        dense = random_dataset(rng, 31, 30)
+        assert dense.n == dense.num_players + 1
+        assert _make_parts(dense).pairs is None
+        for ds, _ in self._cases():
+            assert _make_parts(ds).pairs is not None
+
+    def test_evidence_matches_dense(self):
+        for ds, hyper in self._cases():
+            low_rank = _laplace(_make_parts(ds), hyper).evidence
+            f_dense, dense = _dense_evidence(ds, hyper)
+            post = fit(ds, hyper)
+            assert abs(low_rank - dense) <= 1e-9 * abs(dense)
+            assert abs(low_rank - log_marginal(post)) <= 1e-9 * abs(dense)
+            assert np.max(np.abs(post.mode - f_dense)) <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def default_league():
+    """The first 600 matches of the default league (`lineupgp simulate --seed 0`)."""
+    return Dataset.from_records(simulate_dataset(SimConfig(seed=0)).dataset.records[:600])
+
+
+class TestDefaultLeague:
+    def test_full_step_at_rounding_level(self, default_league):
+        # three Newton steps leave a residual of ~2e-6; the full fourth step
+        # changes Psi only by rounding and must still be taken
+        hyper = Hyperparams.create(sigma2=0.0528, sigma2_home=0.9995, alpha=0.4274)
+        post = fit(default_league, hyper)
+        k = post.train_z @ post.train_z.T * hyper.kernel.sigma2
+        k = k.toarray() + hyper.kernel.sigma2_home * np.outer(post.train_homes, post.train_homes)
+        k[np.diag_indices_from(k)] += post.jitter
+        assert np.max(np.abs(post.mode - k @ post.grad)) <= 1e-8 * max(1.0, np.max(np.abs(post.mode)))
+
+    def test_warm_start(self, default_league):
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        parts = _make_parts(default_league)
+        k = parts.gram(hyper.kernel, hyper.kernel.effective_jitter)
+        cold_f, cold_a, cold_iters = _newton_mode(k, parts.codes, hyper.alpha)
+        # from the mode itself: at most one step
+        _, _, iters = _newton_mode(k, parts.codes, hyper.alpha, a0=cold_a)
+        assert iters <= 1
+        # a start worse than a = 0 is ignored
+        f, _, iters = _newton_mode(k, parts.codes, hyper.alpha, a0=-50.0 * cold_a)
+        assert iters == cold_iters and np.array_equal(f, cold_f)
+
+    def test_search_evaluations_all_succeed(self, default_league, monkeypatch):
+        failures = []
+        newton = gp._newton_mode
+
+        def counted(*args, **kwargs):
+            try:
+                return newton(*args, **kwargs)
+            except NumericalError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(gp, "_newton_mode", counted)
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        best = optimize_hyperparams(default_league, init, budget=200)
+        assert failures == []
+        assert log_marginal(fit(default_league, best)) >= -589.0505
+
+    def test_weight_space_oracle_at_searched_point(self, default_league):
+        hyper = Hyperparams.create(sigma2=0.0531, sigma2_home=0.9996, alpha=0.4288)
+        post = fit(default_league, hyper)
+        wsp = primal_laplace_fit(default_league, hyper)
+        for rec in default_league.records[::15]:
+            vec = build_match_vector(rec, default_league.registry)
+            mu_d, var_d = predict_latent(post, vec)
+            mu_p, var_p = wsp.predict_latent(vec)
             assert abs(mu_d - mu_p) <= 1e-6
             assert abs(var_d - var_p) <= 1e-6
 
@@ -374,7 +497,9 @@ class TestModelPersistence:
         league = simulate_dataset(SimConfig(seed=0)).dataset.records
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         large = (train_model(Dataset.from_records(league[:100]), hyper), league[100:140])
-        for i, (fresh, records) in enumerate((small, large)):
+        # 300 matches over 224 players: Newton on the low-rank route
+        wide = (train_model(Dataset.from_records(league[:300]), hyper), league[300:340])
+        for i, (fresh, records) in enumerate((small, large, wide)):
             path = tmp_path / f"model{i}.json"
             save_model(fresh, path)
             back = load_model(path)
@@ -447,6 +572,20 @@ class TestModelPersistence:
             path.write_text(json.dumps(bad))
             with pytest.raises(DataError):
                 load_model(path)
+
+    def test_rejects_non_finite_chol_b(self, tmp_path):
+        # prediction skips the finiteness scan of chol_b, so loading must catch it
+        _, model = self._trained(seed=256)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        obj = payload["chol_b"]
+        chol = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).reshape(obj["shape"]).copy()
+        chol[1, 0] = np.nan
+        payload["chol_b"] = dict(obj, data=base64.b64encode(chol.tobytes()).decode())
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="non-finite"):
+            load_model(path)
 
     def test_unseen_players_get_prior_prediction(self):
         ds, model = self._trained(seed=254)
