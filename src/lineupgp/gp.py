@@ -19,8 +19,14 @@ B is factored one of two ways, chosen by the shape of the training set:
   Woodbury through the Cholesky factor of the (P+1) x (P+1) matrix
   C = I + U' D^{-1} U, with log|B| = log|D| + log|C|.
 
-A fitted posterior always keeps the dense factor of B at the mode, which
-prediction and the model file use.
+A fitted posterior keeps whichever of the two factors its route built at
+the mode, the smaller one.  On the low-rank route it serves from weight
+space: the weights w ~ N(0, S) with f = X w have the Laplace posterior mean
+m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly
+(jitter included), so a test match x gets mean x'm and variance
+|L_C^{-1} S^{1/2} x|^2, with no N x N array.  On the dense route it serves
+from the dual form through L_B.  Players unseen in training add their prior
+variance and nothing to the mean on either route.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -78,7 +85,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "lineupgp/model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -120,16 +127,19 @@ class LaplacePosterior:
     """Laplace approximation at the unique mode of Psi.
 
     ``mode = K @ dual_coef`` with K including ``jitter`` on the diagonal;
-    ``grad`` is the likelihood gradient at the mode, ``sqrt_w`` the square
-    root of its negated Hessian, and ``chol_b`` the lower Cholesky factor
-    of B = I + W^{1/2} K W^{1/2}.  The training set is kept as its signed
-    incidence ``train_z`` (N x P), home signs and outcome codes.
+    ``grad`` is the likelihood gradient at the mode and ``sqrt_w`` the
+    square root of its negated Hessian.  ``chol`` is a lower Cholesky factor
+    in C order, chosen by the training set's shape (see the module
+    docstring): with N > P+1 matches (``low_rank``) that of the (P+1) x (P+1)
+    matrix C = I + S^{1/2} X' W (I + jitter*W)^{-1} X S^{1/2}, otherwise that
+    of the N x N matrix B = I + W^{1/2} K W^{1/2}.  The training set is kept
+    as its signed incidence ``train_z`` (N x P), home signs and outcome codes.
     """
 
     mode: np.ndarray
     grad: np.ndarray
     sqrt_w: np.ndarray
-    chol_b: np.ndarray
+    chol: np.ndarray
     dual_coef: np.ndarray
     loglik: float
     jitter: float
@@ -142,6 +152,29 @@ class LaplacePosterior:
     @property
     def n(self) -> int:
         return len(self.mode)
+
+    @property
+    def low_rank(self) -> bool:
+        """N > P+1: ``chol`` factors C and prediction runs in weight space."""
+        return _low_rank(self.n, self.train_z.shape[1])
+
+    @cached_property
+    def weight_mean(self) -> np.ndarray:
+        """m = S X' grad: posterior mean of the P player weights, then the home weight."""
+        s = _prior_scales(self.hyper.kernel, self.train_z.shape[1] + 1)
+        return s * np.append(self.train_z.T @ self.grad, self.train_homes @ self.grad)
+
+
+def _low_rank(n: int, p: int) -> bool:
+    """The route rule: more matches than features X = [Z | h]."""
+    return n > p + 1
+
+
+def _prior_scales(kp: KernelParams, width: int) -> np.ndarray:
+    """diag(S): the prior variances of the ``width - 1`` player weights and the home weight."""
+    s = np.full(width, kp.sigma2)
+    s[-1] = kp.sigma2_home
+    return s
 
 
 class _CholeskyFailure(Exception):
@@ -168,12 +201,13 @@ def _chol_upper(sym: np.ndarray) -> np.ndarray:
 class _BFactor:
     """B = I + W^{1/2} K W^{1/2} factored: ``solve(v)`` is B^{-1} v.
 
-    ``upper`` is B's dense upper Cholesky factor, None on the low-rank route.
+    ``upper`` is the upper Cholesky factor of C on the low-rank route, of B
+    on the dense one.
     """
 
     solve: Callable[[np.ndarray], np.ndarray]
     half_logdet: float
-    upper: np.ndarray | None = None
+    upper: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -210,7 +244,7 @@ class _LowRankGram:
             return y - sw * (self.x @ (rs * t)) / d
 
         half_logdet = 0.5 * float(np.sum(np.log(d))) + float(np.sum(np.log(np.diagonal(upper))))
-        return _BFactor(solve, half_logdet)
+        return _BFactor(solve, half_logdet, upper)
 
 
 def _factor_b(k: np.ndarray | _LowRankGram, sw: np.ndarray) -> _BFactor:
@@ -249,30 +283,30 @@ class _TrainParts:
     def gram(self, kp: KernelParams, jitter: float) -> np.ndarray | _LowRankGram:
         """K with ``jitter`` on the diagonal, low-rank when the parts are."""
         if self.pairs is None:
-            return self.dense_gram(kp, jitter)
-        s = np.full(self.x.shape[1], kp.sigma2)
-        s[-1] = kp.sigma2_home
+            return gram(self.overlap, self.home_outer, kp, jitter)
+        s = _prior_scales(kp, self.x.shape[1])
         # one transposed view per Gram: building it per product costs more than the product
         return _LowRankGram(self.x, self.x.T, self.pairs, s, jitter)
 
-    def dense_gram(self, kp: KernelParams, jitter: float) -> np.ndarray:
-        """K with ``jitter`` on the diagonal as an N x N array."""
-        if self.overlap is None:
-            return gram(*_dense_products(self.z, self.homes), kp, jitter)
-        return gram(self.overlap, self.home_outer, kp, jitter)
-
-
-def _dense_products(z: sp.csr_matrix, homes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (z @ z.T).toarray().astype(np.float64), np.outer(homes, homes).astype(np.float64)
-
 
 def _make_parts(train: Dataset) -> _TrainParts:
-    vectors = [build_match_vector(r, train.registry) for r in train.records]
-    z, homes = match_incidence(vectors, train.num_players)
+    # straight from the registry: a MatchRecord already holds two disjoint
+    # lineups of 11 distinct players, so a lookup is all a row needs
+    registry = train.registry
+    try:
+        lineups = [registry[pid] for rec in train.records for pid in rec.players]
+    except KeyError as exc:
+        pid = exc.args[0]
+        rec = next(r for r in train.records if pid in r.players)
+        raise DataError(f"match {rec.match_id!r}: player {pid!r} is not in the registry") from None
+    rows = np.array(lineups, dtype=np.int64).reshape(-1, SELF_OVERLAP)
+    z = incidence(rows[:, :PLAYERS_PER_SIDE], rows[:, PLAYERS_PER_SIDE:], train.num_players)
+    homes = np.array([r.home.sign for r in train.records], dtype=np.int64)
     codes = np.array([r.outcome.code for r in train.records], dtype=np.int64)
     n, p = z.shape
-    if n <= p + 1:
-        overlap, home_outer = _dense_products(z, homes)
+    if not _low_rank(n, p):
+        overlap = (z @ z.T).toarray().astype(np.float64)
+        home_outer = np.outer(homes, homes).astype(np.float64)
         return _TrainParts(z, homes, codes, overlap=overlap, home_outer=home_outer)
     # row i of X: its 22 players in increasing column order, then the home
     # column (stored even when zero), so every pair j >= k of a row's
@@ -387,13 +421,10 @@ class _Mode:
         return self.loglik - 0.5 * float(self.f @ self.a) - self.factor.half_logdet
 
 
-def _laplace(
-    parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None, dense_b: bool = False
-) -> _Mode:
+def _laplace(parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None) -> _Mode:
     """Newton to the mode from ``a0`` (see _newton_mode), then B factored there.
 
-    ``dense_b`` factors B densely whichever form the Gram took.  A failed
-    factorization escalates the jitter.
+    A failed factorization escalates the jitter.
     """
     kp = hyper.kernel
     alpha = hyper.alpha
@@ -404,8 +435,6 @@ def _laplace(
             f_hat, a_hat, iters = _newton_mode(k, parts.codes, alpha, a0)
             d1, d2 = loglik_derivs_vector(parts.codes, f_hat, alpha)
             sqrt_w = np.sqrt(-d2)
-            if dense_b and isinstance(k, _LowRankGram):
-                k = parts.dense_gram(kp, jitter)
             factor = _factor_b(k, sqrt_w)
         except _CholeskyFailure:
             nxt = jitter * 10.0 if jitter > 0.0 else 1e-6 * kp.sigma2
@@ -430,7 +459,7 @@ def _laplace(
 
 
 def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
-    m = _laplace(parts, hyper, dense_b=True)
+    m = _laplace(parts, hyper)
     return LaplacePosterior(
         mode=m.f,
         grad=m.d1,
@@ -438,7 +467,7 @@ def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
         # C order, the layout load_model returns: solve_triangular rounds
         # the two layouts differently, so a fresh model would not predict
         # bit for bit like its reloaded copy
-        chol_b=m.factor.upper.T,
+        chol=m.factor.upper.T,
         dual_coef=m.a,
         loglik=m.loglik,
         jitter=m.jitter,
@@ -458,9 +487,16 @@ def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
 
 
 def log_marginal(post: LaplacePosterior) -> float:
-    """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - sum log diag L_B."""
+    """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - 0.5 log|B|.
+
+    log|B| is 2 sum log diag L_B on the dense route, and
+    sum log(1 + jitter*w) + 2 sum log diag L_C on the low-rank one.
+    """
     quad = 0.5 * float(post.mode @ post.dual_coef)
-    half_logdet = float(np.sum(np.log(np.diag(post.chol_b))))
+    half_logdet = float(np.sum(np.log(np.diagonal(post.chol))))
+    if post.low_rank:
+        sw = post.sqrt_w
+        half_logdet += 0.5 * float(np.sum(np.log(1.0 + post.jitter * (sw * sw))))
     return post.loglik - quad - half_logdet
 
 
@@ -468,17 +504,29 @@ def _latent_batch(
     post: LaplacePosterior, vectors: Sequence[MatchVector]
 ) -> tuple[np.ndarray, np.ndarray]:
     kp = post.hyper.kernel
-    z, homes_test = match_incidence(vectors, post.train_z.shape[1])
-    # in C order, like every Gram: the BLAS products below round by layout
-    overlap = np.ascontiguousarray((post.train_z @ z.toarray().T).T)
-    k_star = gram(overlap, np.outer(homes_test, post.train_homes), kp)
-    mu = k_star @ post.grad
-    # chol_b is finite: factored from a finite B, or checked by load_model
-    v = sla.solve_triangular(
-        post.chol_b, post.sqrt_w[:, None] * k_star.T, lower=True, check_finite=False
-    )
-    k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes_test.astype(np.float64) ** 2
-    var = k_ss - np.einsum("ij,ij->j", v, v)
+    p = post.train_z.shape[1]
+    z, homes_test = match_incidence(vectors, p)
+    # chol is finite: factored from a finite matrix, or checked by load_model
+    if post.low_rank:
+        x = np.empty((p + 1, len(vectors)))
+        x[:p] = z.toarray().T
+        x[p] = homes_test
+        mu = x.T @ post.weight_mean
+        x *= np.sqrt(_prior_scales(kp, p + 1))[:, None]
+        v = sla.solve_triangular(post.chol, x, lower=True, check_finite=False)
+        # each player unseen in training adds its prior variance
+        unseen = SELF_OVERLAP - np.diff(z.indptr)
+        var = np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
+    else:
+        # in C order, like every Gram: the BLAS products below round by layout
+        overlap = np.ascontiguousarray((post.train_z @ z.toarray().T).T)
+        k_star = gram(overlap, np.outer(homes_test, post.train_homes), kp)
+        mu = k_star @ post.grad
+        v = sla.solve_triangular(
+            post.chol, post.sqrt_w[:, None] * k_star.T, lower=True, check_finite=False
+        )
+        k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes_test.astype(np.float64) ** 2
+        var = k_ss - np.einsum("ij,ij->j", v, v)
     bad = var < -1e-8
     if np.any(bad):
         logger.warning(
@@ -742,7 +790,8 @@ def save_model(model: GPModel, path: str | Path) -> None:
         "grad": _encode_array(post.grad, "<f8"),
         "sqrt_w": _encode_array(post.sqrt_w, "<f8"),
         "dual_coef": _encode_array(post.dual_coef, "<f8"),
-        "chol_b": _encode_array(post.chol_b, "<f8"),
+        # the lower triangle, row by row
+        "chol": _encode_array(post.chol[np.tri(len(post.chol), dtype=bool)], "<f8"),
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
@@ -792,9 +841,12 @@ def load_model(path: str | Path) -> GPModel:
         raise DataError("model lineups must be strictly increasing")
     if np.any(np.diff(np.sort(lineups, axis=1), axis=1) == 0):
         raise DataError("a model lineup puts a player on both sides")
-    chol_b = _decode_array(payload, "chol_b", "<f8", (n, n))
-    if np.any(np.triu(chol_b, 1)) or not np.all(np.diag(chol_b) > 0.0):
-        raise DataError("model 'chol_b' is not lower triangular with a positive diagonal")
+    # the same shape rule as the fit: the factor of C when N > P+1, else of B
+    q = len(ids) + 1 if _low_rank(n, len(ids)) else n
+    chol = np.zeros((q, q))
+    chol[np.tri(q, dtype=bool)] = _decode_array(payload, "chol", "<f8", (q * (q + 1) // 2,))
+    if not np.all(np.diagonal(chol) > 0.0):
+        raise DataError("model 'chol' has a diagonal entry that is not positive")
     jitter = _finite(payload, "jitter_used")
     newton_iters = _field(payload, "newton_iters", int)
     if jitter < 0.0 or newton_iters < 0:
@@ -804,7 +856,7 @@ def load_model(path: str | Path) -> GPModel:
         mode=_decode_array(payload, "mode", "<f8", (n,)),
         grad=_decode_array(payload, "grad", "<f8", (n,)),
         sqrt_w=_decode_array(payload, "sqrt_w", "<f8", (n,)),
-        chol_b=chol_b,
+        chol=chol,
         dual_coef=_decode_array(payload, "dual_coef", "<f8", (n,)),
         loglik=_finite(payload, "loglik"),
         jitter=jitter,

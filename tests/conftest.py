@@ -7,6 +7,7 @@ integration) so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import base64
 import datetime as dt
 from typing import Sequence
 
@@ -137,3 +138,11 @@ def brute_force_evidence(
     w_axes = np.meshgrid(*([log_w] * n), indexing="ij")
     log_weights = np.stack([axis.ravel() for axis in w_axes], axis=1).sum(axis=1)
     return float(logsumexp(total + log_weights))
+
+
+def version_1_payload(payload: dict) -> dict:
+    """A model payload laid out as version 1 wrote it: the full N x N factor of B."""
+    n = len(payload["outcomes"])
+    eye = base64.b64encode(np.eye(n).tobytes()).decode()
+    v1 = {k: v for k, v in payload.items() if k != "chol"}
+    return dict(v1, version=1, chol_b={"dtype": "<f8", "shape": [n, n], "data": eye})

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from conftest import version_1_payload
 from lineupgp import __version__, cli
 from lineupgp.data import parse_dataset
 from lineupgp.errors import NumericalError
@@ -401,10 +402,10 @@ class TestExitCodes:
 
     def test_corrupt_model_exits_2(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["model"].read_text())
-        no_chol = {k: v for k, v in payload.items() if k != "chol_b"}
+        no_chol = {k: v for k, v in payload.items() if k != "chol"}
         n = payload["mode"]["shape"][0]
         misshaped = dict(payload, mode=dict(payload["mode"], shape=[n + 1]))
-        for i, bad in enumerate((no_chol, misshaped)):
+        for i, bad in enumerate((no_chol, misshaped, version_1_payload(payload))):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(bad))
             assert cli.run(["predict", "--model", str(path), "--test", str(workspace["test"])]) == 2

@@ -24,6 +24,7 @@ from conftest import (
     player_ids,
     random_dataset,
     random_record,
+    version_1_payload,
 )
 from lineupgp import gp
 from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
@@ -44,7 +45,13 @@ from lineupgp.gp import (
     save_model,
     train_model,
 )
-from lineupgp.kernel import SELF_OVERLAP, build_match_vector, kernel_matrix
+from lineupgp.kernel import (
+    SELF_OVERLAP,
+    build_match_vector,
+    kernel_eval,
+    kernel_matrix,
+    match_incidence,
+)
 from lineupgp.likelihood import (
     DrawParam,
     log_likelihood_derivs,
@@ -175,31 +182,34 @@ class TestDualPrimalEquivalence:
 
     def test_partly_unseen_lineups(self):
         # lineups mixing training players with unseen ones: the unseen half
-        # adds prior variance only, as under the train/test union registry
+        # adds prior variance only, as under the train/test union registry;
+        # 30 matches over 40 players serve from B, 60 over 30 from weight space
         rng = np.random.default_rng(213)
-        ds = random_dataset(rng, 30, 40)
-        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45, jitter=0.0)
-        model = train_model(ds, hyper)
-        seen = sorted(ds.registry)
-        fresh = [f"q{i:03d}" for i in range(10)]
-        union = dict(ds.registry)
-        for pid in fresh:
-            union[pid] = len(union)
-        wsp = primal_laplace_fit_vectors(
-            [build_match_vector(r, union) for r in ds.records],
-            [r.outcome for r in ds.records],
-            len(union),
-            hyper,
-        )
-        for i in range(8):
-            old = [seen[j] for j in rng.permutation(len(seen))[:14]]
-            new = [fresh[j] for j in rng.permutation(len(fresh))[:8]]
-            home = (HomeSide.TEAM1, HomeSide.TEAM2, HomeSide.NEUTRAL)[i % 3]
-            rec = make_record(f"t{i:04d}", old[:7] + new[:4], old[7:] + new[4:], home=home)
-            mu_d, var_d = model.predict_latent(rec)
-            mu_p, var_p = wsp.predict_latent(build_match_vector(rec, union))
-            assert abs(mu_d - mu_p) <= 1e-6
-            assert abs(var_d - var_p) <= 1e-6
+        for n_matches, n_players in ((30, 40), (60, 30)):
+            ds = random_dataset(rng, n_matches, n_players)
+            hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45, jitter=0.0)
+            model = train_model(ds, hyper)
+            assert model.posterior.low_rank == (ds.n > ds.num_players + 1)
+            seen = sorted(ds.registry)
+            fresh = [f"q{i:03d}" for i in range(10)]
+            union = dict(ds.registry)
+            for pid in fresh:
+                union[pid] = len(union)
+            wsp = primal_laplace_fit_vectors(
+                [build_match_vector(r, union) for r in ds.records],
+                [r.outcome for r in ds.records],
+                len(union),
+                hyper,
+            )
+            for i in range(8):
+                old = [seen[j] for j in rng.permutation(len(seen))[:14]]
+                new = [fresh[j] for j in rng.permutation(len(fresh))[:8]]
+                home = (HomeSide.TEAM1, HomeSide.TEAM2, HomeSide.NEUTRAL)[i % 3]
+                rec = make_record(f"t{i:04d}", old[:7] + new[:4], old[7:] + new[4:], home=home)
+                mu_d, var_d = model.predict_latent(rec)
+                mu_p, var_p = wsp.predict_latent(build_match_vector(rec, union))
+                assert abs(mu_d - mu_p) <= 1e-6
+                assert abs(var_d - var_p) <= 1e-6
 
 
 def _dense_evidence(ds, hyper):
@@ -244,8 +254,36 @@ class TestLowRankRoute:
         dense = random_dataset(rng, 31, 30)
         assert dense.n == dense.num_players + 1
         assert _make_parts(dense).pairs is None
+        assert not fit(dense, Hyperparams.create()).low_rank
         for ds, _ in self._cases():
             assert _make_parts(ds).pairs is not None
+            assert fit(ds, Hyperparams.create()).low_rank
+
+    def test_incidence_from_registry(self):
+        # Z from registry lookups equals Z stacked from match vectors, on both
+        # routes and with a registry wider than the training lineups
+        rng = np.random.default_rng(273)
+        league = random_dataset(rng, 60, 30)
+        wide = Dataset.from_records(league.records, registry={**league.registry, "q000": 30})
+        for ds in (random_dataset(rng, 20, 40), league, wide):
+            want, homes = match_incidence(
+                [build_match_vector(r, ds.registry) for r in ds.records], ds.num_players
+            )
+            parts = _make_parts(ds)
+            for key in ("indices", "data", "indptr"):
+                assert np.array_equal(getattr(parts.z, key), getattr(want, key)), key
+            assert parts.z.shape == want.shape and np.array_equal(parts.homes, homes)
+        ds = random_dataset(rng, 5, 30)
+        partial = Dataset(records=ds.records, registry={pid: 0 for pid in ds.records[0].lineup1})
+        with pytest.raises(DataError, match="not in the registry"):
+            _make_parts(partial)
+
+    def test_log_marginal_is_the_search_evidence(self):
+        rng = np.random.default_rng(274)
+        cases = [(random_dataset(rng, 30, 40), Hyperparams.create(sigma2=0.09, alpha=0.45))]
+        cases += self._cases()
+        for ds, hyper in cases:
+            assert log_marginal(fit(ds, hyper)) == _laplace(_make_parts(ds), hyper).evidence
 
     def test_evidence_matches_dense(self):
         for ds, hyper in self._cases():
@@ -255,6 +293,46 @@ class TestLowRankRoute:
             assert abs(low_rank - dense) <= 1e-9 * abs(dense)
             assert abs(low_rank - log_marginal(post)) <= 1e-9 * abs(dense)
             assert np.max(np.abs(post.mode - f_dense)) <= 1e-8
+
+
+def _dense_dual_latent(post, train, vec):
+    """mu = k*' grad and var = k** - |L_B^{-1} W^{1/2} k*|^2 from the dense Gram."""
+    kp = post.hyper.kernel
+    vecs = [build_match_vector(r, train.registry) for r in train.records]
+    k = kernel_matrix(vecs, vecs, kp)
+    k[np.diag_indices_from(k)] += post.jitter
+    sw = post.sqrt_w
+    chol = np.linalg.cholesky(np.eye(train.n) + sw[:, None] * k * sw[None, :])
+    k_star = kernel_matrix([vec], vecs, kp)[0]
+    v = np.linalg.solve(chol, sw * k_star)
+    return float(k_star @ post.grad), kernel_eval(vec, vec, kp) - float(v @ v)
+
+
+class TestWeightSpaceServing:
+    """N > P+1: predictions from L_C equal the dense dual formula."""
+
+    def test_matches_dense_dual(self):
+        league = simulate_dataset(SimConfig(seed=0)).dataset.records
+        train = Dataset.from_records(league[:300])
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        model = train_model(train, hyper)
+        assert model.posterior.low_rank
+        # four players per side unseen in training
+        fresh = tuple(f"q{i:03d}" for i in range(8))
+        mixed = tuple(
+            dataclasses.replace(rec, lineup1=rec.lineup1[:7] + fresh[:4], lineup2=rec.lineup2[:7] + fresh[4:])
+            for rec in league[340:345]
+        )
+        for rec in league[300:340] + mixed:
+            # the union registry: a player unseen in training overlaps no training match
+            vec = model.vector_for(rec)
+            mu_w, var_w = model.predict_latent(rec)
+            mu_d, var_d = _dense_dual_latent(model.posterior, train, vec)
+            assert abs(mu_w - mu_d) <= 1e-12
+            assert abs(var_w - var_d) <= 1e-12
+            got = model.predict(rec).as_array()
+            want = quadrature_outcome_probs(mu_d, var_d, hyper.draw).as_array()
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -524,6 +602,9 @@ class TestModelPersistence:
         bad.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="version"):
             load_model(bad)
+        bad.write_text(json.dumps(version_1_payload(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="version 1"):
+            load_model(bad)
 
     def test_rejects_corrupt_payloads(self, tmp_path):
         _, model = self._trained(seed=255)
@@ -547,7 +628,7 @@ class TestModelPersistence:
 
         plus = decoded("plus")
         bad_payloads = [
-            {k: v for k, v in good.items() if k != "chol_b"},
+            {k: v for k, v in good.items() if k != "chol"},
             {k: v for k, v in good.items() if k != "hyper"},
             dict(good, hyper=dict(good["hyper"], sigma2=-1.0)),
             dict(good, mode=dict(good["mode"], shape=[n + 1])),
@@ -563,8 +644,9 @@ class TestModelPersistence:
             with_array("plus", plus[:, ::-1]),
             with_entry("minus", 0, plus[0]),
             with_entry("sqrt_w", 0, np.nan),
-            with_entry("chol_b", (0, 1), 1e-3),
-            with_entry("chol_b", (0, 0), 0.0),
+            # the packed lower triangle: one value short, then L[0, 0] = 0
+            with_array("chol", decoded("chol")[:-1]),
+            with_entry("chol", 0, 0.0),
             dict(good, loglik=float("inf")),
         ]
         for i, bad in enumerate(bad_payloads):
@@ -574,15 +656,15 @@ class TestModelPersistence:
                 load_model(path)
 
     def test_rejects_non_finite_chol_b(self, tmp_path):
-        # prediction skips the finiteness scan of chol_b, so loading must catch it
+        # prediction skips the finiteness scan of the factor, so loading must catch it
         _, model = self._trained(seed=256)
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        obj = payload["chol_b"]
-        chol = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).reshape(obj["shape"]).copy()
-        chol[1, 0] = np.nan
-        payload["chol_b"] = dict(obj, data=base64.b64encode(chol.tobytes()).decode())
+        obj = payload["chol"]
+        chol = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).copy()
+        chol[1] = np.nan  # L[1, 0] in the packed lower triangle
+        payload["chol"] = dict(obj, data=base64.b64encode(chol.tobytes()).decode())
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="non-finite"):
             load_model(path)
