@@ -18,6 +18,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,27 @@ __all__ = [
 ]
 
 
+# the largest log(alpha) whose draw factor exp(2*alpha) - 1 is a finite double
+_MAX_LOG_ALPHA = math.log(0.5 * math.log(sys.float_info.max))
+
+
 @dataclass(frozen=True)
 class DrawParam:
-    """Draw margin, stored as log(alpha) so optimizers keep it positive."""
+    """Draw margin, stored as log(alpha) so optimizers keep it positive.
+
+    alpha is at most ~354.9, beyond which exp(2*alpha) overflows.
+    """
 
     log_alpha: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log_alpha):
             raise ValueError(f"log_alpha must be finite, got {self.log_alpha!r}")
+        if self.log_alpha > _MAX_LOG_ALPHA:
+            raise ValueError(
+                f"alpha must be at most {math.exp(_MAX_LOG_ALPHA):.6g}, beyond which "
+                f"exp(2*alpha) overflows; got log(alpha) = {self.log_alpha!r}"
+            )
 
     @property
     def alpha(self) -> float:
@@ -134,6 +147,36 @@ def loglik_derivs_vector(
         np.where(codes < 0, -(p_l * q_l), -(p_w * q_w + p_l * q_l)),
     )
     return d1, d2
+
+
+def loglik_alpha_derivs(
+    codes: np.ndarray, f: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Derivatives the evidence gradient needs beyond :func:`loglik_derivs_vector`.
+
+    Returns (d log p/d alpha, d^2 log p/(df d alpha), dW/d alpha, dW/df), with
+    W = -d^2 log p/df^2.  With p = expit(f - alpha), q = 1 - p for a win,
+    p = expit(-f - alpha), q = 1 - p for a loss, u = p q (q - p):
+
+    * win:  -q_w, p_w q_w, -u_w, u_w;
+    * loss: -q_l, -p_l q_l, -u_l, -u_l;
+    * draw: 2 / (1 - exp(-2 alpha)) - q_w - q_l, p_w q_w - p_l q_l,
+      -u_w - u_l, u_w - u_l.
+    """
+    p_w = expit(f - alpha)
+    p_l = expit(-f - alpha)
+    q_w = expit(alpha - f)
+    q_l = expit(alpha + f)
+    g_w = p_w * q_w
+    g_l = p_l * q_l
+    u_w = g_w * (q_w - p_w)
+    u_l = g_l * (q_l - p_l)
+    win, loss = codes > 0, codes < 0
+    dlp = np.where(win, -q_w, np.where(loss, -q_l, 2.0 / -math.expm1(-2.0 * alpha) - q_w - q_l))
+    dd1 = np.where(win, g_w, np.where(loss, -g_l, g_w - g_l))
+    dw_alpha = np.where(win, -u_w, np.where(loss, -u_l, -u_w - u_l))
+    dw_f = np.where(win, u_w, np.where(loss, -u_l, u_w - u_l))
+    return dlp, dd1, dw_alpha, dw_f
 
 
 def log_likelihood(y: Outcome, f: float, d: DrawParam) -> float:

@@ -57,8 +57,8 @@ class SimConfig:
             )
         if not (self.skill_scale > 0.0 and math.isfinite(self.skill_scale)):
             raise ValueError("skill_scale must be positive and finite")
-        if not (self.true_alpha > 0.0 and math.isfinite(self.true_alpha)):
-            raise ValueError("true_alpha must be positive and finite")
+        # positive, finite, and exp(2 * alpha) finite
+        DrawParam.from_alpha(self.true_alpha)
         if not math.isfinite(self.true_home):
             raise ValueError("true_home must be finite")
 

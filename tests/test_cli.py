@@ -372,6 +372,10 @@ class TestExitCodes:
             ["train", "--train", train, "--model-out", "x", "--sigma2", "-1.0"],
             ["train", "--train", train, "--model-out", "x", "--optimize", "--budget", "0"],
             ["train", "--train", train, "--model-out", "x", "--threads", "0"],
+            # exp(2 alpha) overflows
+            ["train", "--train", train, "--model-out", "x", "--alpha", "400"],
+            ["evaluate", "--train", train, "--test", train, "--alpha", "400"],
+            ["simulate", "--alpha", "400"],
             ["evaluate", "--train", train, "--test", train, "--models", "gp,psychic"],
             ["evaluate", "--train", train, "--test", train, "--models", ""],
             ["evaluate", "--train", train, "--test", train, "--models", "gp,gp"],
@@ -405,7 +409,8 @@ class TestExitCodes:
         no_chol = {k: v for k, v in payload.items() if k != "chol"}
         n = payload["mode"]["shape"][0]
         misshaped = dict(payload, mode=dict(payload["mode"], shape=[n + 1]))
-        for i, bad in enumerate((no_chol, misshaped, version_1_payload(payload))):
+        huge_alpha = dict(payload, hyper=dict(payload["hyper"], log_alpha=math.log(400.0)))
+        for i, bad in enumerate((no_chol, misshaped, version_1_payload(payload), huge_alpha)):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(bad))
             assert cli.run(["predict", "--model", str(path), "--test", str(workspace["test"])]) == 2

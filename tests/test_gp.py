@@ -5,6 +5,7 @@ Oracles used here:
   * the weight-space (primal) Laplace fit for the multi-match case,
   * a tensor-grid integrator for the evidence on tiny datasets,
   * the dense N x N Gram for the low-rank route's mode and evidence,
+  * central differences of the evidence for its analytic gradient,
   * closed forms for fully disjoint test matches.
 """
 
@@ -32,6 +33,7 @@ from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import (
     Hyperparams,
+    _evidence_gradient,
     _laplace,
     _make_parts,
     _newton_mode,
@@ -380,6 +382,8 @@ class TestDefaultLeague:
         best = optimize_hyperparams(default_league, init, budget=200)
         assert failures == []
         assert log_marginal(fit(default_league, best)) >= -589.0505
+        # the optimum, which Nelder-Mead left at -588.3111078
+        assert log_marginal(fit(default_league, best)) >= -588.31111
 
     def test_weight_space_oracle_at_searched_point(self, default_league):
         hyper = Hyperparams.create(sigma2=0.0531, sigma2_home=0.9996, alpha=0.4288)
@@ -391,6 +395,83 @@ class TestDefaultLeague:
             mu_p, var_p = wsp.predict_latent(vec)
             assert abs(mu_d - mu_p) <= 1e-6
             assert abs(var_d - var_p) <= 1e-6
+
+
+def _evidence_at(ds, hyper, theta):
+    """log_marginal(fit(...)) at (log sigma2, log sigma2_home, log alpha) = theta."""
+    h = Hyperparams.create(
+        sigma2=math.exp(theta[0]),
+        sigma2_home=math.exp(theta[1]) if theta[1] is not None else 0.0,
+        alpha=math.exp(theta[2]),
+        jitter=hyper.kernel.jitter,
+    )
+    return log_marginal(fit(ds, h))
+
+
+class TestEvidenceGradient:
+    """The analytic gradient in log space against central differences at step 1e-4.
+
+    The differences carry Newton's own tolerance noise, hence 1e-5 relative
+    and not tighter; a missing or mis-signed implicit term is 0.5-72 % of a
+    component.
+    """
+
+    STEP = 1e-4
+
+    def _cases(self, ds):
+        return [
+            (ds, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)),
+            (ds, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45, jitter=0.0)),
+            (ds, Hyperparams.create(sigma2=0.3, sigma2_home=0.2, alpha=1.2, jitter=1e-3)),
+            (_neutral(ds), Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)),
+            # no log sigma2_home to step: only the sigma2 and alpha components
+            (ds, Hyperparams.create(sigma2=0.05, sigma2_home=0.0, alpha=0.45)),
+        ]
+
+    def _check(self, ds, hyper):
+        parts = _make_parts(ds)
+        grad = _evidence_gradient(parts, hyper, _laplace(parts, hyper))
+        kp = hyper.kernel
+        theta = [
+            math.log(kp.sigma2),
+            math.log(kp.sigma2_home) if kp.sigma2_home > 0.0 else None,
+            hyper.draw.log_alpha,
+        ]
+        for i, t in enumerate(theta):
+            if t is None:
+                continue
+            up, down = list(theta), list(theta)
+            up[i] = t + self.STEP
+            down[i] = t - self.STEP
+            fd = (_evidence_at(ds, hyper, up) - _evidence_at(ds, hyper, down)) / (2 * self.STEP)
+            assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd)), (i, grad[i], fd)
+
+    def test_low_rank_route(self, default_league):
+        for ds, hyper in self._cases(default_league):
+            assert _make_parts(ds).pairs is not None
+            self._check(ds, hyper)
+
+    def test_dense_route(self):
+        league = random_dataset(np.random.default_rng(281), 20, 44)
+        for ds, hyper in self._cases(league):
+            assert _make_parts(ds).pairs is None
+            self._check(ds, hyper)
+
+    def test_routes_agree(self, default_league):
+        # one training set through L_C and through a dense L_B, to rounding,
+        # far below what central differences resolve
+        for ds, hyper in self._cases(default_league):
+            low = _make_parts(ds)
+            dense = dataclasses.replace(
+                low,
+                x=None,
+                pairs=None,
+                overlap=(low.z @ low.z.T).toarray().astype(np.float64),
+                home_outer=np.outer(low.homes, low.homes).astype(np.float64),
+            )
+            g_low = _evidence_gradient(low, hyper, _laplace(low, hyper))
+            g_dense = _evidence_gradient(dense, hyper, _laplace(dense, hyper))
+            assert np.all(np.abs(g_low - g_dense) <= 1e-8 * np.maximum(1.0, np.abs(g_dense)))
 
 
 class TestPrediction:
@@ -558,6 +639,81 @@ class TestOptimize:
         ds = random_dataset(np.random.default_rng(243), 5, 30)
         with pytest.raises(ValueError):
             optimize_hyperparams(ds, Hyperparams.create(), budget=0)
+
+    def test_budget_caps_evaluations(self, default_league, monkeypatch):
+        calls = []
+        laplace = gp._laplace
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return laplace(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "_laplace", counted)
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        for budget in (1, 5, 200):
+            calls.clear()
+            optimize_hyperparams(default_league, init, budget=budget)
+            assert 1 <= len(calls) <= budget
+            # the init, with the caller's exact object
+            assert calls[0] is init
+
+    def test_home_scale_towards_zero(self):
+        # the first 600 matches of `simulate --seed 16`: the evidence keeps
+        # rising as sigma2_home -> 0, where a lower bound of -8 on its log
+        # stops at -569.1365
+        league = Dataset.from_records(simulate_dataset(SimConfig(seed=16)).dataset.records[:600])
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        best = optimize_hyperparams(league, init, budget=200)
+        assert log_marginal(fit(league, best)) >= -569.12802
+
+    def test_first_step_stays_in_reach(self):
+        # the first 600 matches of `simulate --seed 65`: a first trial step of
+        # the whole evidence gradient reached sigma2 = 11.5, alpha = e^2, where
+        # Newton fails with one BLAS thread, and the search stopped at its
+        # init (-490.7488); Nelder-Mead found -487.6286
+        league = Dataset.from_records(simulate_dataset(SimConfig(seed=65)).dataset.records[:600])
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        best = optimize_hyperparams(league, init, budget=200)
+        assert log_marginal(fit(league, best)) >= -487.6286
+
+    def test_zero_home_scale_init(self):
+        ds = random_dataset(np.random.default_rng(244), 40, 30)
+        init = Hyperparams.create(sigma2=0.3, sigma2_home=0.0, alpha=0.5)
+        best = optimize_hyperparams(ds, init, budget=40)
+        assert log_marginal(fit(ds, best)) >= log_marginal(fit(ds, init))
+
+    def test_init_outside_the_box_is_a_candidate(self):
+        ds = random_dataset(np.random.default_rng(245), 20, 35)
+        init = Hyperparams.create(sigma2=0.3, sigma2_home=0.7, alpha=20.0)
+        best = optimize_hyperparams(ds, init, budget=1)
+        assert best is init
+        best = optimize_hyperparams(ds, init, budget=40)
+        assert log_marginal(fit(ds, best)) >= log_marginal(fit(ds, init))
+
+    def test_failed_evaluation_ends_search(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(247), 20, 35)
+        init = Hyperparams.create(sigma2=1.0, sigma2_home=1.0, alpha=0.5)
+        calls = []
+        laplace = gp._laplace
+
+        def failing(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise NumericalError("synthetic failure")
+            return laplace(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "_laplace", failing)
+        best = optimize_hyperparams(ds, init, budget=40)
+        assert len(calls) == 3 and best in calls[:2]
+        monkeypatch.undo()
+        assert log_marginal(fit(ds, best)) >= log_marginal(fit(ds, init))
+
+    def test_logs_one_line(self, caplog):
+        ds = random_dataset(np.random.default_rng(246), 20, 35)
+        with caplog.at_level("INFO", logger="lineupgp.gp"):
+            optimize_hyperparams(ds, Hyperparams.create(sigma2=0.3, alpha=0.5), budget=3)
+        (line,) = [r.getMessage() for r in caplog.records if "evidence search" in r.getMessage()]
+        assert "3 of 3 evaluations" in line and "budget used up" in line
 
 
 class TestModelPersistence:

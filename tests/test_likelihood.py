@@ -21,6 +21,7 @@ from lineupgp.likelihood import (
     _log_expm1,
     log_likelihood,
     log_likelihood_derivs,
+    loglik_alpha_derivs,
     loglik_derivs_vector,
     loglik_vector,
     outcome_probs,
@@ -50,6 +51,24 @@ def mp_fd_derivs(code, f, alpha, h="1e-10"):
     return d1, d2
 
 
+def mp_fd_alpha_derivs(code, f, alpha, h="1e-12"):
+    """(d/d alpha, d^2/(df d alpha), dW/d alpha, dW/df) of log p, W = -d^2 log p/df^2.
+
+    Central differences in f and alpha; call inside mp.workdps(50).
+    """
+    h = mp.mpf(h)
+    f, alpha = mp.mpf(f), mp.mpf(alpha)
+    steps = [(0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (-1, 0), (2, 0), (-2, 0)]
+    c = {(i, j): mp_loglik(code, f + i * h, alpha + j * h) for i, j in steps}
+    d_alpha = (c[0, 1] - c[0, -1]) / (2 * h)
+    d_f_alpha = (c[1, 1] - c[1, -1] - c[-1, 1] + c[-1, -1]) / (4 * h * h)
+    d_ff_alpha = (
+        (c[1, 1] + c[-1, 1] - 2 * c[0, 1]) - (c[1, -1] + c[-1, -1] - 2 * c[0, -1])
+    ) / (2 * h**3)
+    d_fff = (c[2, 0] - 2 * c[1, 0] + 2 * c[-1, 0] - c[-2, 0]) / (2 * h**3)
+    return d_alpha, d_f_alpha, -d_ff_alpha, -d_fff
+
+
 class TestDrawParam:
     def test_round_trip(self):
         d = DrawParam.from_alpha(0.45)
@@ -57,7 +76,7 @@ class TestDrawParam:
         assert d.log_alpha == math.log(0.45)
 
     def test_rejects_bad_alpha(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, 400.0, 1e308):
             with pytest.raises(ValueError):
                 DrawParam.from_alpha(bad)
         with pytest.raises(ValueError):
@@ -219,6 +238,19 @@ class TestDerivatives:
         f = rng.uniform(-20, 20, size=100)
         d1, _ = loglik_derivs_vector(np.ones(100, dtype=int), f, 0.45)
         assert np.all((d1 > 0.0) & (d1 < 1.0))
+
+
+class TestAlphaDerivatives:
+    def test_match_mp_on_criterion_2_grid(self):
+        # 21 f values x 10 alphas x 3 outcomes = 630 points
+        with mp.workdps(50):
+            for alpha in np.linspace(0.5, 5.0, 10):
+                for f in np.linspace(-10.0, 10.0, 21):
+                    for y in OUTCOMES:
+                        got = loglik_alpha_derivs(np.array([y.code]), np.array([f]), float(alpha))
+                        want = mp_fd_alpha_derivs(y.code, float(f), float(alpha))
+                        for g, w in zip(got, want):
+                            assert abs(g[0] - float(w)) <= 1e-12 * max(1.0, abs(float(w)))
 
 
 class TestLogExpm1:
