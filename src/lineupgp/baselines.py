@@ -205,6 +205,9 @@ class EloModel:
             self.home_advantage,
         )
 
+    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution]:
+        return [self.predict(rec) for rec in records]
+
 
 def odds_to_probs(odds_w: float, odds_d: float, odds_l: float) -> PredictiveDistribution:
     """Normalize inverse decimal odds; every quote must exceed 1."""
@@ -269,6 +272,9 @@ class OddsModel:
             return None
         return odds_to_probs(*quotes)
 
+    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution | None]:
+        return [self.predict(rec) for rec in records]
+
 
 def uniform_probs() -> PredictiveDistribution:
     third = 1.0 / 3.0
@@ -281,6 +287,9 @@ class UniformModel:
 
     def predict(self, rec: MatchRecord) -> PredictiveDistribution:
         return uniform_probs()
+
+    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution]:
+        return [self.predict(rec) for rec in records]
 
 
 @dataclass(frozen=True)

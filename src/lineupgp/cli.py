@@ -14,11 +14,11 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import __version__
 from .baselines import EloModel, OddsModel, UniformModel, load_odds_csv
-from .data import parse_dataset, serialize_dataset
+from .data import MatchRecord, parse_dataset, serialize_dataset
 from .errors import DataError, NumericalError, UsageError
 from .evaluation import (
     evaluate,
@@ -272,15 +272,26 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _log_unseen(registry: Mapping[str, int], records: Sequence[MatchRecord]) -> None:
+    """One INFO line: how many test matches field players unseen in training, and how many."""
+    unseen = [set(rec.players).difference(registry) for rec in records]
+    logger.info(
+        "%d of %d test matches field a player unseen in training; %d such players in all",
+        sum(1 for players in unseen if players),
+        len(records),
+        len(set().union(*unseen)),
+    )
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     ds = parse_dataset(args.test)
     lines = ["match_id,p_w,p_d,p_l"]
-    for rec in ds.records:
-        p = model.predict(rec)
+    for rec, p in zip(ds.records, model.predict_many(ds.records)):
         lines.append(f"{rec.match_id},{p.p_w!r},{p.p_d!r},{p.p_l!r}")
     _emit(args.out, "\n".join(lines) + "\n")
     logger.info("scored %d matches", ds.n)
+    _log_unseen(model.registry, ds.records)
     return 0
 
 
@@ -329,6 +340,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             models.append(UniformModel())
     reports = evaluate(models, test, clip=args.clip)
+    _log_unseen(train.registry, test.records)
     players = set(train.registry)
     for rec in test.records:
         players.update(rec.players)

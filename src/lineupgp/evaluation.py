@@ -31,11 +31,17 @@ CLIP_FLOOR = 1e-15
 
 
 class Predictor(Protocol):
-    """Anything that can score a match; ``None`` means skip this match."""
+    """Anything that can score a batch of matches.
+
+    ``predict_many`` returns one entry per record, in order; ``None`` means
+    skip that match (the odds model has no quote for it).
+    """
 
     name: str
 
-    def predict(self, rec: MatchRecord) -> PredictiveDistribution | None: ...
+    def predict_many(
+        self, records: Sequence[MatchRecord]
+    ) -> list[PredictiveDistribution | None]: ...
 
 
 @dataclass(frozen=True)
@@ -91,13 +97,12 @@ def evaluate(
     *,
     clip: bool = False,
 ) -> list[EvalReport]:
-    """Score every model on every test match it can predict."""
+    """Score every model on every test match it can predict, one batch per model."""
     reports: list[EvalReport] = []
     for model in models:
         rows: list[MatchScore] = []
         skipped = 0
-        for rec in test.records:
-            probs = model.predict(rec)
+        for rec, probs in zip(test.records, model.predict_many(test.records), strict=True):
             if probs is None:
                 skipped += 1
                 continue

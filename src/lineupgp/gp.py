@@ -28,6 +28,13 @@ m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly
 from the dual form through L_B.  Players unseen in training add their prior
 variance and nothing to the mean on either route.
 
+Test matches are scored in batches: their lineups come in as registry-index
+arrays, any index past the training registry standing for an unseen player,
+and each block of up to ``_BLOCK`` matches costs one triangular solve with
+a column per match (Rasmussen & Williams 2006, Algorithm 3.2, with a matrix
+right-hand side) and one Gauss-Hermite quadrature over all its matches.
+Every single-match entry point is a one-row call of that batch.
+
 The hyperparameters (sigma2, sigma2_home, alpha) can be set by maximizing
 the evidence: L-BFGS-B over their logs, in a fixed box, on the analytic
 gradient of the Laplace evidence (Rasmussen & Williams 2006, Algorithm 5.1,
@@ -43,10 +50,11 @@ import binascii
 import json
 import logging
 import math
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -62,7 +70,6 @@ from .kernel import (
     build_match_vector,
     gram,
     incidence,
-    match_incidence,
 )
 from .likelihood import (
     DrawParam,
@@ -71,7 +78,6 @@ from .likelihood import (
     loglik_alpha_derivs,
     loglik_derivs_vector,
     loglik_vector,
-    outcome_probs,
 )
 
 logger = logging.getLogger(__name__)
@@ -83,6 +89,7 @@ __all__ = [
     "fit",
     "log_marginal",
     "predict_latent",
+    "predict_latent_many",
     "predict_outcomes",
     "quadrature_outcome_probs",
     "optimize_hyperparams",
@@ -96,12 +103,17 @@ MODEL_VERSION = 2
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
-# tighter than the posterior's published 1e-6 stationarity bound
+# the posterior's published stationarity bound, and the tighter one Newton
+# aims for while its steps still raise Psi
+_STATIONARITY_BOUND = 1e-6
 _STATIONARITY_TOL = 1e-8
 
 _GH_POINTS = 32
 _gh_nodes, _gh_weights = np.polynomial.hermite.hermgauss(_GH_POINTS)
 _gh_weights = _gh_weights / math.sqrt(math.pi)
+
+# test matches per batch solve: memory stays O(_BLOCK * max(N, P)) for any test set
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -385,7 +397,7 @@ def _newton_mode(
             t *= 0.5
             if t < 1e-12:
                 # ascent exhausted at floating-point resolution
-                if _stationary(f, k, d1, 1e-6):
+                if _stationary(f, k, d1, _STATIONARITY_BOUND):
                     return f, a, iteration - 1
                 raise NumericalError(
                     "Newton ascent stalled away from stationarity "
@@ -396,6 +408,10 @@ def _newton_mode(
         a, f, psi = a_try, f_try, psi_try
         d1, d2 = loglik_derivs_vector(codes, f, alpha)
         if last_delta < _NEWTON_TOL and _stationary(f, k, d1, _STATIONARITY_TOL):
+            return f, a, iteration
+        # a full step taken under the rounding rule: Psi cannot rise further,
+        # so the residual may stall between the two bounds
+        if last_delta <= 0.0 and _stationary(f, k, d1, _STATIONARITY_BOUND):
             return f, a, iteration
     raise NumericalError(
         f"Laplace Newton did not converge after {_NEWTON_MAX_ITER} iterations "
@@ -509,33 +525,61 @@ def log_marginal(post: LaplacePosterior) -> float:
     return post.loglik - quad - half_logdet
 
 
-def _latent_batch(
-    post: LaplacePosterior, vectors: Sequence[MatchVector]
+def _latent_block(
+    post: LaplacePosterior, plus: np.ndarray, minus: np.ndarray, homes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped (mu, var) of one block of test matches (see predict_latent_many)."""
     kp = post.hyper.kernel
     p = post.train_z.shape[1]
-    z, homes_test = match_incidence(vectors, p)
+    t = len(homes)
+    # rows: the P players, the home feature, then one row that takes every
+    # unseen player and is dropped
+    x = np.zeros((p + 2, t))
+    cols = np.arange(t)[:, None]
+    x[np.where(plus < p, plus, p + 1), cols] = 1.0
+    x[np.where(minus < p, minus, p + 1), cols] = -1.0
+    x[p] = homes
     # chol is finite: factored from a finite matrix, or checked by load_model
     if post.low_rank:
-        x = np.empty((p + 1, len(vectors)))
-        x[:p] = z.toarray().T
-        x[p] = homes_test
+        x = x[: p + 1]
         mu = x.T @ post.weight_mean
         x *= np.sqrt(_prior_scales(kp, p + 1))[:, None]
         v = sla.solve_triangular(post.chol, x, lower=True, check_finite=False)
         # each player unseen in training adds its prior variance
-        unseen = SELF_OVERLAP - np.diff(z.indptr)
-        var = np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
-    else:
-        # in C order, like every Gram: the BLAS products below round by layout
-        overlap = np.ascontiguousarray((post.train_z @ z.toarray().T).T)
-        k_star = gram(overlap, np.outer(homes_test, post.train_homes), kp)
-        mu = k_star @ post.grad
-        v = sla.solve_triangular(
-            post.chol, post.sqrt_w[:, None] * k_star.T, lower=True, check_finite=False
-        )
-        k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes_test.astype(np.float64) ** 2
-        var = k_ss - np.einsum("ij,ij->j", v, v)
+        unseen = np.sum(plus >= p, axis=1) + np.sum(minus >= p, axis=1)
+        return mu, np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
+    # in C order, like every Gram: the BLAS products below round by layout
+    overlap = np.ascontiguousarray((post.train_z @ x[:p]).T)
+    k_star = gram(overlap, np.outer(homes, post.train_homes), kp)
+    mu = k_star @ post.grad
+    v = sla.solve_triangular(
+        post.chol, post.sqrt_w[:, None] * k_star.T, lower=True, check_finite=False
+    )
+    k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes.astype(np.float64) ** 2
+    return mu, k_ss - np.einsum("ij,ij->j", v, v)
+
+
+def _blocks(t: int) -> list[slice]:
+    return [slice(lo, lo + _BLOCK) for lo in range(0, t, _BLOCK)]
+
+
+def predict_latent_many(
+    post: LaplacePosterior, plus: np.ndarray, minus: np.ndarray, homes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior latent means and variances of T test matches at once.
+
+    ``plus`` and ``minus`` are (T, 11) registry indices of the two lineups and
+    ``homes`` the T home signs.  An index at or past the training registry's
+    size P is a player unseen in training, which adds its prior variance and
+    nothing to the mean.  Scored in blocks of ``_BLOCK`` matches.
+    """
+    homes = np.asarray(homes, dtype=np.int64)
+    plus = np.asarray(plus, dtype=np.int64).reshape(len(homes), PLAYERS_PER_SIDE)
+    minus = np.asarray(minus, dtype=np.int64).reshape(plus.shape)
+    mu = np.empty(len(homes))
+    var = np.empty(len(homes))
+    for rows in _blocks(len(homes)):
+        mu[rows], var[rows] = _latent_block(post, plus[rows], minus[rows], homes[rows])
     bad = var < -1e-8
     if np.any(bad):
         logger.warning(
@@ -548,8 +592,34 @@ def _latent_batch(
 
 def predict_latent(post: LaplacePosterior, test: MatchVector) -> tuple[float, float]:
     """Posterior latent mean and variance for one match vector."""
-    mu, var = _latent_batch(post, [test])
+    mu, var = predict_latent_many(post, test.plus_indices, test.minus_indices, [test.home])
     return float(mu[0]), float(var[0])
+
+
+def _quadrature(mu: np.ndarray, var: np.ndarray, alpha: float) -> np.ndarray:
+    """(T, 3) win/draw/loss probabilities under f* ~ Normal(mu, var), in blocks.
+
+    Each of the three is integrated by 32-node Gauss-Hermite quadrature and
+    the triple renormalized to sum to one; ``var = 0`` rows take the exact
+    point evaluation, as :func:`outcome_probs`.
+    """
+    out = np.empty((len(mu), 3))
+    for rows in _blocks(len(mu)):
+        m, v = mu[rows], var[rows]
+        x = m[:, None] + np.sqrt(2.0 * v)[:, None] * _gh_nodes
+        bar = np.stack(_probs_arrays(x, alpha), axis=1) @ _gh_weights
+        total = bar[:, 0] + bar[:, 1] + bar[:, 2]
+        bar /= total[:, None]
+        exact = v == 0.0
+        if np.any(exact):
+            p_w, p_d, p_l = _probs_arrays(m[exact], alpha)
+            bar[exact] = np.stack([p_w, np.minimum(p_d, 1.0), p_l], axis=1)
+        out[rows] = bar
+    return out
+
+
+def _distributions(probs: np.ndarray) -> list[PredictiveDistribution]:
+    return [PredictiveDistribution(p_w=w, p_d=d, p_l=l) for w, d, l in probs.tolist()]
 
 
 def quadrature_outcome_probs(mu: float, var: float, d: DrawParam) -> PredictiveDistribution:
@@ -560,15 +630,8 @@ def quadrature_outcome_probs(mu: float, var: float, d: DrawParam) -> PredictiveD
     """
     if var < 0.0:
         raise ValueError(f"variance must be >= 0, got {var!r}")
-    if var == 0.0:
-        return outcome_probs(mu, d)
-    x = mu + math.sqrt(2.0 * var) * _gh_nodes
-    p_w, p_d, p_l = _probs_arrays(x, d.alpha)
-    w_bar = float(_gh_weights @ p_w)
-    d_bar = float(_gh_weights @ p_d)
-    l_bar = float(_gh_weights @ p_l)
-    total = w_bar + d_bar + l_bar
-    return PredictiveDistribution(p_w=w_bar / total, p_d=d_bar / total, p_l=l_bar / total)
+    (probs,) = _distributions(_quadrature(np.array([mu], float), np.array([var], float), d.alpha))
+    return probs
 
 
 def predict_outcomes(post: LaplacePosterior, test: MatchVector) -> PredictiveDistribution:
@@ -785,25 +848,13 @@ def optimize_hyperparams(
     return best
 
 
-def _extended_registry(
-    registry: Mapping[str, int], rec: MatchRecord
-) -> Mapping[str, int]:
-    extra = [p for p in rec.players if p not in registry]
-    if not extra:
-        return registry
-    merged = dict(registry)
-    for pid in sorted(extra):
-        merged[pid] = len(merged)
-    return merged
-
-
 @dataclass
 class GPModel:
     """Fitted posterior plus the registry needed to score new records.
 
-    Players unseen in training get fresh indices on the fly; they carry
-    zero covariance with every training match, so this matches scoring
-    under the train/test union registry.
+    A player unseen in training carries zero covariance with every training
+    match, so scoring here matches scoring under the train/test union
+    registry.
     """
 
     posterior: LaplacePosterior
@@ -811,13 +862,31 @@ class GPModel:
     name: str = "gp"
 
     def vector_for(self, rec: MatchRecord) -> MatchVector:
-        return build_match_vector(rec, _extended_registry(self.registry, rec))
+        """The record's match vector; unseen players take indices from P up, in id order."""
+        fresh = sorted(set(rec.players).difference(self.registry))
+        extra = {pid: len(self.registry) + i for i, pid in enumerate(fresh)}
+        return build_match_vector(rec, ChainMap(self.registry, extra))
+
+    def _rows(self, records: Sequence[MatchRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(plus, minus, homes) of the records, an unseen player at index P."""
+        get, p = self.registry.get, self.posterior.train_z.shape[1]
+        lineups = np.array(
+            [get(pid, p) for rec in records for pid in rec.players], dtype=np.int64
+        ).reshape(-1, SELF_OVERLAP)
+        homes = np.array([rec.home.sign for rec in records], dtype=np.int64)
+        return lineups[:, :PLAYERS_PER_SIDE], lineups[:, PLAYERS_PER_SIDE:], homes
+
+    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution]:
+        """One predictive distribution per record, scored in one batch."""
+        mu, var = predict_latent_many(self.posterior, *self._rows(records))
+        return _distributions(_quadrature(mu, var, self.posterior.hyper.alpha))
 
     def predict_latent(self, rec: MatchRecord) -> tuple[float, float]:
-        return predict_latent(self.posterior, self.vector_for(rec))
+        mu, var = predict_latent_many(self.posterior, *self._rows([rec]))
+        return float(mu[0]), float(var[0])
 
     def predict(self, rec: MatchRecord) -> PredictiveDistribution:
-        return predict_outcomes(self.posterior, self.vector_for(rec))
+        return self.predict_many([rec])[0]
 
 
 def train_model(

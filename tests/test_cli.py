@@ -2,17 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import version_1_payload
 from lineupgp import __version__, cli
-from lineupgp.data import parse_dataset
+from lineupgp.data import Dataset, parse_dataset, serialize_dataset
 from lineupgp.errors import NumericalError
+from lineupgp.gp import load_model
 
 _SIM_COMMON = ["--teams", "4", "--matches-per-team", "10", "--players", "56"]
+
+
+def _run_fresh(argv, **env):
+    """``lineupgp`` in a fresh interpreter, with ``env`` added to the environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lineupgp.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        check=False,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +162,42 @@ class TestTrainPredict:
         assert cli.run(["train", "--train", str(train), "--model-out", str(out), *hyper]) == 0
         assert len(json.loads(out.read_text())["outcomes"]) == 600
 
+    def test_train_where_newton_residual_stalls(self, tmp_path):
+        # seed 65's first 600 matches at extreme hyperparameters: Psi stops
+        # rising while the stationarity residual stays between 1e-8 and 1e-6
+        league = tmp_path / "league.csv"
+        assert cli.run(["simulate", "--seed", "65", "--out", str(league)]) == 0
+        train = tmp_path / "train.csv"
+        train.write_text("".join(league.read_text().splitlines(keepends=True)[:601]))
+        out = tmp_path / "model.json"
+        hyper = ["--sigma2", "11.469", "--sigma2-home", "0.6126", "--alpha", "7.38905609893065"]
+        # the stall shows with one BLAS thread
+        one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = _run_fresh(["train", "--train", str(train), "--model-out", str(out), *hyper], **one)
+        assert proc.returncode == 0, proc.stderr
+        post = load_model(out).posterior
+        kp, z, h, g = post.hyper.kernel, post.train_z, post.train_homes, post.grad
+        k_grad = kp.sigma2 * (z @ (z.T @ g)) + kp.sigma2_home * h * float(h @ g) + post.jitter * g
+        assert np.max(np.abs(post.mode - k_grad)) <= 1e-6 * max(1.0, np.max(np.abs(post.mode)))
+
+    @pytest.mark.parametrize("matches_per_team", [10, 40])
+    def test_predict_equals_evaluate_bit_for_bit(self, tmp_path, matches_per_team):
+        # 20 matches over 56 players serve from L_B, 80 from weight space
+        sim = ["--teams", "4", "--matches-per-team", str(matches_per_team), "--players", "56"]
+        paths = {name: str(tmp_path / name) for name in ("train", "test", "model", "preds", "rows")}
+        assert cli.run(["simulate", "--seed", "0", *sim, "--out", paths["train"]]) == 0
+        assert cli.run(["simulate", "--seed", "1", *sim, "--out", paths["test"]]) == 0
+        data = ["--train", paths["train"], "--alpha", "0.45"]
+        assert cli.run(["train", *data, "--model-out", paths["model"]]) == 0
+        assert load_model(paths["model"]).posterior.low_rank == (matches_per_team == 40)
+        assert cli.run(["predict", "--model", paths["model"], "--test", paths["test"], "--out", paths["preds"]]) == 0
+        assert cli.run(["evaluate", *data, "--test", paths["test"], "--models", "gp", "--per-match-out", paths["rows"]]) == 0
+        predicted = Path(paths["preds"]).read_text().strip().split("\n")[1:]
+        evaluated = [
+            ",".join(row.split(",")[1:5]) for row in Path(paths["rows"]).read_text().strip().split("\n")[1:]
+        ]
+        assert len(predicted) == 2 * matches_per_team and predicted == evaluated
+
 
 class TestEvaluate:
     def test_table_and_csvs(self, workspace, tmp_path, capsys):
@@ -214,6 +271,34 @@ class TestEvaluate:
             ]
         )
         assert rc == 1
+
+
+class TestUnseenPlayersLog:
+    """predict and evaluate report how much of the test set involves unseen players."""
+
+    LINE = "2 of 20 test matches field a player unseen in training; 4 such players in all"
+
+    def _test_file(self, workspace, tmp_path):
+        records = list(parse_dataset(workspace["test"]).records)
+        # x001 plays in both changed matches
+        records[0] = dataclasses.replace(records[0], lineup1=("x000", "x001") + records[0].lineup1[2:])
+        records[1] = dataclasses.replace(records[1], lineup2=("x001", "x002", "x003") + records[1].lineup2[3:])
+        path = tmp_path / "unseen.csv"
+        path.write_text(serialize_dataset(Dataset.from_records(records)))
+        return path
+
+    def test_predict_stderr(self, workspace, tmp_path):
+        test = self._test_file(workspace, tmp_path)
+        proc = _run_fresh(["predict", "--model", str(workspace["model"]), "--test", str(test)])
+        assert proc.returncode == 0, proc.stderr
+        assert f"INFO {self.LINE}" in proc.stderr.splitlines()
+
+    def test_evaluate_log(self, workspace, tmp_path, caplog):
+        test = self._test_file(workspace, tmp_path)
+        with caplog.at_level(logging.INFO):
+            argv = ["evaluate", "--train", str(workspace["train"]), "--test", str(test), "--models", "random"]
+            assert cli.run(argv) == 0
+        assert [r.getMessage() for r in caplog.records].count(self.LINE) == 1
 
 
 class TestHeatmap:

@@ -13,6 +13,7 @@ from conftest import random_dataset
 from lineupgp.baselines import OddsModel, UniformModel
 from lineupgp.data import Dataset, Outcome
 from lineupgp.errors import NumericalError
+from lineupgp.gp import Hyperparams, train_model
 from lineupgp.evaluation import (
     CLIP_FLOOR,
     EvalReport,
@@ -82,6 +83,9 @@ class _EveryOther:
             return _p(1 / 3, 1 / 3, 1 / 3)
         return None
 
+    def predict_many(self, records):
+        return [self.predict(rec) for rec in records]
+
 
 class TestEvaluate:
     def test_uniform_report(self):
@@ -120,6 +124,9 @@ class TestEvaluate:
                     )
                 return _p(1 / 3, 1 / 3, 1 / 3)
 
+            def predict_many(self, records):
+                return [self.predict(rec) for rec in records]
+
         with pytest.raises(NumericalError, match=f"{target.match_id}.*spiky"):
             evaluate([Spiky()], ds)
 
@@ -129,6 +136,16 @@ class TestEvaluate:
         (report,) = evaluate([OddsModel(table)], ds)
         assert report.t == 1
         assert report.skipped == 3
+
+    def test_one_batch_per_model_skips_odds_less_matches(self):
+        ds = random_dataset(np.random.default_rng(407), 6, 30)
+        gp_model = train_model(ds, Hyperparams.create(sigma2=0.2, sigma2_home=0.5, alpha=0.5))
+        quoted = ds.records[2].match_id
+        gp_report, odds_report = evaluate([gp_model, OddsModel({quoted: (2.0, 3.0, 4.0)})], ds)
+        assert (gp_report.t, gp_report.skipped) == (6, 0)
+        assert [row.probs for row in gp_report.rows] == gp_model.predict_many(ds.records)
+        assert (odds_report.t, odds_report.skipped) == (1, 5)
+        assert odds_report.rows[0].match_id == quoted
 
 
 class TestReports:

@@ -56,6 +56,7 @@ from lineupgp.kernel import (
 )
 from lineupgp.likelihood import (
     DrawParam,
+    _probs_arrays,
     log_likelihood_derivs,
     loglik_derivs_vector,
     loglik_vector,
@@ -337,6 +338,74 @@ class TestWeightSpaceServing:
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
+class TestBatchServing:
+    """predict_many scores a test set in one batch, equal to its one-row calls."""
+
+    def _models(self):
+        # a low-rank league (60 matches over 30 players) and a dense one (20 over 44)
+        rng = np.random.default_rng(291)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)
+        models = [train_model(random_dataset(rng, n, p), hyper) for n, p in ((60, 30), (20, 44))]
+        assert [m.posterior.low_rank for m in models] == [True, False]
+        return rng, models
+
+    def _records(self, rng, model):
+        seen = sorted(model.registry)
+        fresh = [f"q{i:03d}" for i in range(30)]
+        homes = (HomeSide.TEAM1, HomeSide.TEAM2, HomeSide.NEUTRAL)
+        records = []
+        for i in range(9):
+            # 0, 4, ..., 16 unseen players per match, every venue
+            k = (i % 5) * 4
+            old = [seen[j] for j in rng.permutation(len(seen))[: 22 - k]]
+            new = [fresh[j] for j in rng.permutation(len(fresh))[:k]]
+            lineup = old + new
+            records.append(make_record(f"t{i:04d}", lineup[::2], lineup[1::2], home=homes[i % 3]))
+        records.append(make_record("t0009", fresh[:11], fresh[11:22], home=HomeSide.NEUTRAL))
+        return records
+
+    def _assert_matches_one_row(self, model, records):
+        got = model.predict_many(records)
+        assert len(got) == len(records)
+        for rec, p in zip(records, got):
+            q = model.predict(rec)
+            assert np.max(np.abs(p.as_array() - q.as_array())) <= 1e-12
+            mu, var = model.predict_latent(rec)
+            mu_v, var_v = predict_latent(model.posterior, model.vector_for(rec))
+            assert abs(mu - mu_v) <= 1e-12 and abs(var - var_v) <= 1e-12
+            r = quadrature_outcome_probs(mu, var, model.posterior.hyper.draw)
+            assert np.max(np.abs(p.as_array() - r.as_array())) <= 1e-12
+        return got
+
+    def test_equals_one_row_calls(self):
+        rng, models = self._models()
+        for model in models:
+            records = self._records(rng, model)
+            self._assert_matches_one_row(model, records)
+            # all 22 unseen at a neutral venue: the prior, exactly, on either route
+            mu, var = model.predict_latent(records[-1])
+            assert mu == 0.0 and var == SELF_OVERLAP * 0.09
+
+    def test_empty_test_set(self):
+        _, models = self._models()
+        for model in models:
+            assert model.predict_many([]) == []
+            empty = np.zeros((0, 11), dtype=np.int64)
+            mu, var = gp.predict_latent_many(model.posterior, empty, empty, np.zeros(0))
+            assert mu.shape == var.shape == (0,)
+
+    def test_block_boundary(self, monkeypatch):
+        rng, models = self._models()
+        for model in models:
+            records = self._records(rng, model)
+            whole = model.predict_many(records)
+            monkeypatch.setattr(gp, "_BLOCK", 3)
+            blocked = self._assert_matches_one_row(model, records)
+            monkeypatch.undo()
+            for p, q in zip(whole, blocked):
+                assert np.max(np.abs(p.as_array() - q.as_array())) <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def default_league():
     """The first 600 matches of the default league (`lineupgp simulate --seed 0`)."""
@@ -586,6 +655,20 @@ class TestQuadrature:
         r = quadrature_outcome_probs(-1.1, 0.8, d)
         assert abs(q.p_w - r.p_l) <= 1e-15
         assert abs(q.p_d - r.p_d) <= 1e-15
+
+    def test_batch_matches_per_point_sums(self):
+        # the per-point weighted sums the vectorized quadrature replaced
+        d = DrawParam.from_alpha(0.45)
+        mus = np.array([-3.0, -0.4, 0.0, 0.0, 1.3, 2.0, 5.0])
+        vs = np.array([0.01, 2.0, 0.0, 9.0, 0.5, 0.0, 30.0])
+        got = gp._quadrature(mus, vs, d.alpha)
+        nodes, weights = np.polynomial.hermite.hermgauss(32)
+        for row, mu, var in zip(got, mus, vs):
+            if var == 0.0:
+                assert row.tolist() == outcome_probs(mu, d).as_array().tolist()
+                continue
+            bars = [weights @ p for p in _probs_arrays(mu + math.sqrt(2.0 * var) * nodes, d.alpha)]
+            assert np.max(np.abs(row - np.array(bars) / sum(bars))) <= 4e-16
 
     def test_spread_flattens_probabilities(self):
         d = DrawParam.from_alpha(0.45)
