@@ -41,15 +41,19 @@ gradient of the Laplace evidence (Rasmussen & Williams 2006, Algorithm 5.1,
 with the implicit term through the mode).  Its route-specific parts come
 from the inverse of whichever factor Newton built, C^{-1} or B^{-1}, so on
 the low-rank route a gradient too builds no N x N array.
+
+A model file stores the training set, hyperparameters, jitter used, mode and
+dual coefficients; loading rebuilds the rest through the function a fit ends
+with, so under the same BLAS threads it is the fitted posterior bit for bit.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import logging
 import math
+import sys
 from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,7 +103,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "lineupgp/model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -153,6 +157,8 @@ class LaplacePosterior:
     matrix C = I + S^{1/2} X' W (I + jitter*W)^{-1} X S^{1/2}, otherwise that
     of the N x N matrix B = I + W^{1/2} K W^{1/2}.  The training set is kept
     as its signed incidence ``train_z`` (N x P), home signs and outcome codes.
+    A model file saves neither ``grad``, ``sqrt_w``, ``loglik`` nor ``chol``:
+    fit and load_model both derive them from the rest.
     """
 
     mode: np.ndarray
@@ -308,9 +314,9 @@ class _TrainParts:
         return _LowRankGram(self.x, self.x.T, self.pairs, s, jitter)
 
 
-def _make_parts(train: Dataset) -> _TrainParts:
-    # straight from the registry: a MatchRecord already holds two disjoint
-    # lineups of 11 distinct players, so a lookup is all a row needs
+def _dataset_parts(train: Dataset) -> _TrainParts:
+    # lineups straight from the registry: a MatchRecord already holds two
+    # disjoint lineups of 11 distinct players, so a lookup is all a row needs
     registry = train.registry
     try:
         lineups = [registry[pid] for rec in train.records for pid in rec.players]
@@ -319,30 +325,37 @@ def _make_parts(train: Dataset) -> _TrainParts:
         rec = next(r for r in train.records if pid in r.players)
         raise DataError(f"match {rec.match_id!r}: player {pid!r} is not in the registry") from None
     rows = np.array(lineups, dtype=np.int64).reshape(-1, SELF_OVERLAP)
-    z = incidence(rows[:, :PLAYERS_PER_SIDE], rows[:, PLAYERS_PER_SIDE:], train.num_players)
     homes = np.array([r.home.sign for r in train.records], dtype=np.int64)
     codes = np.array([r.outcome.code for r in train.records], dtype=np.int64)
+    return _make_parts(*np.hsplit(rows, 2), homes, codes, train.num_players)
+
+
+def _make_parts(
+    plus: np.ndarray, minus: np.ndarray, homes: np.ndarray, codes: np.ndarray, width: int
+) -> _TrainParts:
+    """Parts of N matches: (N, 11) lineup indices below ``width``, home signs, outcome codes."""
+    z = incidence(plus, minus, width)
     n, p = z.shape
     if not _low_rank(n, p):
-        overlap = (z @ z.T).toarray().astype(np.float64)
-        home_outer = np.outer(homes, homes).astype(np.float64)
-        return _TrainParts(z, homes, codes, overlap=overlap, home_outer=home_outer)
+        # exact integer counts either way; float operands spare an N x N cast
+        zf, h = z.astype(np.float64), homes.astype(np.float64)
+        return _TrainParts(z, homes, codes, overlap=(zf @ zf.T).toarray(), home_outer=np.outer(h, h))
     # row i of X: its 22 players in increasing column order, then the home
-    # column (stored even when zero), so every pair j >= k of a row's
-    # entries lands in the lower triangle of X' diag(u) X
-    cols = np.concatenate([z.indices.reshape(n, SELF_OVERLAP), np.full((n, 1), p)], axis=1)
-    vals = np.concatenate([z.data.reshape(n, SELF_OVERLAP), homes[:, None]], axis=1)
-    vals = vals.astype(np.float64)
-    width = cols.shape[1]
+    # column (kept when zero), so every pair j >= k of a row's entries lands in
+    # the lower triangle of X' diag(u) X; narrow ints keep the pair arrays cheap
+    idx = np.int32 if (p + 1) ** 2 <= np.iinfo(np.int32).max else np.int64
+    cols = np.hstack([z.indices.reshape(n, SELF_OVERLAP), np.full((n, 1), p)]).astype(idx)
+    vals = np.hstack([z.data.reshape(n, SELF_OVERLAP), homes[:, None]]).astype(np.int8)
+    starts = np.arange(n + 1)
     x = sp.csr_matrix(
-        (vals.ravel(), cols.ravel(), np.arange(0, n * width + 1, width)), shape=(n, p + 1)
+        (vals.astype(np.float64).ravel(), cols.ravel(), starts * cols.shape[1]), shape=(n, p + 1)
     )
-    hi, lo = np.tril_indices(width)
+    hi, lo = np.tril_indices(cols.shape[1])
     pairs = sp.csc_matrix(
         (
-            (vals[:, hi] * vals[:, lo]).ravel(),
-            (cols[:, hi] * (p + 1) + cols[:, lo]).ravel(),
-            np.arange(0, n * len(hi) + 1, len(hi)),
+            (vals[:, hi] * vals[:, lo]).ravel().astype(np.float64),
+            (cols[:, hi] * idx(p + 1) + cols[:, lo]).ravel(),
+            starts * len(hi),
         ),
         shape=((p + 1) ** 2, n),
     )
@@ -419,9 +432,7 @@ def _newton_mode(
     )
 
 
-def _stationary(
-    f: np.ndarray, k: np.ndarray | _LowRankGram, d1: np.ndarray, tol: float
-) -> bool:
+def _stationary(f: np.ndarray, k: np.ndarray | _LowRankGram, d1: np.ndarray, tol: float) -> bool:
     """The mode's fixed point f = K d1, to ``tol`` relative to max(1, max |f|)."""
     return float(np.max(np.abs(f - k @ d1))) <= tol * max(1.0, float(np.max(np.abs(f))))
 
@@ -446,20 +457,17 @@ class _Mode:
 
 
 def _laplace(parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None) -> _Mode:
-    """Newton to the mode from ``a0`` (see _newton_mode), then B factored there.
+    """Newton to the mode from ``a0`` (see _newton_mode), then everything built there.
 
     A failed factorization escalates the jitter.
     """
     kp = hyper.kernel
-    alpha = hyper.alpha
     jitter = kp.effective_jitter
     while True:
         k = parts.gram(kp, jitter)
         try:
-            f_hat, a_hat, iters = _newton_mode(k, parts.codes, alpha, a0)
-            d1, d2 = loglik_derivs_vector(parts.codes, f_hat, alpha)
-            sqrt_w = np.sqrt(-d2)
-            factor = _factor_b(k, sqrt_w)
+            f_hat, a_hat, iters = _newton_mode(k, parts.codes, hyper.alpha, a0)
+            return _at_mode(parts, hyper, k, f_hat, a_hat, jitter, iters)
         except _CholeskyFailure:
             nxt = jitter * 10.0 if jitter > 0.0 else 1e-6 * kp.sigma2
             if nxt > kp.max_jitter or nxt <= jitter:
@@ -469,29 +477,32 @@ def _laplace(parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = Non
                 ) from None
             logger.warning("Cholesky failure; escalating jitter %g -> %g", jitter, nxt)
             jitter = nxt
-            continue
-        return _Mode(
-            gram=k,
-            f=f_hat,
-            a=a_hat,
-            d1=d1,
-            sqrt_w=sqrt_w,
-            factor=factor,
-            loglik=float(np.sum(loglik_vector(parts.codes, f_hat, alpha))),
-            jitter=jitter,
-            iters=iters,
-        )
 
 
-def _fit_parts(parts: _TrainParts, hyper: Hyperparams) -> LaplacePosterior:
-    m = _laplace(parts, hyper)
+def _at_mode(
+    parts: _TrainParts,
+    hyper: Hyperparams,
+    k: np.ndarray | _LowRankGram,
+    f: np.ndarray,
+    a: np.ndarray,
+    jitter: float,
+    iters: int,
+) -> _Mode:
+    """grad log p, W^{1/2}, log p(y|f) and B factored at the mode ``f = k @ a``.
+
+    Fit ends here and load_model rebuilds here, so the two agree bit for bit.
+    """
+    d1, d2 = loglik_derivs_vector(parts.codes, f, hyper.alpha)
+    sqrt_w = np.sqrt(-d2)
+    loglik = float(np.sum(loglik_vector(parts.codes, f, hyper.alpha)))
+    return _Mode(k, f, a, d1, sqrt_w, _factor_b(k, sqrt_w), loglik, jitter, iters)
+
+
+def _posterior(parts: _TrainParts, hyper: Hyperparams, m: _Mode) -> LaplacePosterior:
     return LaplacePosterior(
         mode=m.f,
         grad=m.d1,
         sqrt_w=m.sqrt_w,
-        # C order, the layout load_model returns: solve_triangular rounds
-        # the two layouts differently, so a fresh model would not predict
-        # bit for bit like its reloaded copy
         chol=m.factor.upper.T,
         dual_coef=m.a,
         loglik=m.loglik,
@@ -508,7 +519,8 @@ def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
     """Laplace fit on a training dataset; needs at least one match."""
     if train.n < 1:
         raise DataError("cannot fit on an empty training set")
-    return _fit_parts(_make_parts(train), hyper)
+    parts = _dataset_parts(train)
+    return _posterior(parts, hyper, _laplace(parts, hyper))
 
 
 def log_marginal(post: LaplacePosterior) -> float:
@@ -539,7 +551,7 @@ def _latent_block(
     x[np.where(plus < p, plus, p + 1), cols] = 1.0
     x[np.where(minus < p, minus, p + 1), cols] = -1.0
     x[p] = homes
-    # chol is finite: factored from a finite matrix, or checked by load_model
+    # chol is finite: load_model, like fit, factors it from a finite B (or C)
     if post.low_rank:
         x = x[: p + 1]
         mu = x.T @ post.weight_mean
@@ -769,7 +781,7 @@ def optimize_hyperparams(
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     if train.n < 1:
         raise DataError("cannot optimize on an empty training set")
-    parts = _make_parts(train)
+    parts = _dataset_parts(train)
     requested_jitter = init.kernel.jitter
 
     theta0 = np.array(
@@ -923,7 +935,8 @@ def _field(obj: dict, key: str, kind: type | tuple[type, ...]):
 
 def _finite(obj: dict, key: str) -> float:
     value = _field(obj, key, (int, float))
-    if not math.isfinite(value):
+    # false for NaN, for infinities and for integers past the float range
+    if not abs(value) <= sys.float_info.max:
         raise DataError(f"model field {key!r} is not finite")
     return value
 
@@ -938,7 +951,7 @@ def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -
         )
     try:
         raw = base64.b64decode(_field(obj, "data", str))
-    except binascii.Error as exc:
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise DataError(f"model array {key!r} is not base64: {exc}") from None
     need = np.dtype(dtype).itemsize * math.prod(shape)
     if len(raw) != need:
@@ -950,14 +963,13 @@ def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -
 
 
 _TOKENS = {o.code: o.token for o in Outcome}
+_CODES = {o.token: o.code for o in Outcome}
 
 
 def save_model(model: GPModel, path: str | Path) -> None:
-    """Versioned text dump; reload reproduces predictions bit-identically."""
+    """Versioned JSON of all a fit cannot derive; load_model rebuilds the rest bit for bit."""
     post = model.posterior
-    ids = [None] * len(model.registry)
-    for pid, idx in model.registry.items():
-        ids[idx] = pid
+    ids = sorted(model.registry, key=model.registry.__getitem__)
     z = post.train_z
     payload = {
         "magic": MODEL_MAGIC,
@@ -970,7 +982,6 @@ def save_model(model: GPModel, path: str | Path) -> None:
         },
         "jitter_used": post.jitter,
         "newton_iters": post.newton_iters,
-        "loglik": post.loglik,
         "registry": ids,
         "outcomes": "".join(_TOKENS[c] for c in post.train_codes.tolist()),
         "homes": post.train_homes.tolist(),
@@ -978,17 +989,13 @@ def save_model(model: GPModel, path: str | Path) -> None:
         "plus": _encode_array(z.indices[z.data > 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
         "minus": _encode_array(z.indices[z.data < 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
         "mode": _encode_array(post.mode, "<f8"),
-        "grad": _encode_array(post.grad, "<f8"),
-        "sqrt_w": _encode_array(post.sqrt_w, "<f8"),
         "dual_coef": _encode_array(post.dual_coef, "<f8"),
-        # the lower triangle, row by row
-        "chol": _encode_array(post.chol[np.tri(len(post.chol), dtype=bool)], "<f8"),
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> GPModel:
-    """Read a model file, checking every field; any defect raises DataError."""
+    """Read a model file and rebuild its posterior at the stored mode; defects raise DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -998,7 +1005,7 @@ def load_model(path: str | Path) -> GPModel:
     if payload.get("version") != MODEL_VERSION:
         raise DataError(
             f"unsupported model version {payload.get('version')!r} "
-            f"(this build reads version {MODEL_VERSION})"
+            f"(this build reads version {MODEL_VERSION}; retrain the model)"
         )
     hyper_raw = _field(payload, "hyper", dict)
     try:
@@ -1010,16 +1017,19 @@ def load_model(path: str | Path) -> GPModel:
             ),
             draw=DrawParam(log_alpha=_finite(hyper_raw, "log_alpha")),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
         raise DataError(f"model hyperparameters are invalid: {exc}") from None
 
     ids = _field(payload, "registry", list)
     if not all(isinstance(pid, str) for pid in ids) or len(set(ids)) != len(ids):
         raise DataError("model registry must list unique player ids")
-    codes = np.array(
-        [Outcome.from_token(t).code for t in _field(payload, "outcomes", str)], dtype=np.int64
-    )
+    try:
+        codes = np.array([_CODES[t] for t in _field(payload, "outcomes", str)], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"unknown outcome token {exc.args[0]!r} in the model file") from None
     n = len(codes)
+    if n < 1:
+        raise DataError("model file holds no training matches")
     homes = _field(payload, "homes", list)
     if len(homes) != n or any(type(h) is not int or h not in (-1, 0, 1) for h in homes):
         raise DataError(f"model 'homes' must hold {n} signs in {{-1, 0, 1}}")
@@ -1032,29 +1042,19 @@ def load_model(path: str | Path) -> GPModel:
         raise DataError("model lineups must be strictly increasing")
     if np.any(np.diff(np.sort(lineups, axis=1), axis=1) == 0):
         raise DataError("a model lineup puts a player on both sides")
-    # the same shape rule as the fit: the factor of C when N > P+1, else of B
-    q = len(ids) + 1 if _low_rank(n, len(ids)) else n
-    chol = np.zeros((q, q))
-    chol[np.tri(q, dtype=bool)] = _decode_array(payload, "chol", "<f8", (q * (q + 1) // 2,))
-    if not np.all(np.diagonal(chol) > 0.0):
-        raise DataError("model 'chol' has a diagonal entry that is not positive")
     jitter = _finite(payload, "jitter_used")
     newton_iters = _field(payload, "newton_iters", int)
     if jitter < 0.0 or newton_iters < 0:
         raise DataError("model 'jitter_used' and 'newton_iters' must be >= 0")
+    mode, dual_coef = (_decode_array(payload, key, "<f8", (n,)) for key in ("mode", "dual_coef"))
 
-    post = LaplacePosterior(
-        mode=_decode_array(payload, "mode", "<f8", (n,)),
-        grad=_decode_array(payload, "grad", "<f8", (n,)),
-        sqrt_w=_decode_array(payload, "sqrt_w", "<f8", (n,)),
-        chol=chol,
-        dual_coef=_decode_array(payload, "dual_coef", "<f8", (n,)),
-        loglik=_finite(payload, "loglik"),
-        jitter=jitter,
-        newton_iters=newton_iters,
-        train_z=incidence(plus, minus, len(ids)),
-        train_homes=np.array(homes, dtype=np.int64),
-        train_codes=codes,
-        hyper=hyper,
-    )
-    return GPModel(posterior=post, registry={pid: i for i, pid in enumerate(ids)})
+    parts = _make_parts(plus, minus, np.array(homes, dtype=np.int64), codes, len(ids))
+    k = parts.gram(hyper.kernel, jitter)
+    try:
+        m = _at_mode(parts, hyper, k, mode, dual_coef, jitter, newton_iters)
+    except (_CholeskyFailure, NumericalError) as exc:
+        raise DataError(f"the model's posterior cannot be rebuilt at its mode: {exc}") from None
+    # a payload that parses yet holds no fit fails f = K grad log p(y|f) = K dual_coef
+    if not all(_stationary(mode, k, v, _STATIONARITY_BOUND) for v in (m.d1, dual_coef)):
+        raise DataError("model 'mode' is not the posterior mode of its training set")
+    return GPModel(_posterior(parts, hyper, m), {pid: i for i, pid in enumerate(ids)})

@@ -146,3 +146,16 @@ def version_1_payload(payload: dict) -> dict:
     eye = base64.b64encode(np.eye(n).tobytes()).decode()
     v1 = {k: v for k, v in payload.items() if k != "chol"}
     return dict(v1, version=1, chol_b={"dtype": "<f8", "shape": [n, n], "data": eye})
+
+
+def version_2_payload(payload: dict) -> dict:
+    """A model payload laid out as version 2 wrote it: derived arrays and one packed factor."""
+    n = len(payload["outcomes"])
+
+    def array(values: np.ndarray) -> dict:
+        data = base64.b64encode(values.tobytes()).decode()
+        return {"dtype": "<f8", "shape": list(values.shape), "data": data}
+
+    packed = np.eye(n)[np.tri(n, dtype=bool)]
+    derived = {"grad": array(np.zeros(n)), "sqrt_w": array(np.ones(n)), "loglik": 0.0}
+    return dict(payload, version=2, chol=array(packed), **derived)

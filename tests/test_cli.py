@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import logging
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import version_1_payload
+from conftest import version_1_payload, version_2_payload
 from lineupgp import __version__, cli
 from lineupgp.data import Dataset, parse_dataset, serialize_dataset
-from lineupgp.errors import NumericalError
+from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import load_model
 
 _SIM_COMMON = ["--teams", "4", "--matches-per-team", "10", "--players", "56"]
@@ -439,6 +442,49 @@ class TestConfigFile:
         assert cli.run(["train", "--config"]) == 1
 
 
+_ARRAYS = ("plus", "minus", "mode", "dual_coef")
+_PATHS = [
+    *[(key,) for key in ("magic", "version", "hyper", "jitter_used", "newton_iters")],
+    *[(key,) for key in ("registry", "outcomes", "homes", *_ARRAYS)],
+    *[("hyper", key) for key in ("sigma2", "sigma2_home", "jitter", "log_alpha")],
+    *[(key, part) for key in _ARRAYS for part in ("dtype", "shape", "data")],
+]
+# one edit of a model payload: drop a field, give it a value of another
+# type, or xor one byte of an array's data with a mask
+_EDIT = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_PATHS), st.none()),
+    st.tuples(
+        st.just("swap"),
+        st.sampled_from(_PATHS),
+        st.sampled_from([None, True, -1, 0, 2.5, float("nan"), 10**400, "x", [], [1], {}]),
+    ),
+    st.tuples(
+        st.just("flip"),
+        st.sampled_from([(key, "data") for key in _ARRAYS]),
+        st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+    ),
+)
+
+
+def _damaged(payload: dict, edits: list) -> dict:
+    for kind, path, arg in edits:
+        parent = payload
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        # an earlier edit may have dropped or swapped the field's parent
+        if not isinstance(parent, dict) or path[-1] not in parent:
+            continue
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "swap":
+            parent[path[-1]] = arg
+        elif isinstance(parent[path[-1]], str) and parent[path[-1]] != "x":  # not swapped in
+            raw = bytearray(base64.b64decode(parent[path[-1]]))
+            raw[arg[0] % len(raw)] ^= arg[1]
+            parent[path[-1]] = base64.b64encode(bytes(raw)).decode()
+    return payload
+
+
 class TestExitCodes:
     def test_version_and_help(self, capsys):
         assert cli.run(["--version"]) == 0
@@ -491,16 +537,41 @@ class TestExitCodes:
 
     def test_corrupt_model_exits_2(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["model"].read_text())
-        no_chol = {k: v for k, v in payload.items() if k != "chol"}
+        no_mode = {k: v for k, v in payload.items() if k != "mode"}
         n = payload["mode"]["shape"][0]
         misshaped = dict(payload, mode=dict(payload["mode"], shape=[n + 1]))
         huge_alpha = dict(payload, hyper=dict(payload["hyper"], log_alpha=math.log(400.0)))
-        for i, bad in enumerate((no_chol, misshaped, version_1_payload(payload), huge_alpha)):
+        old = (version_1_payload(payload), version_2_payload(payload))
+        for i, bad in enumerate((no_mode, misshaped, *old, huge_alpha)):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(bad))
             assert cli.run(["predict", "--model", str(path), "--test", str(workspace["test"])]) == 2
             err = capsys.readouterr().err.strip().split("\n")
             assert len(err) == 1 and err[0].startswith("data error:"), err
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+    def test_damaged_model_loads_or_exits_2(self, workspace, tmp_path, capsys, edits):
+        # a damaged file either still holds a fit or is a data error, never a traceback
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(_damaged(json.loads(workspace["model"].read_text()), edits)))
+        try:
+            load_model(path)
+            loads = True
+        except DataError:
+            loads = False
+        argv = ["--model", str(path), "--test", str(workspace["test"]), "--out", str(tmp_path / "p.csv")]
+        rc = cli.run(["predict", *argv])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert rc == (0 if loads else 2), err
+        if not loads:
+            assert len(err.strip().split("\n")) == 1 and err.startswith("data error:"), err
 
     def test_numerical_errors_exit_3(self, monkeypatch, capsys):
         def boom(args):

@@ -26,16 +26,17 @@ from conftest import (
     random_dataset,
     random_record,
     version_1_payload,
+    version_2_payload,
 )
-from lineupgp import gp
+from lineupgp import gp, kernel
 from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
 from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import (
     Hyperparams,
+    _dataset_parts,
     _evidence_gradient,
     _laplace,
-    _make_parts,
     _newton_mode,
     fit,
     load_model,
@@ -256,10 +257,10 @@ class TestLowRankRoute:
         rng = np.random.default_rng(272)
         dense = random_dataset(rng, 31, 30)
         assert dense.n == dense.num_players + 1
-        assert _make_parts(dense).pairs is None
+        assert _dataset_parts(dense).pairs is None
         assert not fit(dense, Hyperparams.create()).low_rank
         for ds, _ in self._cases():
-            assert _make_parts(ds).pairs is not None
+            assert _dataset_parts(ds).pairs is not None
             assert fit(ds, Hyperparams.create()).low_rank
 
     def test_incidence_from_registry(self):
@@ -272,25 +273,25 @@ class TestLowRankRoute:
             want, homes = match_incidence(
                 [build_match_vector(r, ds.registry) for r in ds.records], ds.num_players
             )
-            parts = _make_parts(ds)
+            parts = _dataset_parts(ds)
             for key in ("indices", "data", "indptr"):
                 assert np.array_equal(getattr(parts.z, key), getattr(want, key)), key
             assert parts.z.shape == want.shape and np.array_equal(parts.homes, homes)
         ds = random_dataset(rng, 5, 30)
         partial = Dataset(records=ds.records, registry={pid: 0 for pid in ds.records[0].lineup1})
         with pytest.raises(DataError, match="not in the registry"):
-            _make_parts(partial)
+            _dataset_parts(partial)
 
     def test_log_marginal_is_the_search_evidence(self):
         rng = np.random.default_rng(274)
         cases = [(random_dataset(rng, 30, 40), Hyperparams.create(sigma2=0.09, alpha=0.45))]
         cases += self._cases()
         for ds, hyper in cases:
-            assert log_marginal(fit(ds, hyper)) == _laplace(_make_parts(ds), hyper).evidence
+            assert log_marginal(fit(ds, hyper)) == _laplace(_dataset_parts(ds), hyper).evidence
 
     def test_evidence_matches_dense(self):
         for ds, hyper in self._cases():
-            low_rank = _laplace(_make_parts(ds), hyper).evidence
+            low_rank = _laplace(_dataset_parts(ds), hyper).evidence
             f_dense, dense = _dense_evidence(ds, hyper)
             post = fit(ds, hyper)
             assert abs(low_rank - dense) <= 1e-9 * abs(dense)
@@ -425,7 +426,7 @@ class TestDefaultLeague:
 
     def test_warm_start(self, default_league):
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
-        parts = _make_parts(default_league)
+        parts = _dataset_parts(default_league)
         k = parts.gram(hyper.kernel, hyper.kernel.effective_jitter)
         cold_f, cold_a, cold_iters = _newton_mode(k, parts.codes, hyper.alpha)
         # from the mode itself: at most one step
@@ -498,7 +499,7 @@ class TestEvidenceGradient:
         ]
 
     def _check(self, ds, hyper):
-        parts = _make_parts(ds)
+        parts = _dataset_parts(ds)
         grad = _evidence_gradient(parts, hyper, _laplace(parts, hyper))
         kp = hyper.kernel
         theta = [
@@ -517,20 +518,39 @@ class TestEvidenceGradient:
 
     def test_low_rank_route(self, default_league):
         for ds, hyper in self._cases(default_league):
-            assert _make_parts(ds).pairs is not None
+            assert _dataset_parts(ds).pairs is not None
             self._check(ds, hyper)
 
     def test_dense_route(self):
         league = random_dataset(np.random.default_rng(281), 20, 44)
         for ds, hyper in self._cases(league):
-            assert _make_parts(ds).pairs is None
+            assert _dataset_parts(ds).pairs is None
+            self._check(ds, hyper)
+
+    def test_jitter_part_of_the_sigma2_component(self, default_league, monkeypatch):
+        # the default jitter scales with sigma2, so d K / d log sigma2 carries
+        # jitter * I; at 1e-6 sigma2 that part is below what central differences
+        # resolve, at 5e-3 sigma2 (under the 1e-2 cap) it is far above
+        monkeypatch.setattr(kernel, "_DEFAULT_JITTER_SCALE", 5e-3)
+        dense = random_dataset(np.random.default_rng(281), 20, 44)
+        for ds in (default_league, dense):
+            hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+            parts = _dataset_parts(ds)
+            m = _laplace(parts, hyper)
+            # the same K with the jitter held fixed: d K / d log sigma2 without it
+            held = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45, jitter=m.jitter)
+            part = _evidence_gradient(parts, hyper, m)[0] - _evidence_gradient(parts, held, m)[0]
+            theta = [math.log(0.09), math.log(1.0), hyper.draw.log_alpha]
+            up, down = [theta[0] + self.STEP, *theta[1:]], [theta[0] - self.STEP, *theta[1:]]
+            fd = (_evidence_at(ds, hyper, up) - _evidence_at(ds, hyper, down)) / (2 * self.STEP)
+            assert abs(part) > 10 * 1e-5 * max(1.0, abs(fd)), (part, fd)
             self._check(ds, hyper)
 
     def test_routes_agree(self, default_league):
         # one training set through L_C and through a dense L_B, to rounding,
         # far below what central differences resolve
         for ds, hyper in self._cases(default_league):
-            low = _make_parts(ds)
+            low = _dataset_parts(ds)
             dense = dataclasses.replace(
                 low,
                 x=None,
@@ -844,6 +864,9 @@ class TestModelPersistence:
         bad.write_text(json.dumps(version_1_payload(json.loads(path.read_text()))))
         with pytest.raises(DataError, match="version 1"):
             load_model(bad)
+        bad.write_text(json.dumps(version_2_payload(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="version 2"):
+            load_model(bad)
 
     def test_rejects_corrupt_payloads(self, tmp_path):
         _, model = self._trained(seed=255)
@@ -867,9 +890,12 @@ class TestModelPersistence:
 
         plus = decoded("plus")
         bad_payloads = [
-            {k: v for k, v in good.items() if k != "chol"},
+            {k: v for k, v in good.items() if k != "mode"},
             {k: v for k, v in good.items() if k != "hyper"},
             dict(good, hyper=dict(good["hyper"], sigma2=-1.0)),
+            # integers past the float range
+            dict(good, hyper=dict(good["hyper"], jitter=10**400)),
+            dict(good, jitter_used=10**400),
             dict(good, mode=dict(good["mode"], shape=[n + 1])),
             dict(good, mode=dict(good["mode"], dtype="<f4")),
             with_array("mode", decoded("mode")[:-1]),
@@ -882,11 +908,10 @@ class TestModelPersistence:
             with_entry("plus", (0, 0), -1),
             with_array("plus", plus[:, ::-1]),
             with_entry("minus", 0, plus[0]),
-            with_entry("sqrt_w", 0, np.nan),
-            # the packed lower triangle: one value short, then L[0, 0] = 0
-            with_array("chol", decoded("chol")[:-1]),
-            with_entry("chol", 0, 0.0),
-            dict(good, loglik=float("inf")),
+            with_entry("mode", 0, np.nan),
+            # finite and well formed, but not the stationary point of the fit
+            with_array("mode", 1.01 * decoded("mode")),
+            with_array("dual_coef", 1.01 * decoded("dual_coef")),
         ]
         for i, bad in enumerate(bad_payloads):
             path = tmp_path / f"bad{i}.json"
@@ -894,19 +919,36 @@ class TestModelPersistence:
             with pytest.raises(DataError):
                 load_model(path)
 
-    def test_rejects_non_finite_chol_b(self, tmp_path):
-        # prediction skips the finiteness scan of the factor, so loading must catch it
+    def test_rejects_non_finite_mode(self, tmp_path):
+        # the factor is rebuilt from the mode, and prediction skips its finiteness scan
         _, model = self._trained(seed=256)
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        obj = payload["chol"]
-        chol = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).copy()
-        chol[1] = np.nan  # L[1, 0] in the packed lower triangle
-        payload["chol"] = dict(obj, data=base64.b64encode(chol.tobytes()).decode())
+        obj = payload["mode"]
+        mode = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).copy()
+        mode[1] = np.nan
+        payload["mode"] = dict(obj, data=base64.b64encode(mode.tobytes()).decode())
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="non-finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("jitter", [None, 0.0])
+    def test_load_rebuilds_the_fitted_posterior(self, tmp_path, default_league, jitter):
+        # one league served from weight space (N > P+1) and one from L_B
+        dense = random_dataset(np.random.default_rng(258), 20, 44)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45, jitter=jitter)
+        for i, ds in enumerate((default_league, dense)):
+            fresh = train_model(ds, hyper)
+            assert fresh.posterior.low_rank == (i == 0)
+            path = tmp_path / f"model{i}.json"
+            save_model(fresh, path)
+            back, post = load_model(path).posterior, fresh.posterior
+            for field in ("mode", "grad", "sqrt_w", "chol", "dual_coef"):
+                assert np.array_equal(getattr(back, field), getattr(post, field)), field
+            for field in ("loglik", "jitter", "newton_iters"):
+                assert getattr(back, field) == getattr(post, field), field
+            assert log_marginal(back) == log_marginal(post)
 
     def test_unseen_players_get_prior_prediction(self):
         ds, model = self._trained(seed=254)
