@@ -19,9 +19,12 @@ B is factored one of two ways, chosen by the shape of the training set:
   Woodbury through the Cholesky factor of the (P+1) x (P+1) matrix
   C = I + U' D^{-1} U, with log|B| = log|D| + log|C|.
 
-A fitted posterior keeps whichever of the two factors its route built at
-the mode, the smaller one.  On the low-rank route it serves from weight
-space: the weights w ~ N(0, S) with f = X w have the Laplace posterior mean
+The route is chosen once, from the training set's shape.  The posterior is
+one record, :class:`LaplacePosterior`, that one function builds for a fit,
+each evaluation of the evidence search and load_model.
+
+On the low-rank route the posterior serves from weight space: the weights
+w ~ N(0, S) with f = X w have the Laplace posterior mean
 m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly
 (jitter included), so a test match x gets mean x'm and variance
 |L_C^{-1} S^{1/2} x|^2, with no N x N array.  On the dense route it serves
@@ -43,8 +46,9 @@ from the inverse of whichever factor Newton built, C^{-1} or B^{-1}, so on
 the low-rank route a gradient too builds no N x N array.
 
 A model file stores the training set, hyperparameters, jitter used, mode and
-dual coefficients; loading rebuilds the rest through the function a fit ends
-with, so under the same BLAS threads it is the fitted posterior bit for bit.
+dual coefficients; loading rebuilds the record from them through the
+function a fit ends with, so under the same BLAS threads it is the fitted
+posterior bit for bit.
 """
 
 from __future__ import annotations
@@ -145,63 +149,6 @@ class Hyperparams:
         return self.draw.alpha
 
 
-@dataclass(frozen=True)
-class LaplacePosterior:
-    """Laplace approximation at the unique mode of Psi.
-
-    ``mode = K @ dual_coef`` with K including ``jitter`` on the diagonal;
-    ``grad`` is the likelihood gradient at the mode and ``sqrt_w`` the
-    square root of its negated Hessian.  ``chol`` is a lower Cholesky factor
-    in C order, chosen by the training set's shape (see the module
-    docstring): with N > P+1 matches (``low_rank``) that of the (P+1) x (P+1)
-    matrix C = I + S^{1/2} X' W (I + jitter*W)^{-1} X S^{1/2}, otherwise that
-    of the N x N matrix B = I + W^{1/2} K W^{1/2}.  The training set is kept
-    as its signed incidence ``train_z`` (N x P), home signs and outcome codes.
-    A model file saves neither ``grad``, ``sqrt_w``, ``loglik`` nor ``chol``:
-    fit and load_model both derive them from the rest.
-    """
-
-    mode: np.ndarray
-    grad: np.ndarray
-    sqrt_w: np.ndarray
-    chol: np.ndarray
-    dual_coef: np.ndarray
-    loglik: float
-    jitter: float
-    newton_iters: int
-    train_z: sp.csr_matrix
-    train_homes: np.ndarray
-    train_codes: np.ndarray
-    hyper: Hyperparams
-
-    @property
-    def n(self) -> int:
-        return len(self.mode)
-
-    @property
-    def low_rank(self) -> bool:
-        """N > P+1: ``chol`` factors C and prediction runs in weight space."""
-        return _low_rank(self.n, self.train_z.shape[1])
-
-    @cached_property
-    def weight_mean(self) -> np.ndarray:
-        """m = S X' grad: posterior mean of the P player weights, then the home weight."""
-        s = _prior_scales(self.hyper.kernel, self.train_z.shape[1] + 1)
-        return s * np.append(self.train_z.T @ self.grad, self.train_homes @ self.grad)
-
-
-def _low_rank(n: int, p: int) -> bool:
-    """The route rule: more matches than features X = [Z | h]."""
-    return n > p + 1
-
-
-def _prior_scales(kp: KernelParams, width: int) -> np.ndarray:
-    """diag(S): the prior variances of the ``width - 1`` player weights and the home weight."""
-    s = np.full(width, kp.sigma2)
-    s[-1] = kp.sigma2_home
-    return s
-
-
 class _CholeskyFailure(Exception):
     pass
 
@@ -294,7 +241,7 @@ class _TrainParts:
 
     With more matches than features (N > P+1) the Gram is kept in low-rank
     form, as the features X = [Z | h] and their pair products; otherwise as
-    the dense overlap Z Z' and home products h h'.
+    the dense overlap Z Z', with the home term added from ``homes``.
     """
 
     z: sp.csr_matrix
@@ -303,13 +250,14 @@ class _TrainParts:
     x: sp.csr_matrix | None = None
     pairs: sp.csc_matrix | None = None
     overlap: np.ndarray | None = None
-    home_outer: np.ndarray | None = None
 
     def gram(self, kp: KernelParams, jitter: float) -> np.ndarray | _LowRankGram:
         """K with ``jitter`` on the diagonal, low-rank when the parts are."""
         if self.pairs is None:
-            return gram(self.overlap, self.home_outer, kp, jitter)
-        s = _prior_scales(kp, self.x.shape[1])
+            return gram(self.overlap, self.homes, self.homes, kp, jitter)
+        # diag(S): the prior variances of the P player weights and the home weight
+        s = np.full(self.x.shape[1], kp.sigma2)
+        s[-1] = kp.sigma2_home
         # one transposed view per Gram: building it per product costs more than the product
         return _LowRankGram(self.x, self.x.T, self.pairs, s, jitter)
 
@@ -336,10 +284,11 @@ def _make_parts(
     """Parts of N matches: (N, 11) lineup indices below ``width``, home signs, outcome codes."""
     z = incidence(plus, minus, width)
     n, p = z.shape
-    if not _low_rank(n, p):
+    # the route rule: low rank when there are more matches than features X = [Z | h]
+    if n <= p + 1:
         # exact integer counts either way; float operands spare an N x N cast
-        zf, h = z.astype(np.float64), homes.astype(np.float64)
-        return _TrainParts(z, homes, codes, overlap=(zf @ zf.T).toarray(), home_outer=np.outer(h, h))
+        zf = z.astype(np.float64)
+        return _TrainParts(z, homes, codes, overlap=(zf @ zf.T).toarray())
     # row i of X: its 22 players in increasing column order, then the home
     # column (kept when zero), so every pair j >= k of a row's entries lands in
     # the lower triangle of X' diag(u) X; narrow ints keep the pair arrays cheap
@@ -438,25 +387,60 @@ def _stationary(f: np.ndarray, k: np.ndarray | _LowRankGram, d1: np.ndarray, tol
 
 
 @dataclass(frozen=True)
-class _Mode:
-    """The mode of Psi, its dual coefficients, and B factored there with the Gram it used."""
+class LaplacePosterior:
+    """Laplace approximation at the unique mode of Psi, and everything built there.
 
+    ``parts`` is the training set (signed incidence ``parts.z``, N x P, home
+    signs ``parts.homes``, outcome codes ``parts.codes``) and ``gram`` its K,
+    dense or low-rank, with ``jitter`` on the diagonal; ``mode = gram @
+    dual_coef``.  ``grad`` is the likelihood gradient at the mode, ``sqrt_w``
+    the square root of its negated Hessian and ``loglik`` log p(y|mode).
+    ``factor`` holds B = I + W^{1/2} K W^{1/2} factored by the route: with
+    N > P+1 matches (``low_rank``) through the (P+1) x (P+1) matrix
+    C = I + S^{1/2} X' W (I + jitter*W)^{-1} X S^{1/2}, otherwise as B.
+    ``_at_mode`` builds it; a model file saves no field that it derives.
+    """
+
+    parts: _TrainParts
+    hyper: Hyperparams
     gram: np.ndarray | _LowRankGram
-    f: np.ndarray
-    a: np.ndarray
-    d1: np.ndarray
+    mode: np.ndarray
+    dual_coef: np.ndarray
+    grad: np.ndarray
     sqrt_w: np.ndarray
     factor: _BFactor
     loglik: float
     jitter: float
-    iters: int
+    newton_iters: int
+
+    @property
+    def n(self) -> int:
+        return len(self.mode)
+
+    @property
+    def low_rank(self) -> bool:
+        """N > P+1: ``chol`` factors C and prediction runs in weight space."""
+        return isinstance(self.gram, _LowRankGram)
+
+    @property
+    def chol(self) -> np.ndarray:
+        """The lower Cholesky factor, of C or of B, in C order."""
+        return self.factor.upper.T
 
     @property
     def evidence(self) -> float:
-        return self.loglik - 0.5 * float(self.f @ self.a) - self.factor.half_logdet
+        """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - 0.5 log|B|."""
+        return self.loglik - 0.5 * float(self.mode @ self.dual_coef) - self.factor.half_logdet
+
+    @cached_property
+    def weight_mean(self) -> np.ndarray:
+        """m = S X' grad (low-rank route): mean of the P player weights, then the home weight."""
+        return self.gram.s * np.append(self.parts.z.T @ self.grad, self.parts.homes @ self.grad)
 
 
-def _laplace(parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None) -> _Mode:
+def _laplace(
+    parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None
+) -> LaplacePosterior:
     """Newton to the mode from ``a0`` (see _newton_mode), then everything built there.
 
     A failed factorization escalates the jitter.
@@ -487,31 +471,16 @@ def _at_mode(
     a: np.ndarray,
     jitter: float,
     iters: int,
-) -> _Mode:
-    """grad log p, W^{1/2}, log p(y|f) and B factored at the mode ``f = k @ a``.
+) -> LaplacePosterior:
+    """The posterior at the mode ``f = k @ a``: grad log p, W^{1/2}, log p(y|f) and B factored.
 
     Fit ends here and load_model rebuilds here, so the two agree bit for bit.
     """
     d1, d2 = loglik_derivs_vector(parts.codes, f, hyper.alpha)
     sqrt_w = np.sqrt(-d2)
     loglik = float(np.sum(loglik_vector(parts.codes, f, hyper.alpha)))
-    return _Mode(k, f, a, d1, sqrt_w, _factor_b(k, sqrt_w), loglik, jitter, iters)
-
-
-def _posterior(parts: _TrainParts, hyper: Hyperparams, m: _Mode) -> LaplacePosterior:
     return LaplacePosterior(
-        mode=m.f,
-        grad=m.d1,
-        sqrt_w=m.sqrt_w,
-        chol=m.factor.upper.T,
-        dual_coef=m.a,
-        loglik=m.loglik,
-        jitter=m.jitter,
-        newton_iters=m.iters,
-        train_z=parts.z,
-        train_homes=parts.homes,
-        train_codes=parts.codes,
-        hyper=hyper,
+        parts, hyper, k, f, a, d1, sqrt_w, _factor_b(k, sqrt_w), loglik, jitter, iters
     )
 
 
@@ -519,22 +488,12 @@ def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
     """Laplace fit on a training dataset; needs at least one match."""
     if train.n < 1:
         raise DataError("cannot fit on an empty training set")
-    parts = _dataset_parts(train)
-    return _posterior(parts, hyper, _laplace(parts, hyper))
+    return _laplace(_dataset_parts(train), hyper)
 
 
 def log_marginal(post: LaplacePosterior) -> float:
-    """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - 0.5 log|B|.
-
-    log|B| is 2 sum log diag L_B on the dense route, and
-    sum log(1 + jitter*w) + 2 sum log diag L_C on the low-rank one.
-    """
-    quad = 0.5 * float(post.mode @ post.dual_coef)
-    half_logdet = float(np.sum(np.log(np.diagonal(post.chol))))
-    if post.low_rank:
-        sw = post.sqrt_w
-        half_logdet += 0.5 * float(np.sum(np.log(1.0 + post.jitter * (sw * sw))))
-    return post.loglik - quad - half_logdet
+    """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - 0.5 log|B|."""
+    return post.evidence
 
 
 def _latent_block(
@@ -542,7 +501,8 @@ def _latent_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unclamped (mu, var) of one block of test matches (see predict_latent_many)."""
     kp = post.hyper.kernel
-    p = post.train_z.shape[1]
+    z = post.parts.z
+    p = z.shape[1]
     t = len(homes)
     # rows: the P players, the home feature, then one row that takes every
     # unseen player and is dropped
@@ -555,14 +515,14 @@ def _latent_block(
     if post.low_rank:
         x = x[: p + 1]
         mu = x.T @ post.weight_mean
-        x *= np.sqrt(_prior_scales(kp, p + 1))[:, None]
+        x *= np.sqrt(post.gram.s)[:, None]
         v = sla.solve_triangular(post.chol, x, lower=True, check_finite=False)
         # each player unseen in training adds its prior variance
         unseen = np.sum(plus >= p, axis=1) + np.sum(minus >= p, axis=1)
         return mu, np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
     # in C order, like every Gram: the BLAS products below round by layout
-    overlap = np.ascontiguousarray((post.train_z @ x[:p]).T)
-    k_star = gram(overlap, np.outer(homes, post.train_homes), kp)
+    overlap = np.ascontiguousarray((z @ x[:p]).T)
+    k_star = gram(overlap, homes, post.parts.homes, kp)
     mu = k_star @ post.grad
     v = sla.solve_triangular(
         post.chol, post.sqrt_w[:, None] * k_star.T, lower=True, check_finite=False
@@ -661,19 +621,17 @@ def _inverse_from_upper(upper: np.ndarray) -> np.ndarray:
     return np.triu(inv) + np.triu(inv, 1).T
 
 
-def _posterior_traces(
-    parts: _TrainParts, kp: KernelParams, m: _Mode
-) -> tuple[np.ndarray, float, float, float]:
+def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float, float]:
     """The parts of the evidence gradient that need the inverse of B (or of C).
 
     Returns diag(Sigma_f) with Sigma_f = (K^{-1} + W)^{-1}, then tr(R K_z),
     tr(R K_h) and tr(R), where R = W^{1/2} B^{-1} W^{1/2} and K_z = sigma2 Z Z',
     K_h = sigma2_home h h' are the two scaled parts of the Gram.
     """
-    sw = m.sqrt_w
-    inv = _inverse_from_upper(m.factor.upper)
-    k = m.gram
-    if isinstance(k, _LowRankGram):
+    sw = post.sqrt_w
+    inv = _inverse_from_upper(post.factor.upper)
+    k = post.gram
+    if post.low_rank:
         # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}:
         #   Sigma_f = jitter D^{-1} + D^{-1} X T X' D^{-1},
         #   R = Om - Om X T X' Om with Om = W D^{-1},
@@ -700,17 +658,17 @@ def _posterior_traces(
     r = inv * sw[:, None]
     r *= sw
     sigma_f = np.diagonal(k) - np.einsum("ij,ij->i", k @ r, k)
-    h = parts.homes.astype(np.float64)
+    kp, h = post.hyper.kernel, post.parts.homes.astype(np.float64)
     return (
         sigma_f,
-        kp.sigma2 * float(np.sum(r * parts.overlap)),
+        kp.sigma2 * float(np.sum(r * post.parts.overlap)),
         kp.sigma2_home * float(h @ r @ h),
         float(np.trace(r)),
     )
 
 
-def _evidence_gradient(parts: _TrainParts, hyper: Hyperparams, m: _Mode) -> np.ndarray:
-    """d evidence / d(log sigma2, log sigma2_home, log alpha) at the mode ``m``.
+def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
+    """d evidence / d(log sigma2, log sigma2_home, log alpha) at the posterior's mode.
 
     Rasmussen & Williams (2006), Algorithm 5.1.  For a kernel scale with
     dK = dK/d log(scale): the explicit term 0.5 d1' dK d1 - 0.5 tr(R dK), plus
@@ -720,17 +678,18 @@ def _evidence_gradient(parts: _TrainParts, hyper: Hyperparams, m: _Mode) -> np.n
     The default jitter, 1e-6 sigma2, scales with sigma2, so then
     dK/d log sigma2 also carries jitter * I.
     """
+    hyper, parts = post.hyper, post.parts
     kp = hyper.kernel
-    k, sw, d1 = m.gram, m.sqrt_w, m.d1
-    sigma_f, tr_z, tr_h, tr_r = _posterior_traces(parts, kp, m)
-    dlp, dd1, dw_alpha, dw_f = loglik_alpha_derivs(parts.codes, m.f, hyper.alpha)
+    k, sw, d1 = post.gram, post.sqrt_w, post.grad
+    sigma_f, tr_z, tr_h, tr_r = _posterior_traces(post)
+    dlp, dd1, dw_alpha, dw_f = loglik_alpha_derivs(parts.codes, post.mode, hyper.alpha)
     s2 = -0.5 * sigma_f * dw_f
 
     def implicit(b: np.ndarray) -> float:
         # s2' df_hat, with df_hat = (I + K W)^{-1} b = b - K R b
-        return float(s2 @ (b - k @ (sw * m.factor.solve(sw * b))))
+        return float(s2 @ (b - k @ (sw * post.factor.solve(sw * b))))
 
-    dj = m.jitter if kp.jitter is None else 0.0
+    dj = post.jitter if kp.jitter is None else 0.0
     zd = parts.z.T @ d1
     hd = float(parts.homes @ d1)
     g_sigma2 = (
@@ -807,30 +766,30 @@ def optimize_hyperparams(
     best = init
     warm: np.ndarray | None = None
 
-    def evaluate(h: Hyperparams) -> _Mode:
+    def evaluate(h: Hyperparams) -> LaplacePosterior:
         nonlocal used, init_ev, best_ev, best, warm
         used += 1
-        mode = _laplace(parts, h, warm)
+        post = _laplace(parts, h, warm)
         # the next evaluation's Newton starts from this mode
-        warm = mode.a
+        warm = post.dual_coef
         if h is init:
-            init_ev = mode.evidence
-        if mode.evidence > best_ev:
-            best_ev, best = mode.evidence, h
+            init_ev = post.evidence
+        if post.evidence > best_ev:
+            best_ev, best = post.evidence, h
         if used == budget:
             # a gradient here could only lead to an evaluation past the budget
             raise _BudgetExhausted
-        return mode
+        return post
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         # round-tripping init through exp(log(.)) can slip an ulp, so its
         # point keeps the caller's exact object
         h = init if np.array_equal(theta, theta0) else hyper_at(theta)
-        mode = evaluate(h)
+        post = evaluate(h)
         # per match: L-BFGS-B's first trial step is the whole gradient, and
         # the gradient of the whole evidence grows with N; at N = 600 that
         # step reaches the box's corners, where Newton can fail
-        return -mode.evidence / train.n, -_evidence_gradient(parts, h, mode) / train.n
+        return -post.evidence / train.n, -_evidence_gradient(post) / train.n
 
     x0 = np.clip(theta0, *np.array(_SEARCH_BOUNDS).T)
     try:
@@ -881,7 +840,7 @@ class GPModel:
 
     def _rows(self, records: Sequence[MatchRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(plus, minus, homes) of the records, an unseen player at index P."""
-        get, p = self.registry.get, self.posterior.train_z.shape[1]
+        get, p = self.registry.get, self.posterior.parts.z.shape[1]
         lineups = np.array(
             [get(pid, p) for rec in records for pid in rec.players], dtype=np.int64
         ).reshape(-1, SELF_OVERLAP)
@@ -970,7 +929,8 @@ def save_model(model: GPModel, path: str | Path) -> None:
     """Versioned JSON of all a fit cannot derive; load_model rebuilds the rest bit for bit."""
     post = model.posterior
     ids = sorted(model.registry, key=model.registry.__getitem__)
-    z = post.train_z
+    parts = post.parts
+    z = parts.z
     payload = {
         "magic": MODEL_MAGIC,
         "version": MODEL_VERSION,
@@ -983,8 +943,8 @@ def save_model(model: GPModel, path: str | Path) -> None:
         "jitter_used": post.jitter,
         "newton_iters": post.newton_iters,
         "registry": ids,
-        "outcomes": "".join(_TOKENS[c] for c in post.train_codes.tolist()),
-        "homes": post.train_homes.tolist(),
+        "outcomes": "".join(_TOKENS[c] for c in parts.codes.tolist()),
+        "homes": parts.homes.tolist(),
         # rows of Z hold their 22 entries sorted by column
         "plus": _encode_array(z.indices[z.data > 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
         "minus": _encode_array(z.indices[z.data < 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
@@ -1051,10 +1011,10 @@ def load_model(path: str | Path) -> GPModel:
     parts = _make_parts(plus, minus, np.array(homes, dtype=np.int64), codes, len(ids))
     k = parts.gram(hyper.kernel, jitter)
     try:
-        m = _at_mode(parts, hyper, k, mode, dual_coef, jitter, newton_iters)
+        post = _at_mode(parts, hyper, k, mode, dual_coef, jitter, newton_iters)
     except (_CholeskyFailure, NumericalError) as exc:
         raise DataError(f"the model's posterior cannot be rebuilt at its mode: {exc}") from None
     # a payload that parses yet holds no fit fails f = K grad log p(y|f) = K dual_coef
-    if not all(_stationary(mode, k, v, _STATIONARITY_BOUND) for v in (m.d1, dual_coef)):
+    if not all(_stationary(mode, k, v, _STATIONARITY_BOUND) for v in (post.grad, dual_coef)):
         raise DataError("model 'mode' is not the posterior mode of its training set")
-    return GPModel(_posterior(parts, hyper, m), {pid: i for i, pid in enumerate(ids)})
+    return GPModel(post, {pid: i for i, pid in enumerate(ids)})

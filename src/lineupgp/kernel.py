@@ -180,14 +180,23 @@ def match_incidence(
 
 
 def gram(
-    overlap: np.ndarray, home_outer: np.ndarray, p: KernelParams, jitter: float = 0.0
+    overlap: np.ndarray,
+    homes_r: np.ndarray,
+    homes_c: np.ndarray,
+    p: KernelParams,
+    jitter: float = 0.0,
 ) -> np.ndarray:
-    """sigma2 * overlap + sigma2_home * home_outer, plus ``jitter`` on the diagonal.
+    """sigma2 * overlap + sigma2_home * h_r h_c', plus ``jitter`` on the diagonal.
 
     For match sets r and c, ``overlap`` = Z_r Z_c' holds their signed overlap
-    counts and ``home_outer`` = h_r h_c' the products of their home signs.
+    counts and ``homes_r``, ``homes_c`` their home signs.  The rank-one home
+    term is added in place, row by sign, so the only N x N array built is
+    the result; every sign is in {-1, 0, 1}, so this rounds as the sum of
+    the two scaled matrices.
     """
-    k = p.sigma2 * overlap + p.sigma2_home * home_outer
+    k = p.sigma2 * overlap
+    for sign in (1, -1):
+        np.add(k, (sign * p.sigma2_home) * homes_c, out=k, where=(homes_r == sign)[:, None])
     if jitter > 0.0:
         k[np.diag_indices_from(k)] += jitter
     return k
@@ -195,11 +204,11 @@ def gram(
 
 def _cross(
     rows: Sequence[MatchVector], cols: Sequence[MatchVector]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Z_r Z_c', h_r h_c') of two match lists, both integer."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z_r Z_c', h_r, h_c) of two match lists, all integer."""
     z_c, homes_c = match_incidence(cols)
     z_r, homes_r = match_incidence(rows, z_c.shape[1])
-    return (z_r @ z_c.T).toarray(), np.outer(homes_r, homes_c)
+    return (z_r @ z_c.T).toarray(), homes_r, homes_c
 
 
 def overlap_matrix(rows: Sequence[MatchVector], cols: Sequence[MatchVector]) -> np.ndarray:

@@ -104,11 +104,7 @@ def _log_expm1(x: float) -> float:
 
 def outcome_probs(f: float, d: DrawParam) -> PredictiveDistribution:
     """Exact outcome distribution at a known latent difference ``f``."""
-    alpha = d.alpha
-    p_w = float(expit(f - alpha))
-    p_l = float(expit(-f - alpha))
-    # grouping (p_w * p_l) first keeps f -> -f an exact win/loss exchange
-    p_d = math.expm1(2.0 * alpha) * (p_w * p_l)
+    p_w, p_d, p_l = (float(p) for p in _probs_arrays(f, d.alpha))
     return PredictiveDistribution(p_w=p_w, p_d=min(p_d, 1.0), p_l=p_l)
 
 
@@ -116,6 +112,7 @@ def _probs_arrays(f: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, 
     """Vectorized (p_w, p_d, p_l) without constructing distribution objects."""
     p_w = expit(f - alpha)
     p_l = expit(-f - alpha)
+    # grouping (p_w * p_l) first keeps f -> -f an exact win/loss exchange
     p_d = math.expm1(2.0 * alpha) * (p_w * p_l)
     return p_w, p_d, p_l
 

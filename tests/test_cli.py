@@ -179,7 +179,7 @@ class TestTrainPredict:
         proc = _run_fresh(["train", "--train", str(train), "--model-out", str(out), *hyper], **one)
         assert proc.returncode == 0, proc.stderr
         post = load_model(out).posterior
-        kp, z, h, g = post.hyper.kernel, post.train_z, post.train_homes, post.grad
+        kp, z, h, g = post.hyper.kernel, post.parts.z, post.parts.homes, post.grad
         k_grad = kp.sigma2 * (z @ (z.T @ g)) + kp.sigma2_home * h * float(h @ g) + post.jitter * g
         assert np.max(np.abs(post.mode - k_grad)) <= 1e-6 * max(1.0, np.max(np.abs(post.mode)))
 

@@ -15,6 +15,7 @@ import base64
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,8 +420,8 @@ class TestDefaultLeague:
         # changes Psi only by rounding and must still be taken
         hyper = Hyperparams.create(sigma2=0.0528, sigma2_home=0.9995, alpha=0.4274)
         post = fit(default_league, hyper)
-        k = post.train_z @ post.train_z.T * hyper.kernel.sigma2
-        k = k.toarray() + hyper.kernel.sigma2_home * np.outer(post.train_homes, post.train_homes)
+        k = post.parts.z @ post.parts.z.T * hyper.kernel.sigma2
+        k = k.toarray() + hyper.kernel.sigma2_home * np.outer(post.parts.homes, post.parts.homes)
         k[np.diag_indices_from(k)] += post.jitter
         assert np.max(np.abs(post.mode - k @ post.grad)) <= 1e-8 * max(1.0, np.max(np.abs(post.mode)))
 
@@ -500,7 +501,7 @@ class TestEvidenceGradient:
 
     def _check(self, ds, hyper):
         parts = _dataset_parts(ds)
-        grad = _evidence_gradient(parts, hyper, _laplace(parts, hyper))
+        grad = _evidence_gradient(_laplace(parts, hyper))
         kp = hyper.kernel
         theta = [
             math.log(kp.sigma2),
@@ -539,7 +540,7 @@ class TestEvidenceGradient:
             m = _laplace(parts, hyper)
             # the same K with the jitter held fixed: d K / d log sigma2 without it
             held = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45, jitter=m.jitter)
-            part = _evidence_gradient(parts, hyper, m)[0] - _evidence_gradient(parts, held, m)[0]
+            part = _evidence_gradient(m)[0] - _evidence_gradient(dataclasses.replace(m, hyper=held))[0]
             theta = [math.log(0.09), math.log(1.0), hyper.draw.log_alpha]
             up, down = [theta[0] + self.STEP, *theta[1:]], [theta[0] - self.STEP, *theta[1:]]
             fd = (_evidence_at(ds, hyper, up) - _evidence_at(ds, hyper, down)) / (2 * self.STEP)
@@ -556,10 +557,9 @@ class TestEvidenceGradient:
                 x=None,
                 pairs=None,
                 overlap=(low.z @ low.z.T).toarray().astype(np.float64),
-                home_outer=np.outer(low.homes, low.homes).astype(np.float64),
             )
-            g_low = _evidence_gradient(low, hyper, _laplace(low, hyper))
-            g_dense = _evidence_gradient(dense, hyper, _laplace(dense, hyper))
+            g_low = _evidence_gradient(_laplace(low, hyper))
+            g_dense = _evidence_gradient(_laplace(dense, hyper))
             assert np.all(np.abs(g_low - g_dense) <= 1e-8 * np.maximum(1.0, np.abs(g_dense)))
 
 
@@ -949,6 +949,23 @@ class TestModelPersistence:
             for field in ("loglik", "jitter", "newton_iters"):
                 assert getattr(back, field) == getattr(post, field), field
             assert log_marginal(back) == log_marginal(post)
+
+    def test_dense_load_peak_memory(self, tmp_path):
+        # 400 matches over more players: the dense route, where load holds
+        # the overlap, the Gram and B (3 N^2 doubles) plus the decoded file;
+        # a fourth N x N array, such as h h', passes the bound
+        ds = random_dataset(np.random.default_rng(400), 400, 600)
+        model = train_model(ds, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45))
+        assert not model.posterior.low_rank
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * 8 * ds.n**2, peak / (8 * ds.n**2)
 
     def test_unseen_players_get_prior_prediction(self):
         ds, model = self._trained(seed=254)

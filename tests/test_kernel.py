@@ -21,6 +21,7 @@ from lineupgp.kernel import (
     MatchVector,
     build_match_vector,
     export_heatmap,
+    gram,
     kernel_eval,
     kernel_matrix,
     overlap_matrix,
@@ -212,6 +213,22 @@ class TestKernelMatrix:
         for i in range(3):
             for j in range(7):
                 assert cross[i, j] == kernel_eval(vecs[i], vecs[3 + j], params)
+
+    def test_gram_adds_the_home_term_bit_for_bit(self):
+        # gram adds sigma2_home * h_r h_c' in place, row by sign; it must round
+        # as the sum of the two scaled matrices for any shape and zero signs
+        rng = np.random.default_rng(60)
+        params = KernelParams(sigma2=0.37, sigma2_home=0.81)
+        for rows, cols, jitter in ((7, 5, 0.0), (3, 9, 0.0), (6, 6, 0.0), (6, 6, 1e-3)):
+            overlap = rng.integers(-22, 23, size=(rows, cols))
+            homes_r = rng.integers(-1, 2, size=rows)
+            homes_c = rng.integers(-1, 2, size=cols)
+            homes_r[0], homes_c[-1] = 0, 0
+            want = params.sigma2 * overlap + params.sigma2_home * np.outer(homes_r, homes_c)
+            if jitter > 0.0:
+                want[np.diag_indices_from(want)] += jitter
+            got = gram(overlap, homes_r, homes_c, params, jitter)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_empty_inputs(self):
         assert overlap_matrix([], []).shape == (0, 0)
