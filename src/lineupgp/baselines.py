@@ -17,6 +17,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.special import expit
 
 from .data import Dataset, HomeSide, MatchRecord, Outcome
 from .errors import DataError, NumericalError
@@ -75,9 +76,12 @@ def elo_expected(
     home: HomeSide = HomeSide.NEUTRAL,
     home_advantage: float = 0.0,
 ) -> float:
-    """Expected score for side 1: 1 / (1 + 10^(-delta/400))."""
+    """Expected score for side 1: 1 / (1 + 10^(-delta/400)), as expit(delta ln10 / 400).
+
+    The logistic form cannot overflow, however large the rating gap.
+    """
     delta = r1 - r2 + home_advantage * home.sign
-    return 1.0 / (1.0 + 10.0 ** (-delta / 400.0))
+    return float(expit(rating_delta_to_latent(delta)))
 
 
 def _score(outcome: Outcome) -> float:
@@ -172,6 +176,13 @@ class EloModel:
     state: EloState | None = None
     draw: DrawParam | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("k_factor", "home_advantage", "initial_rating"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"Elo {name} must be finite, got {getattr(self, name)!r}")
+        if self.k_factor < 0.0:
+            raise ValueError(f"Elo k_factor must be >= 0, got {self.k_factor!r}")
+
     def fit(self, train: Dataset) -> "EloModel":
         state = EloState(
             ratings={},
@@ -190,6 +201,11 @@ class EloModel:
             latents[i] = rating_delta_to_latent(delta)
             codes[i] = rec.outcome.code
             state = elo_update(state, rec)
+        if not all(math.isfinite(r) for r in state.ratings.values()):
+            raise NumericalError(
+                f"Elo ratings overflowed (k_factor {self.k_factor!r}, "
+                f"initial_rating {self.initial_rating!r})"
+            )
         self.state = state
         self.draw = fit_elo_alpha(latents, codes)
         return self

@@ -51,12 +51,6 @@ def _add_gp_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--alpha", type=float, default=0.5, help="draw margin (default 0.5)")
     group.add_argument(
-        "--jitter",
-        type=float,
-        default=None,
-        help="diagonal jitter (default: 1e-6 * sigma2)",
-    )
-    group.add_argument(
         "--optimize", action="store_true", help="run the evidence search before fitting"
     )
     group.add_argument(
@@ -229,7 +223,17 @@ def _hyper_from_args(args: argparse.Namespace) -> Hyperparams:
             sigma2=args.sigma2,
             sigma2_home=args.sigma2_home,
             alpha=args.alpha,
-            jitter=args.jitter,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _elo_from_args(args: argparse.Namespace) -> EloModel:
+    try:
+        return EloModel(
+            k_factor=args.elo_k,
+            home_advantage=args.elo_home_advantage,
+            initial_rating=args.elo_initial,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -314,27 +318,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if "odds" in names and not args.odds:
         raise UsageError("the odds model needs --odds FILE")
     budget = _budget_from_args(args)
+    # flag values are checked before any data is read or model trained
+    hyper = _hyper_from_args(args) if "gp" in names else None
+    elo = _elo_from_args(args) if "elo" in names else None
     train = parse_dataset(args.train)
     test = parse_dataset(args.test)
     models = []
     for name in names:
         if name == "gp":
-            models.append(
-                train_model(
-                    train,
-                    _hyper_from_args(args),
-                    optimize=args.optimize,
-                    budget=budget,
-                )
-            )
+            models.append(train_model(train, hyper, optimize=args.optimize, budget=budget))
         elif name == "elo":
-            models.append(
-                EloModel(
-                    k_factor=args.elo_k,
-                    home_advantage=args.elo_home_advantage,
-                    initial_rating=args.elo_initial,
-                ).fit(train)
-            )
+            models.append(elo.fit(train))
         elif name == "odds":
             models.append(OddsModel(load_odds_csv(args.odds)))
         else:
@@ -405,12 +399,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_elo_fit(args: argparse.Namespace) -> int:
-    train = parse_dataset(args.train)
-    model = EloModel(
-        k_factor=args.elo_k,
-        home_advantage=args.elo_home_advantage,
-        initial_rating=args.elo_initial,
-    ).fit(train)
+    model = _elo_from_args(args).fit(parse_dataset(args.train))
     assert model.state is not None and model.draw is not None
     lines = [f"alpha {model.draw.alpha!r}"]
     ranked = sorted(model.state.ratings.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -13,11 +13,16 @@ likelihood Hessian, nonnegative because the likelihood is log-concave).
 B is factored one of two ways, chosen by the shape of the training set:
 
 * N <= P+1 matches (P players): the dense N x N Cholesky factor of B;
-* N > P+1: the kernel has rank <= P+1 plus jitter, K = X S X' + jitter*I
-  with X = [Z | h] and S = diag(sigma2, ..., sigma2, sigma2_home), so
-  B = D + U U' with D = I + jitter*W and U = W^{1/2} X S^{1/2}, solved by
-  Woodbury through the Cholesky factor of the (P+1) x (P+1) matrix
-  C = I + U' D^{-1} U, with log|B| = log|D| + log|C|.
+* N > P+1: the kernel has rank <= P+1, K = X S X' with X = [Z | h] and
+  S = diag(sigma2, ..., sigma2, sigma2_home), so B = I + U U' with
+  U = W^{1/2} X S^{1/2}, solved by Woodbury through the Cholesky factor of
+  the (P+1) x (P+1) matrix C = I + U'U, with log|B| = log|C|.
+
+B and C are each I plus a positive semidefinite matrix, so every eigenvalue
+of either is >= 1 (Rasmussen & Williams 2006, Section 3.4): their Cholesky
+factors exist for any hyperparameters, even where K is singular, as when two
+matches field the same lineups at the same venue.  So K is exactly
+sigma2 Z Z' + sigma2_home h h', with no jitter on its diagonal.
 
 The route is chosen once, from the training set's shape.  The posterior is
 one record, :class:`LaplacePosterior`, that one function builds for a fit,
@@ -25,8 +30,8 @@ each evaluation of the evidence search and load_model.
 
 On the low-rank route the posterior serves from weight space: the weights
 w ~ N(0, S) with f = X w have the Laplace posterior mean
-m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly
-(jitter included), so a test match x gets mean x'm and variance
+m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly,
+so a test match x gets mean x'm and variance
 |L_C^{-1} S^{1/2} x|^2, with no N x N array.  On the dense route it serves
 from the dual form through L_B.  Players unseen in training add their prior
 variance and nothing to the mean on either route.
@@ -45,8 +50,8 @@ with the implicit term through the mode).  Its route-specific parts come
 from the inverse of whichever factor Newton built, C^{-1} or B^{-1}, so on
 the low-rank route a gradient too builds no N x N array.
 
-A model file stores the training set, hyperparameters, jitter used, mode and
-dual coefficients; loading rebuilds the record from them through the
+A model file stores the training set, hyperparameters, mode and dual
+coefficients; loading rebuilds the record from them through the
 function a fit ends with, so under the same BLAS threads it is the fitted
 posterior bit for bit.
 """
@@ -107,7 +112,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "lineupgp/model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -137,20 +142,15 @@ class Hyperparams:
         sigma2: float = 1.0,
         sigma2_home: float = 1.0,
         alpha: float = 0.5,
-        jitter: float | None = None,
     ) -> "Hyperparams":
         return cls(
-            kernel=KernelParams(sigma2=sigma2, sigma2_home=sigma2_home, jitter=jitter),
+            kernel=KernelParams(sigma2=sigma2, sigma2_home=sigma2_home),
             draw=DrawParam.from_alpha(alpha),
         )
 
     @property
     def alpha(self) -> float:
         return self.draw.alpha
-
-
-class _CholeskyFailure(Exception):
-    pass
 
 
 # a fall in Psi within this share of |Psi| is rounding noise
@@ -161,12 +161,13 @@ def _chol_upper(sym: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor U (U'U = sym) of a C-order matrix held in its lower triangle.
 
     ``sym.T`` is F-contiguous, so LAPACK factors it in place, and ``U.T`` is
-    the lower factor in C order.  The caller checks finiteness.
+    the lower factor in C order.  The caller checks finiteness.  Every matrix
+    factored here is >= I, so a failure means an entry overflowed.
     """
     try:
         return sla.cholesky(sym.T, lower=False, overwrite_a=True, check_finite=False)
     except sla.LinAlgError as exc:
-        raise _CholeskyFailure(str(exc)) from None
+        raise NumericalError(f"Cholesky factorization failed: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -184,39 +185,39 @@ class _BFactor:
 
 @dataclass(frozen=True)
 class _LowRankGram:
-    """K = X diag(s) X' + jitter * I for the sparse features X = [Z | h] (N x (P+1)).
+    """K = X diag(s) X' for the sparse features X = [Z | h] (N x (P+1)), of rank <= P+1.
 
     ``pairs`` (sparse, (P+1)^2 x N) maps match weights u to the lower
-    triangle of X' diag(u) X, flattened in C order.
+    triangle of X' diag(u) X, flattened in C order.  K itself is singular
+    whenever N > P+1; only C = I + S^{1/2} X' W X S^{1/2} >= I is factored.
     """
 
     x: sp.csr_matrix
     xt: sp.csc_matrix
     pairs: sp.csc_matrix
     s: np.ndarray
-    jitter: float
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.x @ (self.s * (self.xt @ v)) + self.jitter * v
+        return self.x @ (self.s * (self.xt @ v))
 
     def factor_b(self, sw: np.ndarray) -> _BFactor:
-        """B = D + U U' by Woodbury through C = I + U' D^{-1} U (see the module docstring)."""
-        d = 1.0 + self.jitter * (sw * sw)
+        """B = I + U U' by Woodbury through C = I + U'U (see the module docstring).
+
+        B^{-1} v = v - W^{1/2} X S^{1/2} C^{-1} S^{1/2} X' W^{1/2} v and log|B| = log|C|.
+        """
         rs = np.sqrt(self.s)
         p1 = len(rs)
-        c = (self.pairs @ (sw * sw / d)).reshape(p1, p1)
+        c = (self.pairs @ (sw * sw)).reshape(p1, p1)
         c *= rs[:, None]
         c *= rs
         c[np.diag_indices(p1)] += 1.0
         upper = _chol_upper(c)
 
         def solve(v: np.ndarray) -> np.ndarray:
-            y = v / d
-            t = sla.cho_solve((upper, False), rs * (self.xt @ (sw * y)), check_finite=False)
-            return y - sw * (self.x @ (rs * t)) / d
+            t = sla.cho_solve((upper, False), rs * (self.xt @ (sw * v)), check_finite=False)
+            return v - sw * (self.x @ (rs * t))
 
-        half_logdet = 0.5 * float(np.sum(np.log(d))) + float(np.sum(np.log(np.diagonal(upper))))
-        return _BFactor(solve, half_logdet, upper)
+        return _BFactor(solve, float(np.sum(np.log(np.diagonal(upper)))), upper)
 
 
 def _factor_b(k: np.ndarray | _LowRankGram, sw: np.ndarray) -> _BFactor:
@@ -251,15 +252,15 @@ class _TrainParts:
     pairs: sp.csc_matrix | None = None
     overlap: np.ndarray | None = None
 
-    def gram(self, kp: KernelParams, jitter: float) -> np.ndarray | _LowRankGram:
-        """K with ``jitter`` on the diagonal, low-rank when the parts are."""
+    def gram(self, kp: KernelParams) -> np.ndarray | _LowRankGram:
+        """K, low-rank when the parts are."""
         if self.pairs is None:
-            return gram(self.overlap, self.homes, self.homes, kp, jitter)
+            return gram(self.overlap, self.homes, self.homes, kp)
         # diag(S): the prior variances of the P player weights and the home weight
         s = np.full(self.x.shape[1], kp.sigma2)
         s[-1] = kp.sigma2_home
         # one transposed view per Gram: building it per product costs more than the product
-        return _LowRankGram(self.x, self.x.T, self.pairs, s, jitter)
+        return _LowRankGram(self.x, self.x.T, self.pairs, s)
 
 
 def _dataset_parts(train: Dataset) -> _TrainParts:
@@ -392,13 +393,14 @@ class LaplacePosterior:
 
     ``parts`` is the training set (signed incidence ``parts.z``, N x P, home
     signs ``parts.homes``, outcome codes ``parts.codes``) and ``gram`` its K,
-    dense or low-rank, with ``jitter`` on the diagonal; ``mode = gram @
-    dual_coef``.  ``grad`` is the likelihood gradient at the mode, ``sqrt_w``
-    the square root of its negated Hessian and ``loglik`` log p(y|mode).
-    ``factor`` holds B = I + W^{1/2} K W^{1/2} factored by the route: with
-    N > P+1 matches (``low_rank``) through the (P+1) x (P+1) matrix
-    C = I + S^{1/2} X' W (I + jitter*W)^{-1} X S^{1/2}, otherwise as B.
-    ``_at_mode`` builds it; a model file saves no field that it derives.
+    dense or low-rank; ``mode = gram @ dual_coef``.  ``grad`` is the
+    likelihood gradient at the mode, ``sqrt_w`` the square root of its negated
+    Hessian and ``loglik`` log p(y|mode).  ``factor`` holds
+    B = I + W^{1/2} K W^{1/2} factored by the route: with N > P+1 matches
+    (``low_rank``) through the (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2},
+    otherwise as B.  Both are >= I, so neither needs jitter on K, however
+    singular K is.  ``_at_mode`` builds it; a model file saves no field that
+    it derives.
     """
 
     parts: _TrainParts
@@ -410,7 +412,6 @@ class LaplacePosterior:
     sqrt_w: np.ndarray
     factor: _BFactor
     loglik: float
-    jitter: float
     newton_iters: int
 
     @property
@@ -441,26 +442,10 @@ class LaplacePosterior:
 def _laplace(
     parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None
 ) -> LaplacePosterior:
-    """Newton to the mode from ``a0`` (see _newton_mode), then everything built there.
-
-    A failed factorization escalates the jitter.
-    """
-    kp = hyper.kernel
-    jitter = kp.effective_jitter
-    while True:
-        k = parts.gram(kp, jitter)
-        try:
-            f_hat, a_hat, iters = _newton_mode(k, parts.codes, hyper.alpha, a0)
-            return _at_mode(parts, hyper, k, f_hat, a_hat, jitter, iters)
-        except _CholeskyFailure:
-            nxt = jitter * 10.0 if jitter > 0.0 else 1e-6 * kp.sigma2
-            if nxt > kp.max_jitter or nxt <= jitter:
-                raise NumericalError(
-                    f"Gram factorization failed even at jitter {jitter:g} "
-                    f"(cap {kp.max_jitter:g})"
-                ) from None
-            logger.warning("Cholesky failure; escalating jitter %g -> %g", jitter, nxt)
-            jitter = nxt
+    """Newton to the mode from ``a0`` (see _newton_mode), then everything built there."""
+    k = parts.gram(hyper.kernel)
+    f_hat, a_hat, iters = _newton_mode(k, parts.codes, hyper.alpha, a0)
+    return _at_mode(parts, hyper, k, f_hat, a_hat, iters)
 
 
 def _at_mode(
@@ -469,7 +454,6 @@ def _at_mode(
     k: np.ndarray | _LowRankGram,
     f: np.ndarray,
     a: np.ndarray,
-    jitter: float,
     iters: int,
 ) -> LaplacePosterior:
     """The posterior at the mode ``f = k @ a``: grad log p, W^{1/2}, log p(y|f) and B factored.
@@ -479,9 +463,7 @@ def _at_mode(
     d1, d2 = loglik_derivs_vector(parts.codes, f, hyper.alpha)
     sqrt_w = np.sqrt(-d2)
     loglik = float(np.sum(loglik_vector(parts.codes, f, hyper.alpha)))
-    return LaplacePosterior(
-        parts, hyper, k, f, a, d1, sqrt_w, _factor_b(k, sqrt_w), loglik, jitter, iters
-    )
+    return LaplacePosterior(parts, hyper, k, f, a, d1, sqrt_w, _factor_b(k, sqrt_w), loglik, iters)
 
 
 def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
@@ -621,40 +603,29 @@ def _inverse_from_upper(upper: np.ndarray) -> np.ndarray:
     return np.triu(inv) + np.triu(inv, 1).T
 
 
-def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float, float]:
+def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]:
     """The parts of the evidence gradient that need the inverse of B (or of C).
 
-    Returns diag(Sigma_f) with Sigma_f = (K^{-1} + W)^{-1}, then tr(R K_z),
-    tr(R K_h) and tr(R), where R = W^{1/2} B^{-1} W^{1/2} and K_z = sigma2 Z Z',
+    Returns diag(Sigma_f) with Sigma_f = (K^{-1} + W)^{-1}, then tr(R K_z) and
+    tr(R K_h), where R = W^{1/2} B^{-1} W^{1/2} and K_z = sigma2 Z Z',
     K_h = sigma2_home h h' are the two scaled parts of the Gram.
     """
-    sw = post.sqrt_w
     inv = _inverse_from_upper(post.factor.upper)
     k = post.gram
     if post.low_rank:
-        # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}:
-        #   Sigma_f = jitter D^{-1} + D^{-1} X T X' D^{-1},
-        #   R = Om - Om X T X' Om with Om = W D^{-1},
+        # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}: Sigma_f = X T X',
         #   X' R X = S^{-1/2} (I - C^{-1}) S^{-1/2}, so for dS = S on one block
         #   of weights and 0 elsewhere, tr(R X dS X') = sum of 1 - C^{-1}_jj
         #   over the block: the share of each prior variance the data removes
-        w = sw * sw
-        d = 1.0 + k.jitter * w
         rs = np.sqrt(k.s)
         t = inv * rs[:, None]
         t *= rs
         # x_i' T x_i for every training row from the pair products of its entries
         t_low = 2.0 * np.tril(t, -1)
         t_low[np.diag_indices_from(t_low)] = np.diagonal(t)
-        q = k.pairs.T @ t_low.ravel()
-        om = w / d
         explained = 1.0 - np.diagonal(inv)
-        return (
-            k.jitter / d + q / (d * d),
-            float(np.sum(explained[:-1])),
-            float(explained[-1]),
-            float(np.sum(om - om * om * q)),
-        )
+        return k.pairs.T @ t_low.ravel(), float(np.sum(explained[:-1])), float(explained[-1])
+    sw = post.sqrt_w
     r = inv * sw[:, None]
     r *= sw
     sigma_f = np.diagonal(k) - np.einsum("ij,ij->i", k @ r, k)
@@ -663,7 +634,6 @@ def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float,
         sigma_f,
         kp.sigma2 * float(np.sum(r * post.parts.overlap)),
         kp.sigma2_home * float(h @ r @ h),
-        float(np.trace(r)),
     )
 
 
@@ -675,13 +645,11 @@ def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
     the implicit term through the mode s2'(b - K R b) with b = dK d1 and
     s2 = -0.5 diag(Sigma_f) * dW/df.  For alpha: the explicit term
     sum d log p/d alpha - 0.5 diag(Sigma_f)' dW/d alpha, and b = K d(d1)/d alpha.
-    The default jitter, 1e-6 sigma2, scales with sigma2, so then
-    dK/d log sigma2 also carries jitter * I.
     """
     hyper, parts = post.hyper, post.parts
     kp = hyper.kernel
     k, sw, d1 = post.gram, post.sqrt_w, post.grad
-    sigma_f, tr_z, tr_h, tr_r = _posterior_traces(post)
+    sigma_f, tr_z, tr_h = _posterior_traces(post)
     dlp, dd1, dw_alpha, dw_f = loglik_alpha_derivs(parts.codes, post.mode, hyper.alpha)
     s2 = -0.5 * sigma_f * dw_f
 
@@ -689,14 +657,9 @@ def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
         # s2' df_hat, with df_hat = (I + K W)^{-1} b = b - K R b
         return float(s2 @ (b - k @ (sw * post.factor.solve(sw * b))))
 
-    dj = post.jitter if kp.jitter is None else 0.0
     zd = parts.z.T @ d1
     hd = float(parts.homes @ d1)
-    g_sigma2 = (
-        0.5 * (kp.sigma2 * float(zd @ zd) + dj * float(d1 @ d1))
-        - 0.5 * (tr_z + dj * tr_r)
-        + implicit(kp.sigma2 * (parts.z @ zd) + dj * d1)
-    )
+    g_sigma2 = 0.5 * kp.sigma2 * float(zd @ zd) - 0.5 * tr_z + implicit(kp.sigma2 * (parts.z @ zd))
     g_home = 0.5 * kp.sigma2_home * hd * hd - 0.5 * tr_h + implicit(kp.sigma2_home * hd * parts.homes)
     g_alpha = float(np.sum(dlp)) - 0.5 * float(sigma_f @ dw_alpha) + implicit(k @ dd1)
     return np.array([g_sigma2, g_home, hyper.alpha * g_alpha])
@@ -741,7 +704,6 @@ def optimize_hyperparams(
     if train.n < 1:
         raise DataError("cannot optimize on an empty training set")
     parts = _dataset_parts(train)
-    requested_jitter = init.kernel.jitter
 
     theta0 = np.array(
         [
@@ -753,11 +715,7 @@ def optimize_hyperparams(
 
     def hyper_at(theta: np.ndarray) -> Hyperparams:
         return Hyperparams(
-            kernel=KernelParams(
-                sigma2=math.exp(theta[0]),
-                sigma2_home=math.exp(theta[1]),
-                jitter=requested_jitter,
-            ),
+            kernel=KernelParams(sigma2=math.exp(theta[0]), sigma2_home=math.exp(theta[1])),
             draw=DrawParam(log_alpha=float(theta[2])),
         )
 
@@ -937,10 +895,11 @@ def save_model(model: GPModel, path: str | Path) -> None:
         "hyper": {
             "sigma2": post.hyper.kernel.sigma2,
             "sigma2_home": post.hyper.kernel.sigma2_home,
-            "jitter": post.hyper.kernel.jitter,
             "log_alpha": post.hyper.draw.log_alpha,
         },
-        "jitter_used": post.jitter,
+        # no jitter is added to K; perfbench/run.py still reads this field,
+        # and load_model ignores it
+        "jitter_used": 0.0,
         "newton_iters": post.newton_iters,
         "registry": ids,
         "outcomes": "".join(_TOKENS[c] for c in parts.codes.tolist()),
@@ -973,7 +932,6 @@ def load_model(path: str | Path) -> GPModel:
             kernel=KernelParams(
                 sigma2=_finite(hyper_raw, "sigma2"),
                 sigma2_home=_finite(hyper_raw, "sigma2_home"),
-                jitter=_field(hyper_raw, "jitter", (int, float, type(None))),
             ),
             draw=DrawParam(log_alpha=_finite(hyper_raw, "log_alpha")),
         )
@@ -1002,17 +960,16 @@ def load_model(path: str | Path) -> GPModel:
         raise DataError("model lineups must be strictly increasing")
     if np.any(np.diff(np.sort(lineups, axis=1), axis=1) == 0):
         raise DataError("a model lineup puts a player on both sides")
-    jitter = _finite(payload, "jitter_used")
     newton_iters = _field(payload, "newton_iters", int)
-    if jitter < 0.0 or newton_iters < 0:
-        raise DataError("model 'jitter_used' and 'newton_iters' must be >= 0")
+    if newton_iters < 0:
+        raise DataError("model 'newton_iters' must be >= 0")
     mode, dual_coef = (_decode_array(payload, key, "<f8", (n,)) for key in ("mode", "dual_coef"))
 
     parts = _make_parts(plus, minus, np.array(homes, dtype=np.int64), codes, len(ids))
-    k = parts.gram(hyper.kernel, jitter)
+    k = parts.gram(hyper.kernel)
     try:
-        post = _at_mode(parts, hyper, k, mode, dual_coef, jitter, newton_iters)
-    except (_CholeskyFailure, NumericalError) as exc:
+        post = _at_mode(parts, hyper, k, mode, dual_coef, newton_iters)
+    except NumericalError as exc:
         raise DataError(f"the model's posterior cannot be rebuilt at its mode: {exc}") from None
     # a payload that parses yet holds no fit fails f = K grad log p(y|f) = K dual_coef
     if not all(_stationary(mode, k, v, _STATIONARITY_BOUND) for v in (post.grad, dual_coef)):

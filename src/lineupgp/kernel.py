@@ -10,6 +10,10 @@ two 22-sparse vectors, so it never touches the P-dimensional space.
 Pairwise evaluation intersects the sorted index lists directly.  A set of
 matches is otherwise held as its sparse signed incidence Z, and every Gram
 is assembled by :func:`gram` from the integer products Z_r Z_c'.
+
+No jitter is ever added to a Gram: the fit never factors K itself, only
+B = I + W^{1/2} K W^{1/2} or its low-rank counterpart C, and both have every
+eigenvalue >= 1 for any positive semidefinite K, singular ones included.
 """
 
 from __future__ import annotations
@@ -41,35 +45,19 @@ PLAYERS_PER_SIDE = 11
 # squared norm of the player part of any match vector
 SELF_OVERLAP = 2 * PLAYERS_PER_SIDE
 
-_DEFAULT_JITTER_SCALE = 1e-6
-_MAX_JITTER_SCALE = 1e-2
-
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel scales; ``jitter=None`` means the default 1e-6 * sigma2."""
+    """Kernel scales: sigma2 per player, sigma2_home for the home feature."""
 
     sigma2: float = 1.0
     sigma2_home: float = 1.0
-    jitter: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.sigma2 > 0.0 and math.isfinite(self.sigma2)):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         if not (self.sigma2_home >= 0.0 and math.isfinite(self.sigma2_home)):
             raise ValueError(f"sigma2_home must be >= 0 and finite, got {self.sigma2_home!r}")
-        if self.jitter is not None and not (self.jitter >= 0.0 and math.isfinite(self.jitter)):
-            raise ValueError(f"jitter must be >= 0 and finite, got {self.jitter!r}")
-
-    @property
-    def effective_jitter(self) -> float:
-        if self.jitter is None:
-            return _DEFAULT_JITTER_SCALE * self.sigma2
-        return self.jitter
-
-    @property
-    def max_jitter(self) -> float:
-        return _MAX_JITTER_SCALE * self.sigma2
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ def signed_overlap(a: MatchVector, b: MatchVector) -> int:
 
 
 def kernel_eval(a: MatchVector, b: MatchVector, p: KernelParams) -> float:
-    """k(a, b); no jitter is ever added here."""
+    """k(a, b) by intersecting the index lists."""
     return p.sigma2 * float(signed_overlap(a, b)) + p.sigma2_home * float(a.home * b.home)
 
 
@@ -180,25 +168,21 @@ def match_incidence(
 
 
 def gram(
-    overlap: np.ndarray,
-    homes_r: np.ndarray,
-    homes_c: np.ndarray,
-    p: KernelParams,
-    jitter: float = 0.0,
+    overlap: np.ndarray, homes_r: np.ndarray, homes_c: np.ndarray, p: KernelParams
 ) -> np.ndarray:
-    """sigma2 * overlap + sigma2_home * h_r h_c', plus ``jitter`` on the diagonal.
+    """sigma2 * overlap + sigma2_home * h_r h_c', with nothing added to the diagonal.
 
     For match sets r and c, ``overlap`` = Z_r Z_c' holds their signed overlap
     counts and ``homes_r``, ``homes_c`` their home signs.  The rank-one home
     term is added in place, row by sign, so the only N x N array built is
     the result; every sign is in {-1, 0, 1}, so this rounds as the sum of
-    the two scaled matrices.
+    the two scaled matrices.  A square Gram may be singular (two matches
+    with the same lineups and venue); the fit never factors it (see the
+    module docstring).
     """
     k = p.sigma2 * overlap
     for sign in (1, -1):
         np.add(k, (sign * p.sigma2_home) * homes_c, out=k, where=(homes_r == sign)[:, None])
-    if jitter > 0.0:
-        k[np.diag_indices_from(k)] += jitter
     return k
 
 
@@ -217,19 +201,10 @@ def overlap_matrix(rows: Sequence[MatchVector], cols: Sequence[MatchVector]) -> 
 
 
 def kernel_matrix(
-    rows: Sequence[MatchVector],
-    cols: Sequence[MatchVector],
-    p: KernelParams,
-    add_jitter: bool = False,
+    rows: Sequence[MatchVector], cols: Sequence[MatchVector], p: KernelParams
 ) -> np.ndarray:
-    """Gram matrix K[i, j] = kernel_eval(rows[i], cols[j], p), bit-exactly.
-
-    ``add_jitter`` adds ``p.effective_jitter`` to the diagonal and is only
-    meaningful when ``rows`` and ``cols`` are the same sequence.
-    """
-    if add_jitter and len(rows) != len(cols):
-        raise ValueError("add_jitter requires a square Gram (rows == cols)")
-    return gram(*_cross(rows, cols), p, jitter=p.effective_jitter if add_jitter else 0.0)
+    """Gram matrix K[i, j] = kernel_eval(rows[i], cols[j], p), bit-exactly."""
+    return gram(*_cross(rows, cols), p)
 
 
 def export_heatmap(
@@ -243,12 +218,12 @@ def export_heatmap(
     Rows/columns are ordered by (competition, date, match_id); the sidecar
     lists one ``competition,start_row,end_row`` line per contiguous
     competition block (start inclusive, end exclusive, 0-based data rows).
-    Values carry 6 significant digits; no jitter is added.
+    Values carry 6 significant digits.
     """
     order = sorted(ds.records, key=lambda r: (r.competition, r.date, r.match_id))
     vectors = [build_match_vector(r, ds.registry) for r in order]
     if vectors:
-        k = np.abs(kernel_matrix(vectors, vectors, p, add_jitter=False))
+        k = np.abs(kernel_matrix(vectors, vectors, p))
     else:
         k = np.zeros((0, 0))
 

@@ -159,3 +159,9 @@ def version_2_payload(payload: dict) -> dict:
     packed = np.eye(n)[np.tri(n, dtype=bool)]
     derived = {"grad": array(np.zeros(n)), "sqrt_w": array(np.ones(n)), "loglik": 0.0}
     return dict(payload, version=2, chol=array(packed), **derived)
+
+
+def version_3_payload(payload: dict) -> dict:
+    """A model payload laid out as version 3 wrote it: with the jitter its fit added to K."""
+    jitter = 1e-6 * payload["hyper"]["sigma2"]
+    return dict(payload, version=3, hyper=dict(payload["hyper"], jitter=None), jitter_used=jitter)

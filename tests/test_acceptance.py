@@ -122,7 +122,7 @@ def test_criterion_3_sparse_gram_equals_dense_oracle():
     ds = random_dataset(np.random.default_rng(3303), 100, 300)
     assert ds.num_players >= 295  # near-full 300-player universe in play
     vectors = [build_match_vector(r, ds.registry) for r in ds.records]
-    kp = KernelParams(sigma2=1.0, sigma2_home=1.0, jitter=0.0)
+    kp = KernelParams(sigma2=1.0, sigma2_home=1.0)
     k = kernel_matrix(vectors, vectors, kp)
 
     x = np.stack([dense_embedding(v, ds.num_players) for v in vectors])
@@ -159,7 +159,6 @@ def test_criterion_4_dual_equals_primal_on_twenty_datasets():
             sigma2=sigma2s[trial % 4],
             sigma2_home=sigma2_homes[trial % 4],
             alpha=alphas[trial % 4],
-            jitter=0.0,
         )
         post = fit(ds, hyper)
         weights = primal_laplace_fit(ds, hyper)
@@ -293,9 +292,7 @@ def test_criterion_7_evidence_matches_brute_force():
                 for i in range(n)
             ]
             ds = Dataset.from_records(records)
-            hyper = Hyperparams.create(
-                sigma2=sigma2, sigma2_home=0.005, alpha=0.45, jitter=0.0
-            )
+            hyper = Hyperparams.create(sigma2=sigma2, sigma2_home=0.005, alpha=0.45)
             post = fit(ds, hyper)
             vectors = [build_match_vector(r, ds.registry) for r in ds.records]
             k = kernel_matrix(vectors, vectors, post.hyper.kernel)

@@ -55,6 +55,12 @@ class TestEloExpected:
             want = float(expit(rating_delta_to_latent(delta)))
             assert abs(elo_expected(1500.0 + delta, 1500.0) - want) <= 1e-12
 
+    def test_any_finite_gap(self):
+        # the logistic form neither overflows nor leaves [0, 1] at extreme gaps
+        assert elo_expected(0.0, 1e308) == 0.0
+        assert elo_expected(1e308, -1e308) == 1.0
+        assert elo_expected(1500.0, 1500.0, HomeSide.TEAM2, home_advantage=1e308) == 0.0
+
     def test_latent_scale_value(self):
         assert rating_delta_to_latent(400.0) == math.log(10.0)
         assert ELO_LATENT_SCALE == math.log(10.0) / 400.0
@@ -154,6 +160,22 @@ class TestEloModel:
         p = model.predict(ds.records[0])
         assert abs(p.as_array().sum() - 1.0) <= 1e-9
 
+    def test_rejects_bad_constants(self):
+        for bad in (
+            {"k_factor": math.nan},
+            {"k_factor": -1.0},
+            {"home_advantage": math.inf},
+            {"initial_rating": -math.inf},
+        ):
+            with pytest.raises(ValueError, match="Elo"):
+                EloModel(**bad)
+        assert EloModel(k_factor=0.0).k_factor == 0.0
+
+    def test_overflowing_ratings_raise(self):
+        ds = simulate_dataset(SimConfig(seed=4, num_teams=4, matches_per_team=6, num_players=56))
+        with pytest.raises(NumericalError, match="overflowed"):
+            EloModel(k_factor=1.7e308).fit(ds.dataset)
+
     def test_predict_before_fit_raises(self):
         rec = make_record("m1", P[:11], P[11:22])
         with pytest.raises(NumericalError, match="before fit"):
@@ -230,7 +252,7 @@ class TestUniform:
 
 class TestWeightSpaceOracle:
     def test_empty_training_set_returns_prior(self):
-        hyper = Hyperparams.create(sigma2=0.25, sigma2_home=0.5, alpha=0.45, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.25, sigma2_home=0.5, alpha=0.45)
         wsp = primal_laplace_fit_vectors([], [], num_players=30, hyper=hyper)
         assert np.array_equal(wsp.mean, np.zeros(31))
         assert np.array_equal(wsp.cov, np.diag([0.25] * 30 + [0.5]))
@@ -244,7 +266,7 @@ class TestWeightSpaceOracle:
         assert var == SELF_OVERLAP * 0.25 + 0.5
 
     def test_zero_home_variance_drops_the_feature(self):
-        hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.0, alpha=0.45, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.0, alpha=0.45)
         wsp = primal_laplace_fit_vectors([], [], num_players=25, hyper=hyper)
         assert wsp.mean.shape == (25,)
         vec = MatchVector(
@@ -259,7 +281,7 @@ class TestWeightSpaceOracle:
         from lineupgp.baselines import primal_laplace_fit
 
         ds = random_dataset(np.random.default_rng(305), 25, 30)
-        hyper = Hyperparams.create(sigma2=0.3, sigma2_home=0.4, alpha=0.5, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.3, sigma2_home=0.4, alpha=0.5)
         wsp = primal_laplace_fit(ds, hyper)
         prior_var = np.diag(np.concatenate([np.full(ds.num_players, 0.3), [0.4]]))
         assert np.all(np.diag(wsp.cov) <= np.diag(prior_var) + 1e-12)

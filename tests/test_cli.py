@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import version_1_payload, version_2_payload
+from conftest import version_1_payload, version_2_payload, version_3_payload
 from lineupgp import __version__, cli
 from lineupgp.data import Dataset, parse_dataset, serialize_dataset
 from lineupgp.errors import DataError, NumericalError
@@ -180,7 +180,7 @@ class TestTrainPredict:
         assert proc.returncode == 0, proc.stderr
         post = load_model(out).posterior
         kp, z, h, g = post.hyper.kernel, post.parts.z, post.parts.homes, post.grad
-        k_grad = kp.sigma2 * (z @ (z.T @ g)) + kp.sigma2_home * h * float(h @ g) + post.jitter * g
+        k_grad = kp.sigma2 * (z @ (z.T @ g)) + kp.sigma2_home * h * float(h @ g)
         assert np.max(np.abs(post.mode - k_grad)) <= 1e-6 * max(1.0, np.max(np.abs(post.mode)))
 
     @pytest.mark.parametrize("matches_per_team", [10, 40])
@@ -446,7 +446,7 @@ _ARRAYS = ("plus", "minus", "mode", "dual_coef")
 _PATHS = [
     *[(key,) for key in ("magic", "version", "hyper", "jitter_used", "newton_iters")],
     *[(key,) for key in ("registry", "outcomes", "homes", *_ARRAYS)],
-    *[("hyper", key) for key in ("sigma2", "sigma2_home", "jitter", "log_alpha")],
+    *[("hyper", key) for key in ("sigma2", "sigma2_home", "log_alpha")],
     *[(key, part) for key in _ARRAYS for part in ("dtype", "shape", "data")],
 ]
 # one edit of a model payload: drop a field, give it a value of another
@@ -464,6 +464,28 @@ _EDIT = st.one_of(
         st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
     ),
 )
+
+
+# values for the numeric flags: the edges of the float range, then any float
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, -1.0, 1e-300]),
+    st.floats(),
+)
+_GP_FLAGS = ("--sigma2", "--sigma2-home", "--alpha")
+_ELO_FLAGS = ("--elo-k", "--elo-home-advantage", "--elo-initial")
+
+
+@st.composite
+def _numeric_flags(draw) -> tuple[str, list[str]]:
+    """A subcommand and a draw of its numeric flags, each given as ``--flag=value``."""
+    name = draw(st.sampled_from(["train", "evaluate", "elo-fit"]))
+    names = {"train": _GP_FLAGS, "evaluate": _GP_FLAGS + _ELO_FLAGS, "elo-fit": _ELO_FLAGS}[name]
+    values = [draw(st.none() | _NUMBERS) for _ in names]
+    flags = [f"{flag}={value!r}" for flag, value in zip(names, values) if value is not None]
+    if name != "elo-fit" and draw(st.booleans()):
+        budget = draw(st.integers(-1, 3).map(str) | _NUMBERS.map(repr))
+        flags += ["--optimize", f"--budget={budget}"]
+    return name, flags
 
 
 def _damaged(payload: dict, edits: list) -> dict:
@@ -495,6 +517,8 @@ class TestExitCodes:
 
     def test_usage_errors_exit_1(self, workspace, tmp_path):
         train = str(workspace["train"])
+        jitter_cfg = tmp_path / "jitter.json"
+        jitter_cfg.write_text(json.dumps({"jitter": 0}))
         cases = [
             [],  # missing subcommand
             ["frobnicate"],  # unknown subcommand
@@ -503,6 +527,15 @@ class TestExitCodes:
             ["train", "--train", train, "--model-out", "x", "--sigma2", "-1.0"],
             ["train", "--train", train, "--model-out", "x", "--optimize", "--budget", "0"],
             ["train", "--train", train, "--model-out", "x", "--threads", "0"],
+            # K carries no jitter, so there is none to set
+            ["train", "--train", train, "--model-out", "x", "--jitter", "1"],
+            ["train", "--train", train, "--model-out", "x", "--config", str(jitter_cfg)],
+            # Elo constants must be finite, and the step >= 0
+            ["evaluate", "--train", train, "--test", train, "--models", "gp,elo", "--elo-k", "nan"],
+            ["evaluate", "--train", train, "--test", train, "--elo-home-advantage=-inf"],
+            ["elo-fit", "--train", train, "--elo-k", "nan"],
+            ["elo-fit", "--train", train, "--elo-k=-1"],
+            ["elo-fit", "--train", train, "--elo-initial", "inf"],
             # exp(2 alpha) overflows
             ["train", "--train", train, "--model-out", "x", "--alpha", "400"],
             ["evaluate", "--train", train, "--test", train, "--alpha", "400"],
@@ -541,7 +574,7 @@ class TestExitCodes:
         n = payload["mode"]["shape"][0]
         misshaped = dict(payload, mode=dict(payload["mode"], shape=[n + 1]))
         huge_alpha = dict(payload, hyper=dict(payload["hyper"], log_alpha=math.log(400.0)))
-        old = (version_1_payload(payload), version_2_payload(payload))
+        old = (version_1_payload(payload), version_2_payload(payload), version_3_payload(payload))
         for i, bad in enumerate((no_mode, misshaped, *old, huge_alpha)):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(bad))
@@ -573,13 +606,53 @@ class TestExitCodes:
         if not loads:
             assert len(err.strip().split("\n")) == 1 and err.startswith("data error:"), err
 
-    def test_numerical_errors_exit_3(self, monkeypatch, capsys):
+    def test_numerical_errors_exit_3(self, workspace, monkeypatch, capsys):
+        # a finite Elo step: the expected score cannot overflow, but ratings can,
+        # and ratings that do not may still put zero probability on an outcome
+        train = str(workspace["train"])
+        evaluate = ["evaluate", "--train", train, "--test", str(workspace["test"])]
+        evaluate += ["--models", "elo"]
+        cases = [
+            (evaluate, "1e308", "numerical error: zero probability"),
+            (["elo-fit", "--train", train], "1.7e308", "numerical error: Elo ratings overflowed"),
+            (evaluate, "1.7e308", "numerical error: Elo ratings overflowed"),
+        ]
+        for argv, step, message in cases:
+            assert cli.run([*argv, "--elo-k", step]) == 3, (argv, step)
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and err[0].startswith(message), err
+
         def boom(args):
             raise NumericalError("synthetic failure")
 
         monkeypatch.setitem(cli._DISPATCH, "elo-fit", boom)
         assert cli.run(["elo-fit", "--train", "whatever"]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(command=_numeric_flags())
+    def test_numeric_flags_exit_cleanly(self, workspace, tmp_path, capsys, command):
+        # any value of a numeric flag ends in a documented exit code and, on
+        # failure, one diagnostic line
+        name, flags = command
+        data = {
+            "train": ["--train", str(workspace["train"]), "--model-out", str(tmp_path / "m.json")],
+            "evaluate": ["--train", str(workspace["train"]), "--test", str(workspace["test"])],
+            "elo-fit": ["--train", str(workspace["train"])],
+        }[name]
+        rc = cli.run([name, *data, *flags])
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        assert rc in (0, 1, 2, 3)
+        if rc:
+            lines = out.err.strip().split("\n")
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(("usage error:", "data error:", "numerical error:")), lines
 
     def test_clip_flag_passes_through(self, workspace):
         rc = cli.run(

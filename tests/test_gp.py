@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -28,8 +29,9 @@ from conftest import (
     random_record,
     version_1_payload,
     version_2_payload,
+    version_3_payload,
 )
-from lineupgp import gp, kernel
+from lineupgp import gp
 from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
 from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
 from lineupgp.errors import DataError, NumericalError
@@ -96,19 +98,19 @@ class TestSingleMatchMode:
         "outcome", [Outcome.TEAM1_WIN, Outcome.DRAW, Outcome.TEAM2_WIN]
     )
     def test_mode_matches_bisection(self, outcome):
-        hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.0, alpha=0.45, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.0, alpha=0.45)
         post = fit(_single_match_dataset(outcome), hyper)
         k = SELF_OVERLAP * 0.2
         want = _bisect_mode(k, outcome, 0.45)
         assert abs(post.mode[0] - want) <= 1e-8
 
     def test_draw_mode_is_zero(self):
-        hyper = Hyperparams.create(sigma2=0.5, sigma2_home=0.0, alpha=0.7, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.5, sigma2_home=0.0, alpha=0.7)
         post = fit(_single_match_dataset(Outcome.DRAW), hyper)
         assert post.mode[0] == 0.0
 
     def test_win_pulls_mode_positive(self):
-        hyper = Hyperparams.create(sigma2=0.3, sigma2_home=0.0, alpha=0.45, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.3, sigma2_home=0.0, alpha=0.45)
         up = fit(_single_match_dataset(Outcome.TEAM1_WIN), hyper)
         down = fit(_single_match_dataset(Outcome.TEAM2_WIN), hyper)
         assert up.mode[0] > 0.0
@@ -128,7 +130,6 @@ class TestNewtonProperties:
             post = fit(ds, hyper)
             vecs = [build_match_vector(r, ds.registry) for r in ds.records]
             k = kernel_matrix(vecs, vecs, hyper.kernel)
-            k[np.diag_indices_from(k)] += post.jitter
             resid = np.max(np.abs(post.mode - k @ post.grad))
             assert resid <= 1e-6 * max(1.0, np.max(np.abs(post.mode)))
             # dual representation f = K a holds at the same resolution
@@ -139,7 +140,7 @@ class TestNewtonProperties:
         ds = random_dataset(rng, 25, 40)
         hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.5, alpha=0.5)
         vecs = [build_match_vector(r, ds.registry) for r in ds.records]
-        k = kernel_matrix(vecs, vecs, hyper.kernel, add_jitter=True)
+        k = kernel_matrix(vecs, vecs, hyper.kernel)
         codes = np.array([r.outcome.code for r in ds.records])
         f_zero, _, _ = _newton_mode(k, codes, hyper.alpha)
         f_noise, _, _ = _newton_mode(k, codes, hyper.alpha, a0=rng.standard_normal(ds.n))
@@ -159,7 +160,7 @@ class TestDualPrimalEquivalence:
     def test_small_league(self):
         rng = np.random.default_rng(211)
         ds = random_dataset(rng, 30, 40)
-        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)
         post = fit(ds, hyper)
         wsp = primal_laplace_fit(ds, hyper)
         for _ in range(15):
@@ -176,7 +177,7 @@ class TestDualPrimalEquivalence:
     def test_no_home_feature(self):
         rng = np.random.default_rng(212)
         ds = random_dataset(rng, 20, 35)
-        hyper = Hyperparams.create(sigma2=0.15, sigma2_home=0.0, alpha=0.6, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.15, sigma2_home=0.0, alpha=0.6)
         post = fit(ds, hyper)
         wsp = primal_laplace_fit(ds, hyper)
         vec = build_match_vector(ds.records[0], ds.registry)
@@ -192,7 +193,7 @@ class TestDualPrimalEquivalence:
         rng = np.random.default_rng(213)
         for n_matches, n_players in ((30, 40), (60, 30)):
             ds = random_dataset(rng, n_matches, n_players)
-            hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45, jitter=0.0)
+            hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)
             model = train_model(ds, hyper)
             assert model.posterior.low_rank == (ds.n > ds.num_players + 1)
             seen = sorted(ds.registry)
@@ -220,7 +221,7 @@ class TestDualPrimalEquivalence:
 def _dense_evidence(ds, hyper):
     """Mode by Newton on the dense N x N Gram, evidence with log|B| from slogdet."""
     vecs = [build_match_vector(r, ds.registry) for r in ds.records]
-    k = kernel_matrix(vecs, vecs, hyper.kernel, add_jitter=True)
+    k = kernel_matrix(vecs, vecs, hyper.kernel)
     codes = np.array([r.outcome.code for r in ds.records])
     f, a, _ = _newton_mode(k, codes, hyper.alpha)
     _, d2 = loglik_derivs_vector(codes, f, hyper.alpha)
@@ -249,7 +250,7 @@ class TestLowRankRoute:
             (wide, Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)),
             (wide, Hyperparams.create(sigma2=0.5, sigma2_home=3.0, alpha=0.2)),
             (wide, Hyperparams.create(sigma2=0.2, sigma2_home=0.0, alpha=0.5)),
-            (wide, Hyperparams.create(sigma2=0.2, sigma2_home=0.7, alpha=0.5, jitter=0.0)),
+            (wide, Hyperparams.create(sigma2=0.2, sigma2_home=0.7, alpha=0.5)),
             (_neutral(wide), Hyperparams.create(sigma2=0.3, sigma2_home=1.0, alpha=0.6)),
             (edge, Hyperparams.create(sigma2=0.15, sigma2_home=0.4, alpha=0.45)),
         ]
@@ -305,7 +306,6 @@ def _dense_dual_latent(post, train, vec):
     kp = post.hyper.kernel
     vecs = [build_match_vector(r, train.registry) for r in train.records]
     k = kernel_matrix(vecs, vecs, kp)
-    k[np.diag_indices_from(k)] += post.jitter
     sw = post.sqrt_w
     chol = np.linalg.cholesky(np.eye(train.n) + sw[:, None] * k * sw[None, :])
     k_star = kernel_matrix([vec], vecs, kp)[0]
@@ -422,13 +422,12 @@ class TestDefaultLeague:
         post = fit(default_league, hyper)
         k = post.parts.z @ post.parts.z.T * hyper.kernel.sigma2
         k = k.toarray() + hyper.kernel.sigma2_home * np.outer(post.parts.homes, post.parts.homes)
-        k[np.diag_indices_from(k)] += post.jitter
         assert np.max(np.abs(post.mode - k @ post.grad)) <= 1e-8 * max(1.0, np.max(np.abs(post.mode)))
 
     def test_warm_start(self, default_league):
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         parts = _dataset_parts(default_league)
-        k = parts.gram(hyper.kernel, hyper.kernel.effective_jitter)
+        k = parts.gram(hyper.kernel)
         cold_f, cold_a, cold_iters = _newton_mode(k, parts.codes, hyper.alpha)
         # from the mode itself: at most one step
         _, _, iters = _newton_mode(k, parts.codes, hyper.alpha, a0=cold_a)
@@ -468,13 +467,12 @@ class TestDefaultLeague:
             assert abs(var_d - var_p) <= 1e-6
 
 
-def _evidence_at(ds, hyper, theta):
+def _evidence_at(ds, theta):
     """log_marginal(fit(...)) at (log sigma2, log sigma2_home, log alpha) = theta."""
     h = Hyperparams.create(
         sigma2=math.exp(theta[0]),
         sigma2_home=math.exp(theta[1]) if theta[1] is not None else 0.0,
         alpha=math.exp(theta[2]),
-        jitter=hyper.kernel.jitter,
     )
     return log_marginal(fit(ds, h))
 
@@ -492,8 +490,7 @@ class TestEvidenceGradient:
     def _cases(self, ds):
         return [
             (ds, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)),
-            (ds, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45, jitter=0.0)),
-            (ds, Hyperparams.create(sigma2=0.3, sigma2_home=0.2, alpha=1.2, jitter=1e-3)),
+            (ds, Hyperparams.create(sigma2=0.3, sigma2_home=0.2, alpha=1.2)),
             (_neutral(ds), Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)),
             # no log sigma2_home to step: only the sigma2 and alpha components
             (ds, Hyperparams.create(sigma2=0.05, sigma2_home=0.0, alpha=0.45)),
@@ -514,7 +511,7 @@ class TestEvidenceGradient:
             up, down = list(theta), list(theta)
             up[i] = t + self.STEP
             down[i] = t - self.STEP
-            fd = (_evidence_at(ds, hyper, up) - _evidence_at(ds, hyper, down)) / (2 * self.STEP)
+            fd = (_evidence_at(ds, up) - _evidence_at(ds, down)) / (2 * self.STEP)
             assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd)), (i, grad[i], fd)
 
     def test_low_rank_route(self, default_league):
@@ -526,25 +523,6 @@ class TestEvidenceGradient:
         league = random_dataset(np.random.default_rng(281), 20, 44)
         for ds, hyper in self._cases(league):
             assert _dataset_parts(ds).pairs is None
-            self._check(ds, hyper)
-
-    def test_jitter_part_of_the_sigma2_component(self, default_league, monkeypatch):
-        # the default jitter scales with sigma2, so d K / d log sigma2 carries
-        # jitter * I; at 1e-6 sigma2 that part is below what central differences
-        # resolve, at 5e-3 sigma2 (under the 1e-2 cap) it is far above
-        monkeypatch.setattr(kernel, "_DEFAULT_JITTER_SCALE", 5e-3)
-        dense = random_dataset(np.random.default_rng(281), 20, 44)
-        for ds in (default_league, dense):
-            hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
-            parts = _dataset_parts(ds)
-            m = _laplace(parts, hyper)
-            # the same K with the jitter held fixed: d K / d log sigma2 without it
-            held = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45, jitter=m.jitter)
-            part = _evidence_gradient(m)[0] - _evidence_gradient(dataclasses.replace(m, hyper=held))[0]
-            theta = [math.log(0.09), math.log(1.0), hyper.draw.log_alpha]
-            up, down = [theta[0] + self.STEP, *theta[1:]], [theta[0] - self.STEP, *theta[1:]]
-            fd = (_evidence_at(ds, hyper, up) - _evidence_at(ds, hyper, down)) / (2 * self.STEP)
-            assert abs(part) > 10 * 1e-5 * max(1.0, abs(fd)), (part, fd)
             self._check(ds, hyper)
 
     def test_routes_agree(self, default_league):
@@ -698,9 +676,39 @@ class TestQuadrature:
         assert vague.p_l > sharp.p_l
 
 
+class TestNoJitter:
+    """K carries no jitter: B and C are >= I, so a fit needs none, even on a singular K."""
+
+    def _leagues(self):
+        rng = np.random.default_rng(285)
+        dense = random_dataset(rng, 30, 70)
+        copies = [dataclasses.replace(rec, match_id=rec.match_id + "b") for rec in dense.records]
+        doubled = Dataset.from_records(dense.records + tuple(copies))
+        low_rank = random_dataset(rng, 60, 30)
+        assert doubled.n <= doubled.num_players + 1 and low_rank.n > low_rank.num_players + 1
+        return dense, doubled, low_rank
+
+    def test_fits_at_the_search_box_corners(self):
+        dense, doubled, low_rank = self._leagues()
+        # records sort by date, then id: each copy follows its original
+        ids = [r.match_id for r in doubled.records]
+        assert [i + "b" for i in ids[::2]] == ids[1::2]
+        for ds in (dense, doubled, low_rank):
+            for theta in itertools.product(*gp._SEARCH_BOUNDS):
+                s2, home, alpha = np.exp(theta)
+                hyper = Hyperparams.create(sigma2=s2, sigma2_home=home, alpha=alpha)
+                post = fit(ds, hyper)
+                assert post.low_rank == (ds is low_rank)
+                if ds is doubled:
+                    # every match twice: K has equal rows, so it is singular
+                    assert np.array_equal(post.gram[::2], post.gram[1::2])
+                assert gp._stationary(post.mode, post.gram, post.grad, gp._STATIONARITY_BOUND)
+                assert np.all(np.diagonal(post.chol) >= 1.0), theta
+
+
 class TestEvidence:
     def test_single_draw_closed_form(self):
-        hyper = Hyperparams.create(sigma2=0.1, sigma2_home=0.0, alpha=0.6, jitter=0.0)
+        hyper = Hyperparams.create(sigma2=0.1, sigma2_home=0.0, alpha=0.6)
         post = fit(_single_match_dataset(Outcome.DRAW), hyper)
         k = SELF_OVERLAP * 0.1
         _, d2 = log_likelihood_derivs(Outcome.DRAW, 0.0, DrawParam.from_alpha(0.6))
@@ -712,9 +720,7 @@ class TestEvidence:
         rng = np.random.default_rng(231)
         for n in (1, 2):
             ds = random_dataset(rng, n, 30)
-            hyper = Hyperparams.create(
-                sigma2=0.01, sigma2_home=0.005, alpha=0.45, jitter=0.0
-            )
+            hyper = Hyperparams.create(sigma2=0.01, sigma2_home=0.005, alpha=0.45)
             post = fit(ds, hyper)
             vecs = [build_match_vector(r, ds.registry) for r in ds.records]
             k = kernel_matrix(vecs, vecs, hyper.kernel)
@@ -867,6 +873,10 @@ class TestModelPersistence:
         bad.write_text(json.dumps(version_2_payload(json.loads(path.read_text()))))
         with pytest.raises(DataError, match="version 2"):
             load_model(bad)
+        # a version 3 file holds the mode of a model with jitter on K
+        bad.write_text(json.dumps(version_3_payload(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="version 3.*retrain"):
+            load_model(bad)
 
     def test_rejects_corrupt_payloads(self, tmp_path):
         _, model = self._trained(seed=255)
@@ -893,9 +903,8 @@ class TestModelPersistence:
             {k: v for k, v in good.items() if k != "mode"},
             {k: v for k, v in good.items() if k != "hyper"},
             dict(good, hyper=dict(good["hyper"], sigma2=-1.0)),
-            # integers past the float range
-            dict(good, hyper=dict(good["hyper"], jitter=10**400)),
-            dict(good, jitter_used=10**400),
+            # an integer past the float range
+            dict(good, hyper=dict(good["hyper"], sigma2=10**400)),
             dict(good, mode=dict(good["mode"], shape=[n + 1])),
             dict(good, mode=dict(good["mode"], dtype="<f4")),
             with_array("mode", decoded("mode")[:-1]),
@@ -933,11 +942,13 @@ class TestModelPersistence:
         with pytest.raises(DataError, match="non-finite"):
             load_model(path)
 
-    @pytest.mark.parametrize("jitter", [None, 0.0])
-    def test_load_rebuilds_the_fitted_posterior(self, tmp_path, default_league, jitter):
-        # one league served from weight space (N > P+1) and one from L_B
+    @pytest.mark.parametrize("sigma2_home", [None, 0.0])
+    def test_load_rebuilds_the_fitted_posterior(self, tmp_path, default_league, sigma2_home):
+        # one league served from weight space (N > P+1) and one from L_B;
+        # None keeps the default home scale, 0.0 switches the home feature off
         dense = random_dataset(np.random.default_rng(258), 20, 44)
-        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45, jitter=jitter)
+        home = {} if sigma2_home is None else {"sigma2_home": sigma2_home}
+        hyper = Hyperparams.create(sigma2=0.09, alpha=0.45, **home)
         for i, ds in enumerate((default_league, dense)):
             fresh = train_model(ds, hyper)
             assert fresh.posterior.low_rank == (i == 0)
@@ -946,7 +957,7 @@ class TestModelPersistence:
             back, post = load_model(path).posterior, fresh.posterior
             for field in ("mode", "grad", "sqrt_w", "chol", "dual_coef"):
                 assert np.array_equal(getattr(back, field), getattr(post, field)), field
-            for field in ("loglik", "jitter", "newton_iters"):
+            for field in ("loglik", "newton_iters"):
                 assert getattr(back, field) == getattr(post, field), field
             assert log_marginal(back) == log_marginal(post)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
@@ -45,18 +46,17 @@ def _dataset_vectors(seed, n=15, players=45):
 
 class TestKernelParams:
     def test_defaults_and_jitter(self):
-        p = KernelParams(sigma2=4.0, sigma2_home=0.0)
-        assert p.effective_jitter == 4.0e-6
-        assert p.max_jitter == 4.0e-2
-        assert KernelParams(sigma2=1.0, sigma2_home=1.0, jitter=0.0).effective_jitter == 0.0
+        # the kernel is exactly sigma2 Z Z' + sigma2_home h h': no jitter to set
+        assert KernelParams() == KernelParams(sigma2=1.0, sigma2_home=1.0)
+        assert [f.name for f in dataclasses.fields(KernelParams)] == ["sigma2", "sigma2_home"]
+        with pytest.raises(TypeError):
+            KernelParams(sigma2=1.0, sigma2_home=1.0, jitter=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             KernelParams(sigma2=0.0, sigma2_home=1.0)
         with pytest.raises(ValueError):
             KernelParams(sigma2=1.0, sigma2_home=-0.5)
-        with pytest.raises(ValueError):
-            KernelParams(sigma2=1.0, sigma2_home=0.0, jitter=-1e-9)
 
 
 class TestMatchVector:
@@ -147,7 +147,7 @@ class TestKernelEval:
         a = _vec(range(0, 11), range(11, 22))
         b = _vec(range(0, 11), range(22, 33))
         c = _vec(range(11, 22), range(22, 33))
-        params = KernelParams(sigma2=1.0, sigma2_home=0.0, jitter=0.0)
+        params = KernelParams(sigma2=1.0, sigma2_home=0.0)
         want = np.array(
             [
                 [22.0, 11.0, -11.0],
@@ -162,7 +162,7 @@ class TestKernelEval:
 class TestKernelMatrix:
     def test_single_match_is_22_sigma2(self):
         _, vecs = _dataset_vectors(51, n=1)
-        params = KernelParams(sigma2=1.0, sigma2_home=0.0, jitter=0.0)
+        params = KernelParams(sigma2=1.0, sigma2_home=0.0)
         assert kernel_matrix(vecs, vecs, params).tolist() == [[22.0]]
 
     def test_exact_match_with_kernel_eval(self):
@@ -190,21 +190,6 @@ class TestKernelMatrix:
             eig = np.linalg.eigvalsh(k)
             assert eig[0] >= -1e-8 * max(eig[-1], 1.0)
 
-    def test_jitter_on_diagonal_only(self):
-        _, vecs = _dataset_vectors(57, n=6)
-        params = KernelParams(sigma2=2.0, sigma2_home=0.0, jitter=1e-3)
-        bare = kernel_matrix(vecs, vecs, params)
-        jittered = kernel_matrix(vecs, vecs, params, add_jitter=True)
-        want = bare.copy()
-        want[np.diag_indices_from(want)] += 1e-3
-        assert np.array_equal(jittered, want)
-
-    def test_jitter_requires_square(self):
-        _, vecs = _dataset_vectors(58, n=5)
-        params = KernelParams(sigma2=1.0, sigma2_home=0.0)
-        with pytest.raises(ValueError, match="square"):
-            kernel_matrix(vecs[:2], vecs, params, add_jitter=True)
-
     def test_rectangular_cross_block(self):
         ds, vecs = _dataset_vectors(59, n=10, players=40)
         params = KernelParams(sigma2=0.8, sigma2_home=0.3)
@@ -219,15 +204,13 @@ class TestKernelMatrix:
         # as the sum of the two scaled matrices for any shape and zero signs
         rng = np.random.default_rng(60)
         params = KernelParams(sigma2=0.37, sigma2_home=0.81)
-        for rows, cols, jitter in ((7, 5, 0.0), (3, 9, 0.0), (6, 6, 0.0), (6, 6, 1e-3)):
+        for rows, cols in ((7, 5), (3, 9), (6, 6)):
             overlap = rng.integers(-22, 23, size=(rows, cols))
             homes_r = rng.integers(-1, 2, size=rows)
             homes_c = rng.integers(-1, 2, size=cols)
             homes_r[0], homes_c[-1] = 0, 0
             want = params.sigma2 * overlap + params.sigma2_home * np.outer(homes_r, homes_c)
-            if jitter > 0.0:
-                want[np.diag_indices_from(want)] += jitter
-            got = gram(overlap, homes_r, homes_c, params, jitter)
+            got = gram(overlap, homes_r, homes_c, params)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_empty_inputs(self):
