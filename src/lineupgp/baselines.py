@@ -148,13 +148,21 @@ def fit_elo_alpha(
 ) -> DrawParam:
     """Draw margin maximizing ternary likelihood at fixed latents.
 
-    1-D golden-section search on log(alpha) over [log lo, log hi].
+    1-D golden-section search on log(alpha) over [log lo, log hi].  Raises
+    NumericalError where the log-likelihood is not finite, as when the
+    latents' spread makes its sum overflow.
     """
     if len(latents) != len(codes):
         raise ValueError("latents and outcome codes must have equal length")
 
     def neg_loglik(log_alpha: float) -> float:
-        return -float(np.sum(loglik_vector(codes, latents, math.exp(log_alpha))))
+        alpha = math.exp(log_alpha)
+        # the sum of finite terms can overflow: checked here instead of warned about
+        with np.errstate(over="ignore"):
+            total = float(np.sum(loglik_vector(codes, latents, alpha)))
+        if not math.isfinite(total):
+            raise NumericalError(f"the Elo log-likelihood is {total} at alpha = {alpha:.6g}")
+        return -total
 
     best = _golden_min(neg_loglik, math.log(lo), math.log(hi))
     return DrawParam(log_alpha=best)

@@ -10,13 +10,15 @@ parametrized through dual coefficients ``a`` with ``f = K a`` so no solve
 against K is ever needed.  Each Newton step, the evidence and prediction
 use the well-conditioned matrix B = I + W^{1/2} K W^{1/2} (W is the negated
 likelihood Hessian, nonnegative because the likelihood is log-concave).
-B is factored one of two ways, chosen by the shape of the training set:
+K = X S X' for the sparse features X = [Z | h] (23 nonzeros per row) and
+S = diag(sigma2, ..., sigma2, sigma2_home) is applied as X (s * X'v) and
+never held.  B is factored one of two ways, chosen by the training set's shape:
 
-* N <= P+1 matches (P players): the dense N x N Cholesky factor of B;
-* N > P+1: the kernel has rank <= P+1, K = X S X' with X = [Z | h] and
-  S = diag(sigma2, ..., sigma2, sigma2_home), so B = I + U U' with
-  U = W^{1/2} X S^{1/2}, solved by Woodbury through the Cholesky factor of
-  the (P+1) x (P+1) matrix C = I + U'U, with log|B| = log|C|.
+* N <= P+1 matches (P players): the dense N x N Cholesky factor of B,
+  built from Z Z' kept as exact int8 counts;
+* N > P+1: K has rank <= P+1, so B = I + U U' with U = W^{1/2} X S^{1/2},
+  solved by Woodbury through the Cholesky factor of the (P+1) x (P+1)
+  matrix C = I + U'U, with log|B| = log|C|.
 
 B and C are each I plus a positive semidefinite matrix, so every eigenvalue
 of either is >= 1 (Rasmussen & Williams 2006, Section 3.4): their Cholesky
@@ -24,17 +26,16 @@ factors exist for any hyperparameters, even where K is singular, as when two
 matches field the same lineups at the same venue.  So K is exactly
 sigma2 Z Z' + sigma2_home h h', with no jitter on its diagonal.
 
-The route is chosen once, from the training set's shape.  The posterior is
-one record, :class:`LaplacePosterior`, that one function builds for a fit,
-each evaluation of the evidence search and load_model.
+The route decides only which matrix is factored.  The posterior is one
+record, :class:`LaplacePosterior`, that one function builds for a fit, each
+evaluation of the evidence search and load_model.
 
-On the low-rank route the posterior serves from weight space: the weights
-w ~ N(0, S) with f = X w have the Laplace posterior mean
-m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly,
-so a test match x gets mean x'm and variance
-|L_C^{-1} S^{1/2} x|^2, with no N x N array.  On the dense route it serves
-from the dual form through L_B.  Players unseen in training add their prior
-variance and nothing to the mean on either route.
+The weights w ~ N(0, S) with f = X w have the Laplace posterior mean
+m = S X' grad log p(y|f_hat), so a test match x gets mean x'm.  On the
+low-rank route their covariance is S^{1/2} C^{-1} S^{1/2}, exactly, so x
+gets variance |L_C^{-1} S^{1/2} x|^2; on the dense route it comes through
+L_B from k* = X S x.  Players unseen in training add their prior variance
+and nothing to the mean on either route.
 
 Test matches are scored in batches: their lineups come in as registry-index
 arrays, any index past the training registry standing for an unseen player,
@@ -47,8 +48,8 @@ The hyperparameters (sigma2, sigma2_home, alpha) can be set by maximizing
 the evidence: L-BFGS-B over their logs, in a fixed box, on the analytic
 gradient of the Laplace evidence (Rasmussen & Williams 2006, Algorithm 5.1,
 with the implicit term through the mode).  Its route-specific parts come
-from the inverse of whichever factor Newton built, C^{-1} or B^{-1}, so on
-the low-rank route a gradient too builds no N x N array.
+from the inverse of whichever factor Newton built, C^{-1} or B^{-1}, scaled
+in place, so on the low-rank route a gradient builds no N x N array.
 
 A model file stores the training set, hyperparameters, mode and dual
 coefficients; loading rebuilds the record from them through the
@@ -64,10 +65,11 @@ import logging
 import math
 import sys
 from collections import ChainMap
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -157,6 +159,16 @@ class Hyperparams:
 _ROUNDING = 8.0 * float(np.finfo(np.float64).eps)
 
 
+@contextmanager
+def _finite_arithmetic(what: str) -> Iterator[None]:
+    """Inside, a NumPy overflow or invalid operation raises NumericalError, not a warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"{what}: {exc}") from None
+
+
 def _chol_upper(sym: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor U (U'U = sym) of a C-order matrix held in its lower triangle.
 
@@ -184,83 +196,63 @@ class _BFactor:
 
 
 @dataclass(frozen=True)
-class _LowRankGram:
-    """K = X diag(s) X' for the sparse features X = [Z | h] (N x (P+1)), of rank <= P+1.
-
-    ``pairs`` (sparse, (P+1)^2 x N) maps match weights u to the lower
-    triangle of X' diag(u) X, flattened in C order.  K itself is singular
-    whenever N > P+1; only C = I + S^{1/2} X' W X S^{1/2} >= I is factored.
-    """
-
-    x: sp.csr_matrix
-    xt: sp.csc_matrix
-    pairs: sp.csc_matrix
-    s: np.ndarray
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.x @ (self.s * (self.xt @ v))
-
-    def factor_b(self, sw: np.ndarray) -> _BFactor:
-        """B = I + U U' by Woodbury through C = I + U'U (see the module docstring).
-
-        B^{-1} v = v - W^{1/2} X S^{1/2} C^{-1} S^{1/2} X' W^{1/2} v and log|B| = log|C|.
-        """
-        rs = np.sqrt(self.s)
-        p1 = len(rs)
-        c = (self.pairs @ (sw * sw)).reshape(p1, p1)
-        c *= rs[:, None]
-        c *= rs
-        c[np.diag_indices(p1)] += 1.0
-        upper = _chol_upper(c)
-
-        def solve(v: np.ndarray) -> np.ndarray:
-            t = sla.cho_solve((upper, False), rs * (self.xt @ (sw * v)), check_finite=False)
-            return v - sw * (self.x @ (rs * t))
-
-        return _BFactor(solve, float(np.sum(np.log(np.diagonal(upper)))), upper)
-
-
-def _factor_b(k: np.ndarray | _LowRankGram, sw: np.ndarray) -> _BFactor:
-    if not np.all(np.isfinite(sw)):
-        raise NumericalError("non-finite likelihood curvature in the Laplace fit")
-    if isinstance(k, _LowRankGram):
-        return k.factor_b(sw)
-    b = k * sw[:, None]
-    b *= sw
-    b[np.diag_indices_from(b)] += 1.0
-    upper = _chol_upper(b)
-    return _BFactor(
-        lambda v: sla.cho_solve((upper, False), v, check_finite=False),
-        float(np.sum(np.log(np.diagonal(upper)))),
-        upper,
-    )
-
-
-@dataclass(frozen=True)
 class _TrainParts:
-    """The training set as arrays plus the hyperparameter-free factors of its Gram.
+    """The training set as arrays, plus the hyperparameter-free matrix its route factors.
 
-    With more matches than features (N > P+1) the Gram is kept in low-rank
-    form, as the features X = [Z | h] and their pair products; otherwise as
-    the dense overlap Z Z', with the home term added from ``homes``.
+    ``x`` is the sparse feature matrix X = [Z | h] (N x (P+1)) and ``xt`` its
+    transpose, so K = X S X' is applied as X (s * X'v) and never held.  With
+    more matches than features (N > P+1), ``pairs`` (sparse, (P+1)^2 x N)
+    maps match weights u to the lower triangle of X' diag(u) X, flattened in
+    C order, and so builds C; otherwise ``overlap`` holds Z Z' as exact int8
+    counts (|count| <= 22) and builds B.
     """
 
     z: sp.csr_matrix
     homes: np.ndarray
     codes: np.ndarray
-    x: sp.csr_matrix | None = None
+    x: sp.csr_matrix
+    xt: sp.csc_matrix
     pairs: sp.csc_matrix | None = None
     overlap: np.ndarray | None = None
 
-    def gram(self, kp: KernelParams) -> np.ndarray | _LowRankGram:
-        """K, low-rank when the parts are."""
-        if self.pairs is None:
-            return gram(self.overlap, self.homes, self.homes, kp)
-        # diag(S): the prior variances of the P player weights and the home weight
+    def variances(self, kp: KernelParams) -> np.ndarray:
+        """diag(S): the prior variances of the P player weights, then the home weight's."""
         s = np.full(self.x.shape[1], kp.sigma2)
         s[-1] = kp.sigma2_home
-        # one transposed view per Gram: building it per product costs more than the product
-        return _LowRankGram(self.x, self.x.T, self.pairs, s)
+        return s
+
+    def k_dot(self, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """K v = X S X' v for S = diag(s), by two sparse products."""
+        return self.x @ (s * (self.xt @ v))
+
+
+def _factor_b(parts: _TrainParts, kp: KernelParams, sw: np.ndarray) -> _BFactor:
+    """B = I + W^{1/2} K W^{1/2} factored by the parts' route (see the module docstring).
+
+    Dense: B itself, built from the overlap counts.  Low rank: B = I + U U'
+    by Woodbury through C = I + U'U, so B^{-1} v = v - W^{1/2} X S^{1/2} C^{-1}
+    S^{1/2} X' W^{1/2} v and log|B| = log|C|.
+    """
+    if not np.all(np.isfinite(sw)):
+        raise NumericalError("non-finite likelihood curvature in the Laplace fit")
+    # I + D M D for B (M = K, D = W^{1/2}) or for C (M = X' W X, D = S^{1/2})
+    if parts.pairs is None:
+        m, d = gram(parts.overlap, parts.homes, parts.homes, kp), sw
+    else:
+        d = np.sqrt(parts.variances(kp))
+        m = (parts.pairs @ (sw * sw)).reshape(len(d), len(d))
+    m *= d[:, None]
+    m *= d
+    m[np.diag_indices_from(m)] += 1.0
+    upper = _chol_upper(m)
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        if parts.pairs is None:
+            return sla.cho_solve((upper, False), v, check_finite=False)
+        t = sla.cho_solve((upper, False), d * (parts.xt @ (sw * v)), check_finite=False)
+        return v - sw * (parts.x @ (d * t))
+
+    return _BFactor(solve, float(np.sum(np.log(np.diagonal(upper)))), upper)
 
 
 def _dataset_parts(train: Dataset) -> _TrainParts:
@@ -285,11 +277,6 @@ def _make_parts(
     """Parts of N matches: (N, 11) lineup indices below ``width``, home signs, outcome codes."""
     z = incidence(plus, minus, width)
     n, p = z.shape
-    # the route rule: low rank when there are more matches than features X = [Z | h]
-    if n <= p + 1:
-        # exact integer counts either way; float operands spare an N x N cast
-        zf = z.astype(np.float64)
-        return _TrainParts(z, homes, codes, overlap=(zf @ zf.T).toarray())
     # row i of X: its 22 players in increasing column order, then the home
     # column (kept when zero), so every pair j >= k of a row's entries lands in
     # the lower triangle of X' diag(u) X; narrow ints keep the pair arrays cheap
@@ -300,6 +287,13 @@ def _make_parts(
     x = sp.csr_matrix(
         (vals.astype(np.float64).ravel(), cols.ravel(), starts * cols.shape[1]), shape=(n, p + 1)
     )
+    # one transposed view for every product: building it per product costs more than the product
+    features = (z, homes, codes, x, x.T)
+    # the route rule: low rank when there are more matches than features
+    if n <= p + 1:
+        # every partial sum of a count is at most 22 in size, so int8 is exact throughout
+        z8 = z.astype(np.int8)
+        return _TrainParts(*features, overlap=(z8 @ z8.T).toarray())
     hi, lo = np.tril_indices(cols.shape[1])
     pairs = sp.csc_matrix(
         (
@@ -309,7 +303,7 @@ def _make_parts(
         ),
         shape=((p + 1) ** 2, n),
     )
-    return _TrainParts(z, homes, codes, x=x, pairs=pairs)
+    return _TrainParts(*features, pairs=pairs)
 
 
 def _psi(codes: np.ndarray, f: np.ndarray, a: np.ndarray, alpha: float) -> float:
@@ -317,24 +311,23 @@ def _psi(codes: np.ndarray, f: np.ndarray, a: np.ndarray, alpha: float) -> float
 
 
 def _newton_mode(
-    k: np.ndarray | _LowRankGram,
-    codes: np.ndarray,
-    alpha: float,
-    a0: np.ndarray | None = None,
+    parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Damped Newton ascent; returns (f_hat, a_hat, iterations).
 
-    ``k`` is the Gram, dense or low-rank.  Starts from ``a0`` if given and
-    its Psi beats that of a = 0 (hence f = 0), else from a = 0.  The
-    objective is strictly concave in f, so every start reaches the same mode.
+    Starts from ``a0`` if given and its Psi beats that of a = 0 (hence
+    f = 0), else from a = 0.  The objective is strictly concave in f, so
+    every start reaches the same mode.
     """
+    codes, alpha, kp = parts.codes, hyper.alpha, hyper.kernel
+    k = partial(parts.k_dot, parts.variances(kp))
     n = len(codes)
     a = np.zeros(n)
     f = np.zeros(n)
     psi = _psi(codes, f, a, alpha)
     if a0 is not None:
         a_warm = np.asarray(a0, dtype=float)
-        f_warm = k @ a_warm
+        f_warm = k(a_warm)
         psi_warm = _psi(codes, f_warm, a_warm, alpha)
         if psi_warm > psi:
             a, f, psi = a_warm, f_warm, psi_warm
@@ -344,8 +337,8 @@ def _newton_mode(
         w = -d2
         sw = np.sqrt(w)
         b_vec = w * f + d1
-        step = b_vec - sw * _factor_b(k, sw).solve(sw * (k @ b_vec)) - a
-        k_step = k @ step
+        step = b_vec - sw * _factor_b(parts, kp, sw).solve(sw * k(b_vec)) - a
+        k_step = k(step)
 
         # a full step whose Psi falls by no more than rounding noise is
         # taken; the stationarity test below then decides convergence
@@ -360,7 +353,7 @@ def _newton_mode(
             t *= 0.5
             if t < 1e-12:
                 # ascent exhausted at floating-point resolution
-                if _stationary(f, k, d1, _STATIONARITY_BOUND):
+                if _stationary(f, k(d1), _STATIONARITY_BOUND):
                     return f, a, iteration - 1
                 raise NumericalError(
                     "Newton ascent stalled away from stationarity "
@@ -370,11 +363,11 @@ def _newton_mode(
         last_delta = psi_try - psi
         a, f, psi = a_try, f_try, psi_try
         d1, d2 = loglik_derivs_vector(codes, f, alpha)
-        if last_delta < _NEWTON_TOL and _stationary(f, k, d1, _STATIONARITY_TOL):
+        if last_delta < _NEWTON_TOL and _stationary(f, k(d1), _STATIONARITY_TOL):
             return f, a, iteration
         # a full step taken under the rounding rule: Psi cannot rise further,
         # so the residual may stall between the two bounds
-        if last_delta <= 0.0 and _stationary(f, k, d1, _STATIONARITY_BOUND):
+        if last_delta <= 0.0 and _stationary(f, k(d1), _STATIONARITY_BOUND):
             return f, a, iteration
     raise NumericalError(
         f"Laplace Newton did not converge after {_NEWTON_MAX_ITER} iterations "
@@ -382,9 +375,9 @@ def _newton_mode(
     )
 
 
-def _stationary(f: np.ndarray, k: np.ndarray | _LowRankGram, d1: np.ndarray, tol: float) -> bool:
+def _stationary(f: np.ndarray, k_d1: np.ndarray, tol: float) -> bool:
     """The mode's fixed point f = K d1, to ``tol`` relative to max(1, max |f|)."""
-    return float(np.max(np.abs(f - k @ d1))) <= tol * max(1.0, float(np.max(np.abs(f))))
+    return float(np.max(np.abs(f - k_d1))) <= tol * max(1.0, float(np.max(np.abs(f))))
 
 
 @dataclass(frozen=True)
@@ -392,20 +385,19 @@ class LaplacePosterior:
     """Laplace approximation at the unique mode of Psi, and everything built there.
 
     ``parts`` is the training set (signed incidence ``parts.z``, N x P, home
-    signs ``parts.homes``, outcome codes ``parts.codes``) and ``gram`` its K,
-    dense or low-rank; ``mode = gram @ dual_coef``.  ``grad`` is the
-    likelihood gradient at the mode, ``sqrt_w`` the square root of its negated
-    Hessian and ``loglik`` log p(y|mode).  ``factor`` holds
-    B = I + W^{1/2} K W^{1/2} factored by the route: with N > P+1 matches
-    (``low_rank``) through the (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2},
-    otherwise as B.  Both are >= I, so neither needs jitter on K, however
-    singular K is.  ``_at_mode`` builds it; a model file saves no field that
-    it derives.
+    signs ``parts.homes``, outcome codes ``parts.codes``, features
+    X = [Z | h]) and ``hyper`` gives S, so K = X S X' and
+    ``mode = K dual_coef``; no N x N Gram is held.  ``grad`` is the likelihood
+    gradient at the mode, ``sqrt_w`` the square root of its negated Hessian
+    and ``loglik`` log p(y|mode).  ``factor`` holds B = I + W^{1/2} K W^{1/2}
+    factored by the route: with N > P+1 matches (``low_rank``) through the
+    (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2}, otherwise as B.  Both
+    are >= I, so neither needs jitter on K, however singular K is.
+    ``_at_mode`` builds it; a model file saves no field that it derives.
     """
 
     parts: _TrainParts
     hyper: Hyperparams
-    gram: np.ndarray | _LowRankGram
     mode: np.ndarray
     dual_coef: np.ndarray
     grad: np.ndarray
@@ -421,7 +413,7 @@ class LaplacePosterior:
     @property
     def low_rank(self) -> bool:
         """N > P+1: ``chol`` factors C and prediction runs in weight space."""
-        return isinstance(self.gram, _LowRankGram)
+        return self.parts.pairs is not None
 
     @property
     def chol(self) -> np.ndarray:
@@ -435,35 +427,32 @@ class LaplacePosterior:
 
     @cached_property
     def weight_mean(self) -> np.ndarray:
-        """m = S X' grad (low-rank route): mean of the P player weights, then the home weight."""
-        return self.gram.s * np.append(self.parts.z.T @ self.grad, self.parts.homes @ self.grad)
+        """m = S X' grad: mean of the P player weights, then the home weight."""
+        s = self.parts.variances(self.hyper.kernel)
+        return s * np.append(self.parts.z.T @ self.grad, self.parts.homes @ self.grad)
 
 
 def _laplace(
     parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None
 ) -> LaplacePosterior:
     """Newton to the mode from ``a0`` (see _newton_mode), then everything built there."""
-    k = parts.gram(hyper.kernel)
-    f_hat, a_hat, iters = _newton_mode(k, parts.codes, hyper.alpha, a0)
-    return _at_mode(parts, hyper, k, f_hat, a_hat, iters)
+    with _finite_arithmetic("the Laplace fit overflowed"):
+        f_hat, a_hat, iters = _newton_mode(parts, hyper, a0)
+        return _at_mode(parts, hyper, f_hat, a_hat, iters)
 
 
 def _at_mode(
-    parts: _TrainParts,
-    hyper: Hyperparams,
-    k: np.ndarray | _LowRankGram,
-    f: np.ndarray,
-    a: np.ndarray,
-    iters: int,
+    parts: _TrainParts, hyper: Hyperparams, f: np.ndarray, a: np.ndarray, iters: int
 ) -> LaplacePosterior:
-    """The posterior at the mode ``f = k @ a``: grad log p, W^{1/2}, log p(y|f) and B factored.
+    """The posterior at the mode ``f = K a``: grad log p, W^{1/2}, log p(y|f) and B factored.
 
     Fit ends here and load_model rebuilds here, so the two agree bit for bit.
     """
     d1, d2 = loglik_derivs_vector(parts.codes, f, hyper.alpha)
     sqrt_w = np.sqrt(-d2)
     loglik = float(np.sum(loglik_vector(parts.codes, f, hyper.alpha)))
-    return LaplacePosterior(parts, hyper, k, f, a, d1, sqrt_w, _factor_b(k, sqrt_w), loglik, iters)
+    factor = _factor_b(parts, hyper.kernel, sqrt_w)
+    return LaplacePosterior(parts, hyper, f, a, d1, sqrt_w, factor, loglik, iters)
 
 
 def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
@@ -483,8 +472,8 @@ def _latent_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unclamped (mu, var) of one block of test matches (see predict_latent_many)."""
     kp = post.hyper.kernel
-    z = post.parts.z
-    p = z.shape[1]
+    parts = post.parts
+    p = parts.z.shape[1]
     t = len(homes)
     # rows: the P players, the home feature, then one row that takes every
     # unseen player and is dropped
@@ -493,22 +482,21 @@ def _latent_block(
     x[np.where(plus < p, plus, p + 1), cols] = 1.0
     x[np.where(minus < p, minus, p + 1), cols] = -1.0
     x[p] = homes
+    x = x[: p + 1]
+    mu = x.T @ post.weight_mean
+    s = parts.variances(kp)
     # chol is finite: load_model, like fit, factors it from a finite B (or C)
     if post.low_rank:
-        x = x[: p + 1]
-        mu = x.T @ post.weight_mean
-        x *= np.sqrt(post.gram.s)[:, None]
+        x *= np.sqrt(s)[:, None]
         v = sla.solve_triangular(post.chol, x, lower=True, check_finite=False)
         # each player unseen in training adds its prior variance
         unseen = np.sum(plus >= p, axis=1) + np.sum(minus >= p, axis=1)
         return mu, np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
-    # in C order, like every Gram: the BLAS products below round by layout
-    overlap = np.ascontiguousarray((z @ x[:p]).T)
-    k_star = gram(overlap, homes, post.parts.homes, kp)
-    mu = k_star @ post.grad
-    v = sla.solve_triangular(
-        post.chol, post.sqrt_w[:, None] * k_star.T, lower=True, check_finite=False
-    )
+    # k* = X S x, one column per test match, then each row scaled by W^{1/2}
+    x *= s[:, None]
+    k_star = parts.x @ x
+    k_star *= post.sqrt_w[:, None]
+    v = sla.solve_triangular(post.chol, k_star, lower=True, check_finite=False)
     k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes.astype(np.float64) ** 2
     return mu, k_ss - np.einsum("ij,ij->j", v, v)
 
@@ -595,12 +583,19 @@ def predict_outcomes(post: LaplacePosterior, test: MatchVector) -> PredictiveDis
 
 
 def _inverse_from_upper(upper: np.ndarray) -> np.ndarray:
-    """A^{-1} from the upper Cholesky factor of A, by LAPACK dpotri."""
+    """A^{-1} in C order from the upper Cholesky factor of A, by LAPACK dpotri.
+
+    dpotri's output is the only array built: it is symmetrized in place.
+    """
     inv, info = sla.lapack.dpotri(upper, lower=0)
     if info != 0:
         raise NumericalError(f"dpotri failed (info {info}) inverting a Cholesky factor")
-    # dpotri fills the upper triangle only
-    return np.triu(inv) + np.triu(inv, 1).T
+    # dpotri fills the upper triangle of its Fortran-order output, which is
+    # the lower triangle of the C-order transpose; mirror it row by row
+    inv = inv.T
+    for i in range(len(inv) - 1):
+        inv[i, i + 1 :] = inv[i + 1 :, i]
+    return inv
 
 
 def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]:
@@ -610,31 +605,30 @@ def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]
     tr(R K_h), where R = W^{1/2} B^{-1} W^{1/2} and K_z = sigma2 Z Z',
     K_h = sigma2_home h h' are the two scaled parts of the Gram.
     """
+    parts, kp = post.parts, post.hyper.kernel
     inv = _inverse_from_upper(post.factor.upper)
-    k = post.gram
     if post.low_rank:
         # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}: Sigma_f = X T X',
         #   X' R X = S^{-1/2} (I - C^{-1}) S^{-1/2}, so for dS = S on one block
         #   of weights and 0 elsewhere, tr(R X dS X') = sum of 1 - C^{-1}_jj
         #   over the block: the share of each prior variance the data removes
-        rs = np.sqrt(k.s)
-        t = inv * rs[:, None]
-        t *= rs
-        # x_i' T x_i for every training row from the pair products of its entries
-        t_low = 2.0 * np.tril(t, -1)
-        t_low[np.diag_indices_from(t_low)] = np.diagonal(t)
         explained = 1.0 - np.diagonal(inv)
-        return k.pairs.T @ t_low.ravel(), float(np.sum(explained[:-1])), float(explained[-1])
-    sw = post.sqrt_w
-    r = inv * sw[:, None]
-    r *= sw
+        # T in place; x_i' T x_i for every training row from the pair products
+        # of its entries, which read only the lower triangle, off-diagonal doubled
+        rs = np.sqrt(parts.variances(kp))
+        inv *= rs[:, None]
+        inv *= rs
+        for i in range(1, len(inv)):
+            inv[i, :i] *= 2.0
+        return parts.pairs.T @ inv.ravel(), float(np.sum(explained[:-1])), float(explained[-1])
+    # R in place
+    r = inv
+    r *= post.sqrt_w[:, None]
+    r *= post.sqrt_w
+    k = gram(parts.overlap, parts.homes, parts.homes, kp)
     sigma_f = np.diagonal(k) - np.einsum("ij,ij->i", k @ r, k)
-    kp, h = post.hyper.kernel, post.parts.homes.astype(np.float64)
-    return (
-        sigma_f,
-        kp.sigma2 * float(np.sum(r * post.parts.overlap)),
-        kp.sigma2_home * float(h @ r @ h),
-    )
+    h = parts.homes.astype(np.float64)
+    return sigma_f, kp.sigma2 * float(np.sum(r * parts.overlap)), kp.sigma2_home * float(h @ r @ h)
 
 
 def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
@@ -648,20 +642,20 @@ def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
     """
     hyper, parts = post.hyper, post.parts
     kp = hyper.kernel
-    k, sw, d1 = post.gram, post.sqrt_w, post.grad
+    s, sw, d1 = parts.variances(kp), post.sqrt_w, post.grad
     sigma_f, tr_z, tr_h = _posterior_traces(post)
     dlp, dd1, dw_alpha, dw_f = loglik_alpha_derivs(parts.codes, post.mode, hyper.alpha)
     s2 = -0.5 * sigma_f * dw_f
 
     def implicit(b: np.ndarray) -> float:
         # s2' df_hat, with df_hat = (I + K W)^{-1} b = b - K R b
-        return float(s2 @ (b - k @ (sw * post.factor.solve(sw * b))))
+        return float(s2 @ (b - parts.k_dot(s, sw * post.factor.solve(sw * b))))
 
     zd = parts.z.T @ d1
     hd = float(parts.homes @ d1)
     g_sigma2 = 0.5 * kp.sigma2 * float(zd @ zd) - 0.5 * tr_z + implicit(kp.sigma2 * (parts.z @ zd))
     g_home = 0.5 * kp.sigma2_home * hd * hd - 0.5 * tr_h + implicit(kp.sigma2_home * hd * parts.homes)
-    g_alpha = float(np.sum(dlp)) - 0.5 * float(sigma_f @ dw_alpha) + implicit(k @ dd1)
+    g_alpha = float(np.sum(dlp)) - 0.5 * float(sigma_f @ dw_alpha) + implicit(parts.k_dot(s, dd1))
     return np.array([g_sigma2, g_home, hyper.alpha * g_alpha])
 
 
@@ -966,12 +960,14 @@ def load_model(path: str | Path) -> GPModel:
     mode, dual_coef = (_decode_array(payload, key, "<f8", (n,)) for key in ("mode", "dual_coef"))
 
     parts = _make_parts(plus, minus, np.array(homes, dtype=np.int64), codes, len(ids))
-    k = parts.gram(hyper.kernel)
+    s = parts.variances(hyper.kernel)
     try:
-        post = _at_mode(parts, hyper, k, mode, dual_coef, newton_iters)
+        with _finite_arithmetic("the rebuild overflowed"):
+            post = _at_mode(parts, hyper, mode, dual_coef, newton_iters)
+            # a payload that parses yet holds no fit fails f = K grad log p(y|f) = K dual_coef
+            k_grads = [parts.k_dot(s, v) for v in (post.grad, dual_coef)]
     except NumericalError as exc:
         raise DataError(f"the model's posterior cannot be rebuilt at its mode: {exc}") from None
-    # a payload that parses yet holds no fit fails f = K grad log p(y|f) = K dual_coef
-    if not all(_stationary(mode, k, v, _STATIONARITY_BOUND) for v in (post.grad, dual_coef)):
+    if not all(_stationary(mode, k_v, _STATIONARITY_BOUND) for k_v in k_grads):
         raise DataError("model 'mode' is not the posterior mode of its training set")
     return GPModel(post, {pid: i for i, pid in enumerate(ids)})

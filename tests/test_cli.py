@@ -10,11 +10,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import version_1_payload, version_2_payload, version_3_payload
@@ -636,23 +637,53 @@ class TestExitCodes:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(command=_numeric_flags())
+    @example(command=("train", ["--sigma2=1e+308"]))
+    @example(command=("elo-fit", ["--elo-home-advantage=1e+308"]))
     def test_numeric_flags_exit_cleanly(self, workspace, tmp_path, capsys, command):
         # any value of a numeric flag ends in a documented exit code and, on
-        # failure, one diagnostic line
+        # failure, one diagnostic line; a RuntimeWarning would be a second line
         name, flags = command
         data = {
             "train": ["--train", str(workspace["train"]), "--model-out", str(tmp_path / "m.json")],
             "evaluate": ["--train", str(workspace["train"]), "--test", str(workspace["test"])],
             "elo-fit": ["--train", str(workspace["train"])],
         }[name]
-        rc = cli.run([name, *data, *flags])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.run([name, *data, *flags])
         out = capsys.readouterr()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
+            str(w.message) for w in caught
+        ]
         assert "Traceback" not in out.err
         assert rc in (0, 1, 2, 3)
         if rc:
             lines = out.err.strip().split("\n")
             assert len(lines) == 1, lines
             assert lines[0].startswith(("usage error:", "data error:", "numerical error:")), lines
+
+    def test_overflow_exits_3_with_one_line(self, workspace, tmp_path):
+        # a fresh interpreter prints NumPy's RuntimeWarnings to stderr, where
+        # an in-process run's are captured; 600 matches give the Elo
+        # log-likelihood enough home defeats at 1e308 points for its sum to overflow
+        league = tmp_path / "league.csv"
+        assert cli.run(["simulate", "--seed", "0", "--out", str(league)]) == 0
+        train = ["--train", str(workspace["train"]), "--model-out", str(tmp_path / "m.json")]
+        cases = [
+            (
+                ["train", *train, "--sigma2", "1e308"],
+                "numerical error: the Laplace fit overflowed",
+            ),
+            (
+                ["elo-fit", "--train", str(league), "--elo-home-advantage", "1e308"],
+                "numerical error: the Elo log-likelihood is -inf",
+            ),
+        ]
+        for argv, message in cases:
+            proc = _run_fresh(argv)
+            assert proc.returncode == 3, (argv, proc.returncode, proc.stderr)
+            lines = proc.stderr.strip().split("\n")
+            assert len(lines) == 1 and lines[0].startswith(message), lines
 
     def test_clip_flag_passes_through(self, workspace):
         rc = cli.run(

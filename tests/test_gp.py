@@ -36,6 +36,7 @@ from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
 from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import (
+    GPModel,
     Hyperparams,
     _dataset_parts,
     _evidence_gradient,
@@ -139,11 +140,9 @@ class TestNewtonProperties:
         rng = np.random.default_rng(202)
         ds = random_dataset(rng, 25, 40)
         hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.5, alpha=0.5)
-        vecs = [build_match_vector(r, ds.registry) for r in ds.records]
-        k = kernel_matrix(vecs, vecs, hyper.kernel)
-        codes = np.array([r.outcome.code for r in ds.records])
-        f_zero, _, _ = _newton_mode(k, codes, hyper.alpha)
-        f_noise, _, _ = _newton_mode(k, codes, hyper.alpha, a0=rng.standard_normal(ds.n))
+        parts = _dataset_parts(ds)
+        f_zero, _, _ = _newton_mode(parts, hyper)
+        f_noise, _, _ = _newton_mode(parts, hyper, a0=rng.standard_normal(ds.n))
         assert np.max(np.abs(f_zero - f_noise)) <= 1e-6
 
     def test_converges_within_budget(self):
@@ -218,12 +217,18 @@ class TestDualPrimalEquivalence:
                 assert abs(var_d - var_p) <= 1e-6
 
 
+def _dense_parts(parts):
+    """The same training set on the dense route: B factored from the int8 overlap Z Z'."""
+    overlap = (parts.z @ parts.z.T).toarray().astype(np.int8)
+    return dataclasses.replace(parts, pairs=None, overlap=overlap)
+
+
 def _dense_evidence(ds, hyper):
-    """Mode by Newton on the dense N x N Gram, evidence with log|B| from slogdet."""
+    """Mode by Newton through the dense N x N factor of B, evidence with log|B| from slogdet."""
     vecs = [build_match_vector(r, ds.registry) for r in ds.records]
     k = kernel_matrix(vecs, vecs, hyper.kernel)
     codes = np.array([r.outcome.code for r in ds.records])
-    f, a, _ = _newton_mode(k, codes, hyper.alpha)
+    f, a, _ = _newton_mode(_dense_parts(_dataset_parts(ds)), hyper)
     _, d2 = loglik_derivs_vector(codes, f, hyper.alpha)
     sw = np.sqrt(-d2)
     sign, logdet = np.linalg.slogdet(np.eye(ds.n) + sw[:, None] * k * sw[None, :])
@@ -427,13 +432,12 @@ class TestDefaultLeague:
     def test_warm_start(self, default_league):
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         parts = _dataset_parts(default_league)
-        k = parts.gram(hyper.kernel)
-        cold_f, cold_a, cold_iters = _newton_mode(k, parts.codes, hyper.alpha)
+        cold_f, cold_a, cold_iters = _newton_mode(parts, hyper)
         # from the mode itself: at most one step
-        _, _, iters = _newton_mode(k, parts.codes, hyper.alpha, a0=cold_a)
+        _, _, iters = _newton_mode(parts, hyper, a0=cold_a)
         assert iters <= 1
         # a start worse than a = 0 is ignored
-        f, _, iters = _newton_mode(k, parts.codes, hyper.alpha, a0=-50.0 * cold_a)
+        f, _, iters = _newton_mode(parts, hyper, a0=-50.0 * cold_a)
         assert iters == cold_iters and np.array_equal(f, cold_f)
 
     def test_search_evaluations_all_succeed(self, default_league, monkeypatch):
@@ -525,17 +529,33 @@ class TestEvidenceGradient:
             assert _dataset_parts(ds).pairs is None
             self._check(ds, hyper)
 
+    def test_low_rank_peak_memory(self):
+        # season's training set (`simulate --seed 0 --teams 30 --players 420
+        # --matches-per-team 110`, its first 3/4 of dates): N = 1230 > P+1 = 421.
+        # dpotri's output is the one (P+1)^2 array a gradient builds; a second,
+        # such as a symmetrized copy or the doubled lower triangle, fails the bound
+        sim = SimConfig(seed=0, num_teams=30, num_players=420, matches_per_team=110)
+        records = simulate_dataset(sim).dataset.records
+        dates = sorted({r.date for r in records})
+        train = Dataset.from_records([r for r in records if r.date < dates[len(dates) * 3 // 4]])
+        post = fit(train, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45))
+        assert post.low_rank and train.n == 1230 and train.num_players == 420
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _evidence_gradient(post)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = 8 * (train.num_players + 1) ** 2
+        assert peak - base <= 2 * unit, (peak - base) / unit
+
     def test_routes_agree(self, default_league):
         # one training set through L_C and through a dense L_B, to rounding,
         # far below what central differences resolve
         for ds, hyper in self._cases(default_league):
             low = _dataset_parts(ds)
-            dense = dataclasses.replace(
-                low,
-                x=None,
-                pairs=None,
-                overlap=(low.z @ low.z.T).toarray().astype(np.float64),
-            )
+            dense = _dense_parts(low)
             g_low = _evidence_gradient(_laplace(low, hyper))
             g_dense = _evidence_gradient(_laplace(dense, hyper))
             assert np.all(np.abs(g_low - g_dense) <= 1e-8 * np.maximum(1.0, np.abs(g_dense)))
@@ -701,8 +721,11 @@ class TestNoJitter:
                 assert post.low_rank == (ds is low_rank)
                 if ds is doubled:
                     # every match twice: K has equal rows, so it is singular
-                    assert np.array_equal(post.gram[::2], post.gram[1::2])
-                assert gp._stationary(post.mode, post.gram, post.grad, gp._STATIONARITY_BOUND)
+                    vecs = [build_match_vector(r, ds.registry) for r in ds.records]
+                    k = kernel_matrix(vecs, vecs, hyper.kernel)
+                    assert np.array_equal(k[::2], k[1::2])
+                k_grad = post.parts.k_dot(post.parts.variances(hyper.kernel), post.grad)
+                assert gp._stationary(post.mode, k_grad, gp._STATIONARITY_BOUND)
                 assert np.all(np.diagonal(post.chol) >= 1.0), theta
 
 
@@ -977,6 +1000,34 @@ class TestModelPersistence:
         finally:
             tracemalloc.stop()
         assert peak <= 3.75 * 8 * ds.n**2, peak / (8 * ds.n**2)
+
+    def test_dense_posterior_holds_no_gram(self, tmp_path):
+        # the league of test_dense_load_peak_memory: a loaded model holds the
+        # factor of B (N^2 doubles) and Z Z' as int8 counts (N^2 / 8 bytes), and
+        # a fit builds one B at a time; a float64 overlap or an N x N Gram held
+        # beside them fails both bounds
+        ds = random_dataset(np.random.default_rng(400), 400, 600)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        unit = 8 * ds.n**2
+        tracemalloc.start()
+        try:
+            post = fit(ds, hyper)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not post.low_rank
+        path = tmp_path / "model.json"
+        save_model(GPModel(post, dict(ds.registry)), path)
+        del post
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not model.posterior.low_rank
+        assert held <= 1.6 * unit, held / unit
+        assert fit_peak <= 2.0 * unit, fit_peak / unit
 
     def test_unseen_players_get_prior_prediction(self):
         ds, model = self._trained(seed=254)
