@@ -12,13 +12,16 @@ use the well-conditioned matrix B = I + W^{1/2} K W^{1/2} (W is the negated
 likelihood Hessian, nonnegative because the likelihood is log-concave).
 K = X S X' for the sparse features X = [Z | h] (23 nonzeros per row) and
 S = diag(sigma2, ..., sigma2, sigma2_home) is applied as X (s * X'v) and
-never held.  B is factored one of two ways, chosen by the training set's shape:
+never held.  The training set's shape picks one of two routes:
 
-* N <= P+1 matches (P players): the dense N x N Cholesky factor of B,
-  built from Z Z' kept as exact int8 counts;
+* N <= P+1 matches (P players): each Newton step solves with B by
+  conjugate gradients, B applied through K's sparse products, and B is
+  factored once, at the mode, as a dense N x N Cholesky factor built from
+  Z Z' kept as exact int8 counts;
 * N > P+1: K has rank <= P+1, so B = I + U U' with U = W^{1/2} X S^{1/2},
   solved by Woodbury through the Cholesky factor of the (P+1) x (P+1)
-  matrix C = I + U'U, with log|B| = log|C|.
+  matrix C = I + U'U, with log|B| = log|C|, at every Newton step and at
+  the mode.
 
 B and C are each I plus a positive semidefinite matrix, so every eigenvalue
 of either is >= 1 (Rasmussen & Williams 2006, Section 3.4): their Cholesky
@@ -26,9 +29,10 @@ factors exist for any hyperparameters, even where K is singular, as when two
 matches field the same lineups at the same venue.  So K is exactly
 sigma2 Z Z' + sigma2_home h h', with no jitter on its diagonal.
 
-The route decides only which matrix is factored.  The posterior is one
-record, :class:`LaplacePosterior`, that one function builds for a fit, each
-evaluation of the evidence search and load_model.
+The route decides only which matrix is factored and how a Newton step
+solves with B.  The posterior is one record, :class:`LaplacePosterior`,
+that one function builds for a fit, each evaluation of the evidence search
+and load_model.
 
 The weights w ~ N(0, S) with f = X w have the Laplace posterior mean
 m = S X' grad log p(y|f_hat), so a test match x gets mean x'm.  On the
@@ -48,8 +52,8 @@ The hyperparameters (sigma2, sigma2_home, alpha) can be set by maximizing
 the evidence: L-BFGS-B over their logs, in a fixed box, on the analytic
 gradient of the Laplace evidence (Rasmussen & Williams 2006, Algorithm 5.1,
 with the implicit term through the mode).  Its route-specific parts come
-from the inverse of whichever factor Newton built, C^{-1} or B^{-1}, scaled
-in place, so on the low-rank route a gradient builds no N x N array.
+from the inverse of whichever factor the posterior holds, C^{-1} or B^{-1},
+scaled in place, so on the low-rank route a gradient builds no N x N array.
 
 A model file stores the training set, hyperparameters, mode and dual
 coefficients; loading rebuilds the record from them through the
@@ -310,6 +314,38 @@ def _psi(codes: np.ndarray, f: np.ndarray, a: np.ndarray, alpha: float) -> float
     return float(np.sum(loglik_vector(codes, f, alpha))) - 0.5 * float(a @ f)
 
 
+# the relative residual |rhs - B v| / |rhs| at which a CG solve stops
+_CG_RTOL = 1e-12
+
+
+def _cg(
+    matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, x0: np.ndarray
+) -> tuple[np.ndarray | None, int]:
+    """Conjugate gradients on the positive definite system matvec(x) = rhs, from ``x0``.
+
+    Returns (x, iterations) once |rhs - matvec(x)| <= _CG_RTOL |rhs|, or
+    (None, len(rhs)) if len(rhs) iterations do not get there.
+    """
+    tol2 = (_CG_RTOL * float(np.linalg.norm(rhs))) ** 2
+    x = x0.copy()
+    r = rhs - matvec(x)
+    rr = float(r @ r)
+    p = r.copy()
+    iteration = 0
+    while rr > tol2:
+        if iteration == len(rhs):
+            return None, iteration
+        iteration += 1
+        q = matvec(p)
+        step = rr / float(p @ q)
+        x += step * p
+        r -= step * q
+        rr, rr_old = float(r @ r), rr
+        p *= rr / rr_old
+        p += r
+    return x, iteration
+
+
 def _newton_mode(
     parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -318,6 +354,14 @@ def _newton_mode(
     Starts from ``a0`` if given and its Psi beats that of a = 0 (hence
     f = 0), else from a = 0.  The objective is strictly concave in f, so
     every start reaches the same mode.
+
+    Each step solves B v = W^{1/2} K b.  On the dense route that is
+    Newton-CG (Nocedal & Wright 2006, Section 7.1): conjugate gradients
+    with B applied as v + W^{1/2} K W^{1/2} v through ``k_dot``, started
+    from the previous step's v, so no N x N array is built; if CG does not
+    converge in N iterations, the step is solved through ``_factor_b``.  The
+    low-rank route solves every step through ``_factor_b``.  One DEBUG log
+    line per step gives Psi, the step length and the solver's work.
     """
     codes, alpha, kp = parts.codes, hyper.alpha, hyper.kernel
     k = partial(parts.k_dot, parts.variances(kp))
@@ -333,11 +377,17 @@ def _newton_mode(
             a, f, psi = a_warm, f_warm, psi_warm
     d1, d2 = loglik_derivs_vector(codes, f, alpha)
     last_delta = math.inf
+    v = np.zeros(n)
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         w = -d2
         sw = np.sqrt(w)
         b_vec = w * f + d1
-        step = b_vec - sw * _factor_b(parts, kp, sw).solve(sw * k(b_vec)) - a
+        rhs = sw * k(b_vec)
+        solved, cg_iters = (
+            _cg(lambda u: u + sw * k(sw * u), rhs, v) if parts.pairs is None else (None, 0)
+        )
+        v = _factor_b(parts, kp, sw).solve(rhs) if solved is None else solved
+        step = b_vec - sw * v - a
         k_step = k(step)
 
         # a full step whose Psi falls by no more than rounding noise is
@@ -362,6 +412,14 @@ def _newton_mode(
 
         last_delta = psi_try - psi
         a, f, psi = a_try, f_try, psi_try
+        logger.debug(
+            "Newton step %d: psi %.12g, t %g, %d CG iterations%s",
+            iteration,
+            psi,
+            t,
+            cg_iters,
+            ", factored" if solved is None else "",
+        )
         d1, d2 = loglik_derivs_vector(codes, f, alpha)
         if last_delta < _NEWTON_TOL and _stationary(f, k(d1), _STATIONARITY_TOL):
             return f, a, iteration

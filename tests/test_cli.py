@@ -717,3 +717,23 @@ def test_uniform_loss_is_ln3_everywhere(workspace, capsys):
     table = capsys.readouterr().out
     row = next(line for line in table.strip().split("\n") if line.startswith("random"))
     assert row.split()[-1] == f"{math.log(3.0):.3f}"
+
+
+def test_cold_import_loads_no_solver_package():
+    # Newton's conjugate gradients are written in NumPy: scipy.sparse.linalg
+    # would add ~14 ms to every start of the CLI, and only a search needs
+    # scipy.optimize
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, lineupgp.cli; "
+        "print([m for m in ('scipy.sparse.linalg', 'scipy.optimize') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

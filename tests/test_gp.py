@@ -15,6 +15,7 @@ import base64
 import dataclasses
 import itertools
 import json
+import logging
 import math
 import tracemalloc
 
@@ -696,20 +697,22 @@ class TestQuadrature:
         assert vague.p_l > sharp.p_l
 
 
+def _no_jitter_leagues():
+    """A dense league, the same league with every match twice, and a low-rank league."""
+    rng = np.random.default_rng(285)
+    dense = random_dataset(rng, 30, 70)
+    copies = [dataclasses.replace(rec, match_id=rec.match_id + "b") for rec in dense.records]
+    doubled = Dataset.from_records(dense.records + tuple(copies))
+    low_rank = random_dataset(rng, 60, 30)
+    assert doubled.n <= doubled.num_players + 1 and low_rank.n > low_rank.num_players + 1
+    return dense, doubled, low_rank
+
+
 class TestNoJitter:
     """K carries no jitter: B and C are >= I, so a fit needs none, even on a singular K."""
 
-    def _leagues(self):
-        rng = np.random.default_rng(285)
-        dense = random_dataset(rng, 30, 70)
-        copies = [dataclasses.replace(rec, match_id=rec.match_id + "b") for rec in dense.records]
-        doubled = Dataset.from_records(dense.records + tuple(copies))
-        low_rank = random_dataset(rng, 60, 30)
-        assert doubled.n <= doubled.num_players + 1 and low_rank.n > low_rank.num_players + 1
-        return dense, doubled, low_rank
-
     def test_fits_at_the_search_box_corners(self):
-        dense, doubled, low_rank = self._leagues()
+        dense, doubled, low_rank = _no_jitter_leagues()
         # records sort by date, then id: each copy follows its original
         ids = [r.match_id for r in doubled.records]
         assert [i + "b" for i in ids[::2]] == ids[1::2]
@@ -727,6 +730,65 @@ class TestNoJitter:
                 k_grad = post.parts.k_dot(post.parts.variances(hyper.kernel), post.grad)
                 assert gp._stationary(post.mode, k_grad, gp._STATIONARITY_BOUND)
                 assert np.all(np.diagonal(post.chol) >= 1.0), theta
+
+
+def _counting_cholesky(monkeypatch):
+    """Count the calls to gp._chol_upper from here on; returns the one-element counter."""
+    calls = [0]
+    chol = gp._chol_upper
+
+    def counted(sym):
+        calls[0] += 1
+        return chol(sym)
+
+    monkeypatch.setattr(gp, "_chol_upper", counted)
+    return calls
+
+
+class TestNewtonCG:
+    """Dense-route Newton steps by conjugate gradients; B is factored once, at the mode."""
+
+    def test_dense_fit_factors_once(self, monkeypatch):
+        rng = np.random.default_rng(286)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        calls = _counting_cholesky(monkeypatch)
+        post = fit(random_dataset(rng, 150, 300), hyper)
+        assert not post.low_rank and post.newton_iters >= 2
+        assert calls[0] == 1
+        # the low-rank route still factors C at every step and at the mode
+        calls[0] = 0
+        post = fit(random_dataset(rng, 60, 30), hyper)
+        assert post.low_rank
+        assert calls[0] == post.newton_iters + 1
+
+    def test_agrees_with_the_factored_step(self, monkeypatch, caplog):
+        cup_sized = simulate_dataset(
+            SimConfig(seed=0, num_players=1400, num_teams=100, matches_per_team=26)
+        ).dataset
+        assert 1200 <= cup_sized.n <= cup_sized.num_players + 1
+        cases = [(cup_sized, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45))]
+        dense = _no_jitter_leagues()[0]
+        for theta in itertools.product(*gp._SEARCH_BOUNDS):
+            s2, home, alpha = np.exp(theta)
+            cases.append((dense, Hyperparams.create(sigma2=s2, sigma2_home=home, alpha=alpha)))
+        cg_posts = [fit(ds, hyper) for ds, hyper in cases]
+        # CG that never converges: every step falls back to the factor of B
+        monkeypatch.setattr(gp, "_cg", lambda matvec, rhs, x0: (None, len(rhs)))
+        calls = _counting_cholesky(monkeypatch)
+        for (ds, hyper), post in zip(cases, cg_posts):
+            calls[0] = 0
+            with caplog.at_level(logging.DEBUG, logger=gp.__name__):
+                caplog.clear()
+                exact = fit(ds, hyper)
+            assert calls[0] == exact.newton_iters + 1
+            steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+            assert len(steps) == exact.newton_iters
+            assert all(m.endswith(", factored") for m in steps)
+            k_grad = exact.parts.k_dot(exact.parts.variances(hyper.kernel), exact.grad)
+            assert gp._stationary(exact.mode, k_grad, gp._STATIONARITY_BOUND)
+            scale = max(1.0, float(np.max(np.abs(exact.mode))))
+            assert np.max(np.abs(post.mode - exact.mode)) <= 1e-9 * scale, hyper
+            assert abs(post.evidence - exact.evidence) <= 1e-10 * abs(exact.evidence), hyper
 
 
 class TestEvidence:
