@@ -6,6 +6,17 @@ that maps every player id appearing in any lineup to a dense index
 records are walked in (date, match_id) order and each record's players are
 registered in sorted order, lineup1 before lineup2.  Re-parsing a
 serialized dataset therefore reproduces the exact same indices.
+
+A valid CSV row costs a few C-level operations.  ``MatchRecord`` first runs
+one combined test over all its fields (``_plainly_valid``): the 26 names
+joined once and scanned for separators, forbidden characters and
+whitespace, one set of the 22 players, and exact types for the date, venue
+and outcome.  Only a record that fails it goes through the per-field
+checks (``_check_fields``), which raise the first rule broken, so a bad
+record gets the same message either way.  The parser memoizes each date
+token per call, accepting a token that ``date.fromisoformat`` reads and
+``isoformat`` writes back unchanged (strptime only words the error), and
+maps venue and outcome tokens through dicts.
 """
 
 from __future__ import annotations
@@ -87,6 +98,11 @@ class HomeSide(enum.Enum):
             raise DataError(f"unknown home token {token!r} (expected 1, 2 or 0)") from None
 
 
+# the parser's token tables; a miss goes to from_token, which words the error
+_HOME_BY_TOKEN = {h.token: h for h in HomeSide}
+_OUTCOME_BY_TOKEN = {o.token: o for o in Outcome}
+
+
 def _check_name(name: str, what: str) -> None:
     if not name:
         raise DataError(f"empty {what}")
@@ -116,6 +132,51 @@ class MatchRecord:
     outcome: Outcome
 
     def __post_init__(self) -> None:
+        if not self._plainly_valid():
+            self._check_fields()
+        object.__setattr__(self, "lineup1", tuple(sorted(self.lineup1)))
+        object.__setattr__(self, "lineup2", tuple(sorted(self.lineup2)))
+
+    def _plainly_valid(self) -> bool:
+        """One combined test that passes only when ``_check_fields`` raises nothing.
+
+        The 26 names are joined once with ``;``: exactly 25 separators and
+        no ``,``, LF or CR rule out every forbidden character.  A join that
+        ``str.split()`` leaves whole holds no whitespace at all (split and
+        strip agree on what whitespace is); only one that it splits, as
+        inner spaces in ``"Real Madrid"`` do, has each name compared with
+        its strip.  One set of the 22 players covers duplicates and
+        overlap.  A False only sends the record through ``_check_fields``,
+        which words the error, or accepts a date whose type is a subclass
+        of ``date``.
+        """
+        lineup1, lineup2 = self.lineup1, self.lineup2
+        try:
+            if (
+                type(self.date) is not dt.date
+                or type(self.home) is not HomeSide
+                or type(self.outcome) is not Outcome
+                or len(lineup1) != LINEUP_SIZE
+                or len(lineup2) != LINEUP_SIZE
+                or self.team1 == self.team2
+            ):
+                return False
+            names = (self.match_id, self.competition, self.team1, self.team2, *lineup1, *lineup2)
+            joined = _LINEUP_SEP.join(names)
+        except TypeError:
+            return False
+        return (
+            joined.count(_LINEUP_SEP) == len(names) - 1
+            and "," not in joined
+            and "\n" not in joined
+            and "\r" not in joined
+            and all(names)
+            and (joined.split() == [joined] or all(n == n.strip() for n in names))
+            and len({*lineup1, *lineup2}) == 2 * LINEUP_SIZE
+        )
+
+    def _check_fields(self) -> None:
+        """Each field's rule in turn; raises DataError naming the first that fails."""
         _check_name(self.match_id, "match_id")
         _check_name(self.competition, "competition")
         _check_name(self.team1, "team name")
@@ -142,8 +203,6 @@ class MatchRecord:
             raise DataError(
                 f"match {self.match_id!r}: player(s) {sorted(overlap)} appear in both lineups"
             )
-        object.__setattr__(self, "lineup1", tuple(sorted(self.lineup1)))
-        object.__setattr__(self, "lineup2", tuple(sorted(self.lineup2)))
 
     @property
     def players(self) -> tuple[str, ...]:
@@ -213,6 +272,14 @@ def _validate_registry(registry: Mapping[str, int], records: Sequence[MatchRecor
 
 
 def _parse_date(token: str) -> dt.date:
+    # a date is exactly what isoformat() writes, so that round trip accepts
+    # it; strptime only words the error for what it rejects
+    try:
+        date = dt.date.fromisoformat(token)
+        if date.isoformat() == token:
+            return date
+    except ValueError:
+        pass
     try:
         date = dt.datetime.strptime(token, "%Y-%m-%d").date()
     except ValueError:
@@ -255,6 +322,8 @@ def _parse_stream(fh: IO[str]) -> Dataset:
         raise DataError(
             f"line 1: bad header {header!r}, expected {','.join(CSV_HEADER)}"
         )
+    # per parse: a season shares a few hundred dates between its matches
+    dates: dict[str, dt.date] = {}
     records: list[MatchRecord] = []
     for row in reader:
         line = reader.line_num
@@ -264,16 +333,21 @@ def _parse_stream(fh: IO[str]) -> Dataset:
             raise DataError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         (match_id, date_tok, competition, team1, team2, home_tok, lineup1_tok, lineup2_tok, outcome_tok) = row
         try:
+            date = dates.get(date_tok)
+            if date is None:
+                date = dates[date_tok] = _parse_date(date_tok)
+            home = _HOME_BY_TOKEN.get(home_tok)
+            outcome = _OUTCOME_BY_TOKEN.get(outcome_tok)
             rec = MatchRecord(
                 match_id=match_id,
-                date=_parse_date(date_tok),
+                date=date,
                 competition=competition,
                 team1=team1,
                 team2=team2,
                 lineup1=_parse_lineup(lineup1_tok),
                 lineup2=_parse_lineup(lineup2_tok),
-                home=HomeSide.from_token(home_tok),
-                outcome=Outcome.from_token(outcome_tok),
+                home=HomeSide.from_token(home_tok) if home is None else home,
+                outcome=Outcome.from_token(outcome_tok) if outcome is None else outcome,
             )
         except DataError as exc:
             raise DataError(f"line {line}: {exc}") from None

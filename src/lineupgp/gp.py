@@ -318,14 +318,29 @@ def _psi(codes: np.ndarray, f: np.ndarray, a: np.ndarray, alpha: float) -> float
 _CG_RTOL = 1e-12
 
 
+def _cg_limit(n: int) -> int:
+    """CG iterations worth one factor of the N x N matrix B, at most N.
+
+    An iteration costs two sparse products, about 25 + 0.045 N us on one
+    core, and a factor of B about N^3 / 3 flops plus building B: 2.5 ms at
+    N = 400, 40 ms at 1300, 124 ms at 2000, where the two break even at
+    57, 457 and 1173 iterations, near N^2 / 3300.  Newton's steps on a
+    well-conditioned B, as at sigma2 = 0.09, sigma2_home = 1, alpha = 0.45,
+    take 20-45 iterations at any N from 30 to 2000, so no limit falls
+    below 64.
+    """
+    return min(n, max(64, n * n // 3300))
+
+
 def _cg(
     matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, x0: np.ndarray
 ) -> tuple[np.ndarray | None, int]:
     """Conjugate gradients on the positive definite system matvec(x) = rhs, from ``x0``.
 
     Returns (x, iterations) once |rhs - matvec(x)| <= _CG_RTOL |rhs|, or
-    (None, len(rhs)) if len(rhs) iterations do not get there.
+    (None, limit) if ``_cg_limit(len(rhs))`` iterations do not get there.
     """
+    limit = _cg_limit(len(rhs))
     tol2 = (_CG_RTOL * float(np.linalg.norm(rhs))) ** 2
     x = x0.copy()
     r = rhs - matvec(x)
@@ -333,7 +348,7 @@ def _cg(
     p = r.copy()
     iteration = 0
     while rr > tol2:
-        if iteration == len(rhs):
+        if iteration == limit:
             return None, iteration
         iteration += 1
         q = matvec(p)
@@ -358,10 +373,12 @@ def _newton_mode(
     Each step solves B v = W^{1/2} K b.  On the dense route that is
     Newton-CG (Nocedal & Wright 2006, Section 7.1): conjugate gradients
     with B applied as v + W^{1/2} K W^{1/2} v through ``k_dot``, started
-    from the previous step's v, so no N x N array is built; if CG does not
-    converge in N iterations, the step is solved through ``_factor_b``.  The
-    low-rank route solves every step through ``_factor_b``.  One DEBUG log
-    line per step gives Psi, the step length and the solver's work.
+    from the previous step's v, so no N x N array is built.  Once a step
+    needs more iterations than one factor costs (``_cg_limit``), as on an
+    ill-conditioned B at large sigma2, that step and every later one are
+    solved through ``_factor_b``.  The low-rank route solves every step
+    through ``_factor_b``.  One DEBUG log line per step gives Psi, the step
+    length and the solver's work.
     """
     codes, alpha, kp = parts.codes, hyper.alpha, hyper.kernel
     k = partial(parts.k_dot, parts.variances(kp))
@@ -378,14 +395,14 @@ def _newton_mode(
     d1, d2 = loglik_derivs_vector(codes, f, alpha)
     last_delta = math.inf
     v = np.zeros(n)
+    use_cg = parts.pairs is None
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         w = -d2
         sw = np.sqrt(w)
         b_vec = w * f + d1
         rhs = sw * k(b_vec)
-        solved, cg_iters = (
-            _cg(lambda u: u + sw * k(sw * u), rhs, v) if parts.pairs is None else (None, 0)
-        )
+        solved, cg_iters = _cg(lambda u: u + sw * k(sw * u), rhs, v) if use_cg else (None, 0)
+        use_cg = solved is not None
         v = _factor_b(parts, kp, sw).solve(rhs) if solved is None else solved
         step = b_vec - sw * v - a
         k_step = k(step)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import _strptime
+import csv
+import dataclasses
 import datetime as dt
 import io
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import BASE_DATE, make_record, player_ids, random_dataset
+from lineupgp import data
 from lineupgp.data import (
     CSV_HEADER,
     Dataset,
@@ -270,3 +278,253 @@ class TestSplit:
         # the shared registry may cover players a half never fields
         train_players = {p for r in train.records for p in r.players}
         assert train_players <= set(train.registry)
+
+
+def _unchecked_record(**fields) -> MatchRecord:
+    """A MatchRecord holding ``fields`` as given, with no check run."""
+    rec = object.__new__(MatchRecord)
+    for f in dataclasses.fields(MatchRecord):
+        object.__setattr__(rec, f.name, fields[f.name])
+    return rec
+
+
+def _fields_accept(rec: MatchRecord) -> bool:
+    try:
+        rec._check_fields()
+    except DataError:
+        return False
+    return True
+
+
+def _strptime_date(token: str) -> dt.date:
+    """The date rule, by strptime alone."""
+    try:
+        date = dt.datetime.strptime(token, "%Y-%m-%d").date()
+    except ValueError:
+        raise DataError(f"bad date {token!r} (expected YYYY-MM-DD)") from None
+    if date.isoformat() != token:
+        raise DataError(f"bad date {token!r} (expected zero-padded YYYY-MM-DD)")
+    return date
+
+
+def _per_field_parse(text: str) -> Dataset:
+    """Parse ``text`` row by row with strptime dates, enum lookups and only the per-field checks."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    records = []
+    with mock.patch.object(MatchRecord, "_plainly_valid", lambda self: False):
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise DataError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            match_id, date, competition, team1, team2, home, lineup1, lineup2, outcome = row
+            try:
+                records.append(
+                    MatchRecord(
+                        match_id=match_id,
+                        date=_strptime_date(date),
+                        competition=competition,
+                        team1=team1,
+                        team2=team2,
+                        lineup1=tuple(lineup1.split(";")),
+                        lineup2=tuple(lineup2.split(";")),
+                        home=HomeSide.from_token(home),
+                        outcome=Outcome.from_token(outcome),
+                    )
+                )
+            except DataError as exc:
+                raise DataError(f"line {line}: {exc}") from None
+    return Dataset.from_records(records)
+
+
+_POOL = [f"p{i:02d}" for i in range(26)]
+_VALID_ROW = ["m1", "2022-01-01", "cup", "alpha", "beta", "0"]
+_VALID_ROW += [";".join(_POOL[:11]), ";".join(_POOL[11:22]), "W"]
+# ids that break one rule, and some that break none: inner whitespace, and
+# p00, which may repeat a player already in the lineups
+_ODD_IDS = [
+    "", " p", "p ", "p\xa0", "\u2003p", "p\x1c", "\x1cp", "p\tq", "Real Madrid",
+    "p\xa0q", "a;b", "a,b", "a\nb", "a\rb", "p00", ";", ",",
+]
+_DATES = ["2022-01-01", "2022-03-15", "2021-12-31", "0999-01-01"]
+_ODD_DATES = [
+    "2022-1-01", "20220101", "2022-W01-1", "2022-01-01T00:00", "2022-02-30",
+    " 2022-01-01", "2022-01-01 ", "", "999-01-01",
+]
+_ODD_HOMES = ["3", "H", "", " 1", "01"]
+_ODD_OUTCOMES = ["V", "w", "", "W "]
+
+
+def _mostly(valid: list[str], odd: list[str]):
+    """A valid token seven times in eight, else one that breaks a rule (or nearly)."""
+    return st.integers(1, 8).flatmap(lambda i: st.sampled_from(odd if i == 8 else valid))
+
+
+@st.composite
+def _lineups(draw) -> tuple[list[str], list[str]]:
+    players = draw(st.permutations(_POOL))
+    sides = [players[:11], players[11:22]]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        side = sides[draw(st.integers(0, 1))]
+        kind = draw(st.sampled_from(["odd", "drop", "add", "within", "across"]))
+        if kind == "odd":
+            side[draw(st.integers(0, len(side) - 1))] = draw(st.sampled_from(_ODD_IDS))
+        elif kind == "drop":
+            side.pop()
+        elif kind == "add":
+            side.append(draw(st.sampled_from(players[22:])))
+        elif kind == "within":
+            side[0] = side[-1]
+        else:
+            side[0] = sides[1][0] if side is sides[0] else sides[0][0]
+    return sides[0], sides[1]
+
+
+@st.composite
+def _rows(draw) -> list[str]:
+    lineup1, lineup2 = draw(_lineups())
+    row = [
+        draw(_mostly(["m1", "m2", "m3"], _ODD_IDS)),
+        draw(_mostly(_DATES, _ODD_DATES)),
+        draw(_mostly(["league", "cup"], _ODD_IDS)),
+        draw(_mostly(["alpha", "beta"], _ODD_IDS)),
+        draw(_mostly(["beta", "gamma"], _ODD_IDS)),
+        draw(_mostly(["0", "1", "2"], _ODD_HOMES)),
+        ";".join(lineup1),
+        ";".join(lineup2),
+        draw(_mostly(["W", "D", "L"], _ODD_OUTCOMES)),
+    ]
+    if draw(st.integers(0, 19)) == 0:
+        row = row[:-1] if draw(st.booleans()) else row + ["x"]
+    return row
+
+
+def _write_rows(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    # the default CRLF terminator makes the writer quote fields holding CR
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestCombinedCheck:
+    """The combined test and parse_dataset's fast paths change no verdict or message."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        row=_rows(),
+        date=st.sampled_from([dt.date(2022, 1, 1), dt.datetime(2022, 1, 1), "2022-01-01"]),
+        home=st.sampled_from([*HomeSide, "1", None]),
+        outcome=st.sampled_from([*Outcome, "W", None]),
+    )
+    # twelve players with one twice still make 22 distinct
+    @example(
+        row=_VALID_ROW[:7] + [";".join(_POOL[11:22] + _POOL[11:12]), "W"],
+        date=dt.date(2022, 1, 1),
+        home=HomeSide.NEUTRAL,
+        outcome=Outcome.DRAW,
+    )
+    def test_accepts_exactly_what_the_fields_accept(self, row, date, home, outcome):
+        if len(row) != len(CSV_HEADER):
+            return
+        rec = _unchecked_record(
+            match_id=row[0],
+            date=date,
+            competition=row[2],
+            team1=row[3],
+            team2=row[4],
+            lineup1=tuple(row[6].split(";")),
+            lineup2=tuple(row[7].split(";")),
+            home=home,
+            outcome=outcome,
+        )
+        assert rec._plainly_valid() == _fields_accept(rec)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(_rows(), min_size=1, max_size=3))
+    @example(rows=[_VALID_ROW])
+    def test_parse_matches_the_per_field_path(self, rows):
+        text = _write_rows(rows)
+        try:
+            want = _per_field_parse(text)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                parse_dataset(io.StringIO(text))
+            assert str(got.value) == str(exc)
+        else:
+            got = parse_dataset(io.StringIO(text))
+            assert got.records == want.records
+            assert list(got.registry.items()) == list(want.registry.items())
+
+    def test_each_forbidden_character_in_each_kind_of_id(self):
+        for ch in data._FORBIDDEN_IN_ID:
+            # match id, competition, team name, first player id
+            for col in (0, 2, 3, 6):
+                row = list(_VALID_ROW)
+                row[col] = row[col][:1] + ch + row[col][1:]
+                text = _write_rows([row])
+                with pytest.raises(DataError) as want:
+                    _per_field_parse(text)
+                with pytest.raises(DataError) as got:
+                    parse_dataset(io.StringIO(text))
+                assert str(got.value) == str(want.value)
+
+    def test_non_string_id_fails_the_combined_test(self):
+        rec = _unchecked_record(
+            match_id="m1",
+            date=BASE_DATE,
+            competition="cup",
+            team1="alpha",
+            team2="beta",
+            lineup1=tuple(P[:10]) + (7,),
+            lineup2=tuple(P[11:22]),
+            home=HomeSide.NEUTRAL,
+            outcome=Outcome.DRAW,
+        )
+        assert not rec._plainly_valid()
+
+    def test_split_and_strip_agree_on_whitespace(self):
+        # the combined test takes a join that str.split() leaves whole to
+        # have no name with whitespace around it
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert (ch.strip() == "") == (ch.split() == []), hex(code)
+
+
+class TestParseFastPath:
+    """A valid file never reaches strptime or the per-name check."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"strptime": 0, "check_name": 0}
+        strptime, check_name = _strptime._strptime_datetime, data._check_name
+
+        def counted_strptime(*args):
+            calls["strptime"] += 1
+            return strptime(*args)
+
+        def counted_check_name(*args):
+            calls["check_name"] += 1
+            return check_name(*args)
+
+        # datetime.strptime looks up _strptime._strptime_datetime on every call
+        monkeypatch.setattr(_strptime, "_strptime_datetime", counted_strptime)
+        monkeypatch.setattr(data, "_check_name", counted_check_name)
+        return calls
+
+    def test_valid_file_takes_no_slow_path(self, monkeypatch):
+        text = serialize_dataset(random_dataset(np.random.default_rng(31), 200, 60))
+        calls = self._counted(monkeypatch)
+        assert parse_dataset(io.StringIO(text)).n == 200
+        assert calls == {"strptime": 0, "check_name": 0}
+
+    def test_the_counters_see_the_slow_path(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        with pytest.raises(DataError, match="zero-padded"):
+            parse_dataset(io.StringIO(_csv(_row(date="2022-1-01"))))
+        with pytest.raises(DataError, match="whitespace"):
+            parse_dataset(io.StringIO(_csv(_row(match_id="m1 "))))
+        assert calls["strptime"] == 1 and calls["check_name"] == 1

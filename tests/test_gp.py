@@ -790,6 +790,25 @@ class TestNewtonCG:
             assert np.max(np.abs(post.mode - exact.mode)) <= 1e-9 * scale, hyper
             assert abs(post.evidence - exact.evidence) <= 1e-10 * abs(exact.evidence), hyper
 
+    def test_past_its_limit_the_fit_factors(self, monkeypatch, caplog):
+        # at the search box's large-sigma2 corner B is ill-conditioned: the
+        # step whose CG runs past _cg_limit goes through the factor of B, and
+        # so does every later step
+        ds = random_dataset(np.random.default_rng(287), 150, 300)
+        hyper = Hyperparams.create(sigma2=np.exp(3.0), sigma2_home=np.exp(3.0), alpha=np.exp(2.0))
+        calls = _counting_cholesky(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger=gp.__name__):
+            post = fit(ds, hyper)
+        steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+        assert not post.low_rank and len(steps) == post.newton_iters
+        first = next(i for i, m in enumerate(steps) if m.endswith(", factored"))
+        assert first >= 1
+        assert steps[first].endswith(f", {gp._cg_limit(ds.n)} CG iterations, factored")
+        assert all(m.endswith(", 0 CG iterations, factored") for m in steps[first + 1 :])
+        assert calls[0] == len(steps) - first + 1
+        k_grad = post.parts.k_dot(post.parts.variances(hyper.kernel), post.grad)
+        assert gp._stationary(post.mode, k_grad, gp._STATIONARITY_BOUND)
+
 
 class TestEvidence:
     def test_single_draw_closed_form(self):
