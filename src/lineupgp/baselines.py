@@ -17,7 +17,6 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import expit
 
 from .data import Dataset, HomeSide, MatchRecord, Outcome
 from .errors import DataError, NumericalError
@@ -29,6 +28,7 @@ from .likelihood import (
     loglik_derivs_vector,
     loglik_vector,
     outcome_probs,
+    sigmoid,
 )
 
 __all__ = [
@@ -76,27 +76,39 @@ def elo_expected(
     home: HomeSide = HomeSide.NEUTRAL,
     home_advantage: float = 0.0,
 ) -> float:
-    """Expected score for side 1: 1 / (1 + 10^(-delta/400)), as expit(delta ln10 / 400).
+    """Expected score for side 1: 1 / (1 + 10^(-delta/400)), as sigmoid(delta ln10 / 400).
 
     The logistic form cannot overflow, however large the rating gap.
     """
     delta = r1 - r2 + home_advantage * home.sign
-    return float(expit(rating_delta_to_latent(delta)))
+    return sigmoid(rating_delta_to_latent(delta))
 
 
-def _score(outcome: Outcome) -> float:
-    return {1: 1.0, 0: 0.5, -1: 0.0}[outcome.code]
+# side 1's score by outcome code
+_SCORE_BY_CODE = {1: 1.0, 0: 0.5, -1: 0.0}
+
+
+def _elo_step(
+    ratings: dict[str, float],
+    rec: MatchRecord,
+    k_factor: float,
+    home_advantage: float,
+    initial_rating: float,
+) -> float:
+    """Update ``ratings`` in place for one match; return its pre-match latent."""
+    r1 = ratings.get(rec.team1, initial_rating)
+    r2 = ratings.get(rec.team2, initial_rating)
+    latent = rating_delta_to_latent(r1 - r2 + home_advantage * rec.home.sign)
+    shift = k_factor * (_SCORE_BY_CODE[rec.outcome.code] - sigmoid(latent))
+    ratings[rec.team1] = r1 + shift
+    ratings[rec.team2] = r2 - shift
+    return latent
 
 
 def elo_update(state: EloState, rec: MatchRecord) -> EloState:
     """One functional rating update; total rating mass is conserved."""
-    r1 = state.rating(rec.team1)
-    r2 = state.rating(rec.team2)
-    expected = elo_expected(r1, r2, rec.home, state.home_advantage)
-    shift = state.k_factor * (_score(rec.outcome) - expected)
     ratings = dict(state.ratings)
-    ratings[rec.team1] = r1 + shift
-    ratings[rec.team2] = r2 - shift
+    _elo_step(ratings, rec, state.k_factor, state.home_advantage, state.initial_rating)
     return EloState(
         ratings=ratings,
         k_factor=state.k_factor,
@@ -192,29 +204,22 @@ class EloModel:
             raise ValueError(f"Elo k_factor must be >= 0, got {self.k_factor!r}")
 
     def fit(self, train: Dataset) -> "EloModel":
-        state = EloState(
-            ratings={},
-            k_factor=self.k_factor,
-            home_advantage=self.home_advantage,
-            initial_rating=self.initial_rating,
-        )
+        # one dict updated in place, where elo_update copies it per match
+        ratings: dict[str, float] = {}
+        k, home_advantage, initial = self.k_factor, self.home_advantage, self.initial_rating
         latents = np.empty(train.n)
         codes = np.empty(train.n, dtype=np.int64)
         for i, rec in enumerate(train.records):
-            delta = (
-                state.rating(rec.team1)
-                - state.rating(rec.team2)
-                + self.home_advantage * rec.home.sign
-            )
-            latents[i] = rating_delta_to_latent(delta)
+            latents[i] = _elo_step(ratings, rec, k, home_advantage, initial)
             codes[i] = rec.outcome.code
-            state = elo_update(state, rec)
-        if not all(math.isfinite(r) for r in state.ratings.values()):
+        if not all(math.isfinite(r) for r in ratings.values()):
             raise NumericalError(
                 f"Elo ratings overflowed (k_factor {self.k_factor!r}, "
                 f"initial_rating {self.initial_rating!r})"
             )
-        self.state = state
+        self.state = EloState(
+            ratings=ratings, k_factor=k, home_advantage=home_advantage, initial_rating=initial
+        )
         self.draw = fit_elo_alpha(latents, codes)
         return self
 

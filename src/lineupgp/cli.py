@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Diagnostics go to stderr; requested data goes to stdout or ``--out`` files.
 A JSON ``--config`` file may mirror any flag by its underscored name
 (e.g. ``{"sigma2_home": 0.5}``); explicit flags win over the config.
+
+Every command starts a fresh interpreter, and importing NumPy and SciPy
+costs more than many commands do.  So this module imports only the error
+types and the CSV layer at load, and each command imports the modules it
+runs: ``--help`` and ``--version`` load neither, ``simulate`` loads only
+NumPy, and SciPy loads with the first command that fits, scores or draws a
+heat map.
 """
 
 from __future__ import annotations
@@ -14,21 +21,15 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
-from .baselines import EloModel, OddsModel, UniformModel, load_odds_csv
 from .data import MatchRecord, parse_dataset, serialize_dataset
 from .errors import DataError, NumericalError, UsageError
-from .evaluation import (
-    evaluate,
-    format_summary_table,
-    write_per_match_csv,
-    write_summary_csv,
-)
-from .gp import Hyperparams, load_model, log_marginal, save_model, train_model
-from .kernel import KernelParams, export_heatmap
-from .simulate import SimConfig, simulate_dataset
+
+if TYPE_CHECKING:
+    from .baselines import EloModel
+    from .gp import Hyperparams
 
 logger = logging.getLogger("lineupgp")
 
@@ -218,6 +219,8 @@ def _apply_config(parser: _Parser, config: dict) -> None:
 
 
 def _hyper_from_args(args: argparse.Namespace) -> Hyperparams:
+    from .gp import Hyperparams
+
     try:
         return Hyperparams.create(
             sigma2=args.sigma2,
@@ -229,6 +232,8 @@ def _hyper_from_args(args: argparse.Namespace) -> Hyperparams:
 
 
 def _elo_from_args(args: argparse.Namespace) -> EloModel:
+    from .baselines import EloModel
+
     try:
         return EloModel(
             k_factor=args.elo_k,
@@ -256,6 +261,8 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .gp import log_marginal, save_model, train_model
+
     hyper = _hyper_from_args(args)
     budget = _budget_from_args(args)
     ds = parse_dataset(args.train)
@@ -288,6 +295,8 @@ def _log_unseen(registry: Mapping[str, int], records: Sequence[MatchRecord]) -> 
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from .gp import load_model
+
     model = load_model(args.model)
     ds = parse_dataset(args.test)
     lines = ["match_id,p_w,p_d,p_l"]
@@ -314,6 +323,15 @@ def _parse_model_names(raw: str) -> list[str]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .baselines import OddsModel, UniformModel, load_odds_csv
+    from .evaluation import (
+        evaluate,
+        format_summary_table,
+        write_per_match_csv,
+        write_summary_csv,
+    )
+    from .gp import train_model
+
     names = _parse_model_names(args.models)
     if "odds" in names and not args.odds:
         raise UsageError("the odds model needs --odds FILE")
@@ -350,6 +368,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import SimConfig, simulate_dataset
+
     try:
         cfg = SimConfig(
             seed=args.seed,
@@ -382,6 +402,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
+    from .kernel import KernelParams, export_heatmap
+
     try:
         params = KernelParams(sigma2=args.sigma2, sigma2_home=args.sigma2_home)
     except ValueError as exc:

@@ -298,22 +298,45 @@ def parse_dataset(source: str | Path | IO[str] | IO[bytes]) -> Dataset:
 
     ``source`` may be a path or an open text/byte stream.  Raises
     :class:`DataError` naming the offending line for malformed rows,
-    duplicate match ids, wrong lineup sizes, duplicated players, and
-    unknown outcome/home tokens.
+    duplicate match ids, wrong lineup sizes, duplicated players, unknown
+    outcome/home tokens, bytes that are not UTF-8 and fields longer than
+    ``csv.field_size_limit()``.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse_stream(fh)
-    if isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
+        text: str | bytes = Path(source).read_bytes()
+    elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
         return _parse_stream(source)  # type: ignore[arg-type]
-    text = source.read()
+    else:
+        text = source.read()
+    # bytes are decoded whole before parsing, so a byte that is not UTF-8 is
+    # reported on its own line whatever its offset and whatever rows precede it
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return _parse_stream(io.StringIO(text))
+        text = _decode(text)
+    return _parse_stream(io.StringIO(text, newline=""))
+
+
+def _decode(raw: bytes) -> str:
+    """UTF-8 text, or a DataError naming the line of the first byte that is not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")
+        # lines end at LF, CR or CR LF, as the csv reader counts them
+        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise DataError(
+            f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 def _parse_stream(fh: IO[str]) -> Dataset:
     reader = csv.reader(fh)
+    try:
+        return _parse_rows(reader)
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
+def _parse_rows(reader: csv._reader) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:

@@ -13,6 +13,14 @@ logistic pairwise model, and the draw probability at ``f = 0`` is
 is stable for |f| far beyond any realistic strength difference, and the
 expressions are arranged so negating ``f`` exchanges the win/loss roles
 bit-for-bit.
+
+A single latent goes through :func:`sigmoid`, which is ``math`` arithmetic
+equal bit for bit to ``scipy.special.expit`` on a double, so ``simulate``,
+Elo and every one-match probability need no SciPy.  The vector functions
+keep ``scipy.special``: NumPy's own ``1 / (1 + np.exp(-x))`` differs from
+it in the last bit on some inputs, as its SIMD ``exp`` does from libm's.
+They import it when first called, so importing this module loads only
+NumPy.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from .data import Outcome
 
@@ -102,14 +109,34 @@ def _log_expm1(x: float) -> float:
     return x + math.log1p(-math.exp(-x))
 
 
+def sigmoid(x: float) -> float:
+    """1 / (1 + exp(-x)), bit for bit ``scipy.special.expit`` on one double.
+
+    Both evaluate the same expression with the C library's ``exp``; where
+    that overflows, SciPy's ``1 / (1 + inf)`` is 0.0, and so is this.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def outcome_probs(f: float, d: DrawParam) -> PredictiveDistribution:
-    """Exact outcome distribution at a known latent difference ``f``."""
-    p_w, p_d, p_l = (float(p) for p in _probs_arrays(f, d.alpha))
+    """Exact outcome distribution at a known latent difference ``f``.
+
+    The scalar twin of :func:`_probs_arrays`, with the same grouping.
+    """
+    alpha = d.alpha
+    p_w = sigmoid(f - alpha)
+    p_l = sigmoid(-f - alpha)
+    p_d = math.expm1(2.0 * alpha) * (p_w * p_l)
     return PredictiveDistribution(p_w=p_w, p_d=min(p_d, 1.0), p_l=p_l)
 
 
 def _probs_arrays(f: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (p_w, p_d, p_l) without constructing distribution objects."""
+    from scipy.special import expit
+
     p_w = expit(f - alpha)
     p_l = expit(-f - alpha)
     # grouping (p_w * p_l) first keeps f -> -f an exact win/loss exchange
@@ -119,6 +146,8 @@ def _probs_arrays(f: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, 
 
 def loglik_vector(codes: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
     """Per-match log-likelihood for outcome codes (+1 win, 0 draw, -1 loss)."""
+    from scipy.special import log_expit
+
     lw = log_expit(f - alpha)
     ll = log_expit(-f - alpha)
     draw = _log_expm1(2.0 * alpha) + (lw + ll)
@@ -133,6 +162,8 @@ def loglik_derivs_vector(
 
     The second derivative is <= 0 everywhere (log-concave likelihood).
     """
+    from scipy.special import expit
+
     p_w = expit(f - alpha)
     p_l = expit(-f - alpha)
     q_w = expit(alpha - f)  # 1 - p_w
@@ -160,6 +191,8 @@ def loglik_alpha_derivs(
     * draw: 2 / (1 - exp(-2 alpha)) - q_w - q_l, p_w q_w - p_l q_l,
       -u_w - u_l, u_w - u_l.
     """
+    from scipy.special import expit
+
     p_w = expit(f - alpha)
     p_l = expit(-f - alpha)
     q_w = expit(alpha - f)

@@ -160,6 +160,23 @@ class TestEloModel:
         p = model.predict(ds.records[0])
         assert abs(p.as_array().sum() - 1.0) <= 1e-9
 
+    def test_fit_folds_the_ratings_of_elo_update(self):
+        # the fit folds one dict in place; the public update it mirrors is the oracle
+        ds = random_dataset(np.random.default_rng(305), 400, 60)
+        constants = {"k_factor": 24.0, "home_advantage": 70.0, "initial_rating": 1400.0}
+        model = EloModel(**constants).fit(ds)
+        state = EloState(**constants)
+        latents, codes = [], []
+        for rec in ds.records:
+            delta = state.rating(rec.team1) - state.rating(rec.team2) + 70.0 * rec.home.sign
+            latents.append(rating_delta_to_latent(delta))
+            codes.append(rec.outcome.code)
+            state = elo_update(state, rec)
+        assert {h.sign for h in (r.home for r in ds.records)} == {-1, 0, 1}
+        assert list(model.state.ratings.items()) == list(state.ratings.items())
+        assert model.state == state
+        assert model.draw == fit_elo_alpha(np.array(latents), np.array(codes))
+
     def test_rejects_bad_constants(self):
         for bad in (
             {"k_factor": math.nan},

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import hashlib
+import importlib
 import json
 import logging
 import math
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import version_1_payload, version_2_payload, version_3_payload
+import lineupgp
 from lineupgp import __version__, cli
 from lineupgp.data import Dataset, parse_dataset, serialize_dataset
 from lineupgp.errors import DataError, NumericalError
@@ -102,6 +105,13 @@ class TestSimulate:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("match_id,")
+
+    def test_default_league_bytes_are_pinned(self, capsys):
+        # the digest of the league drawn through scipy.special.expit: the
+        # scalar sigmoid must draw exactly the same outcomes
+        assert cli.run(["simulate", "--seed", "0"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "5222e84bc6abc2932539cb7468cb61a9aea2370b547ca31ffb09605b2fe2b759"
 
     def test_infeasible_config_is_usage_error(self, capsys):
         rc = cli.run(["simulate", "--players", "100", "--teams", "10"])
@@ -569,6 +579,27 @@ class TestExitCodes:
             assert cli.run(argv) == 2, argv
             assert "data error" in capsys.readouterr().err
 
+    def test_undecodable_or_overlong_input_exits_2(self, workspace, tmp_path, capsys):
+        lines = workspace["train"].read_bytes().split(b"\n")
+        not_utf8, overlong = list(lines), list(lines)
+        not_utf8[2] = not_utf8[2].replace(b",league,", b",lea\xffgue,")
+        fields = overlong[2].split(b",")
+        fields[2] = b'"' + b"x" * 200_000 + b'"'
+        overlong[2] = b",".join(fields)
+        for edited, message in (
+            (not_utf8, "data error: line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+            (overlong, "data error: line 3: field larger than field limit"),
+        ):
+            bad = tmp_path / "bad.csv"
+            bad.write_bytes(b"\n".join(edited))
+            for argv in (
+                ["train", "--train", str(bad), "--model-out", str(tmp_path / "m.json")],
+                ["predict", "--model", str(workspace["model"]), "--test", str(bad)],
+            ):
+                assert cli.run(argv) == 2, argv
+                err = capsys.readouterr().err.strip().split("\n")
+                assert len(err) == 1 and err[0].startswith(message), err
+
     def test_corrupt_model_exits_2(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["model"].read_text())
         no_mode = {k: v for k, v in payload.items() if k != "mode"}
@@ -737,3 +768,64 @@ def test_cold_import_loads_no_solver_package():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "pass",
+        "cli.run(['--version'])",
+        "cli.run(['simulate', '--seed', '0', '--teams', '4', '--out', os.devnull])",
+    ],
+)
+def test_cold_start_loads_no_scipy(command):
+    # a fresh interpreter pays for every module it imports: only the
+    # commands that fit, score or draw a heat map need SciPy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        f"import os, sys; from lineupgp import cli; {command}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert out.stdout.strip().split("\n")[-1] == "[]"
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    # the package resolves names on first access; each must be the object
+    # its defining module holds
+    names = [name for name in lineupgp.__all__ if name != "__version__"]
+    assert len(names) == len(set(names)) == 51
+    for name in names:
+        obj = getattr(lineupgp, name)
+        assert obj.__module__.startswith("lineupgp."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    namespace: dict = {}
+    exec("from lineupgp import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(lineupgp.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        lineupgp.nope  # noqa: B018
+    # in a fresh interpreter, each submodule is an attribute of the package
+    # before anything imports it by name
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    modules = sorted(lineupgp._MODULES)
+    probe = (
+        "import lineupgp, sys; "
+        f"print([getattr(lineupgp, m).__name__ for m in {modules!r}], "
+        "lineupgp.gp.fit is sys.modules['lineupgp.gp'].fit)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert out.stdout.strip() == f"{[f'lineupgp.{m}' for m in modules]} True"

@@ -248,6 +248,51 @@ class TestParseErrors:
         with pytest.raises(OSError):
             parse_dataset(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bad_line", [3, 250])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, newline, bad_line):
+        # 299 rows of ~170 bytes: line 250 lies past the decoder's first
+        # read-ahead block, line 3 inside it
+        rows = [_row(match_id=f"m{i:03d}") for i in range(299)]
+        lines = [HEADER_LINE.encode(), *(row.encode() for row in rows)]
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b",cup,", b",c\xffp,")
+        raw = newline.encode().join(lines) + newline.encode()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        message = f"^line {bad_line}: byte 0xff is not UTF-8 \\(invalid start byte\\)$"
+        for source in (path, io.BytesIO(raw)):
+            with pytest.raises(DataError, match=message):
+                parse_dataset(source)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r"])
+    def test_bad_byte_beats_an_earlier_bad_row(self, tmp_path, newline):
+        # bytes are decoded whole before any row is read, so the byte on
+        # line 250, past the first 8 KB, is reported rather than the short
+        # lineup on line 2, on both routes
+        rows = [_row(match_id=f"m{i:03d}") for i in range(299)]
+        rows[0] = _row(match_id="m000", lineup1=P[:10])
+        lines = [HEADER_LINE.encode(), *(row.encode() for row in rows)]
+        lines[249] = lines[249].replace(b",cup,", b",c\xffp,")
+        raw = newline.encode().join(lines) + newline.encode()
+        assert raw.index(b"\xff") > 8192
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        for source in (path, io.BytesIO(raw)):
+            with pytest.raises(DataError, match="^line 250: byte 0xff is not UTF-8"):
+                parse_dataset(source)
+        good = newline.join([HEADER_LINE, _row(), ""]).encode("utf-8")
+        path.write_bytes(good)
+        assert parse_dataset(io.BytesIO(good)) == parse_dataset(path)
+
+    def test_overlong_field_names_its_line(self, tmp_path):
+        text = _csv(_row(), _row(match_id="m2", competition='"' + "x" * 200_000 + '"'))
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8")
+        message = f"^line 3: field larger than field limit \\({csv.field_size_limit()}\\)$"
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(DataError, match=message):
+                parse_dataset(source)
+
 
 class TestSplit:
     def test_matches_brute_filter(self):

@@ -13,18 +13,21 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from lineupgp.data import Outcome
 from lineupgp.likelihood import (
     DrawParam,
     PredictiveDistribution,
     _log_expm1,
+    _probs_arrays,
     log_likelihood,
     log_likelihood_derivs,
     loglik_alpha_derivs,
     loglik_derivs_vector,
     loglik_vector,
     outcome_probs,
+    sigmoid,
 )
 
 OUTCOMES = (Outcome.TEAM1_WIN, Outcome.DRAW, Outcome.TEAM2_WIN)
@@ -152,6 +155,36 @@ class TestOutcomeProbs:
         d = DrawParam.from_alpha(0.45)
         grid = [outcome_probs(f, d).p_w for f in np.linspace(-6, 6, 41)]
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+class TestScalarPath:
+    def test_sigmoid_is_scipy_expit_bit_for_bit(self):
+        rng = np.random.default_rng(106)
+        n = 500_000
+        magnitudes = 10.0 ** rng.uniform(-320.0, 3.0, n)
+        edges = [0.0, 1e-300, 709.78, 745.0, 800.0, math.inf]
+        x = np.concatenate(
+            [
+                rng.uniform(-700.0, 700.0, n),
+                np.where(rng.random(n) < 0.5, -magnitudes, magnitudes),
+                edges,
+                [-v for v in edges],
+            ]
+        )
+        got = np.array([sigmoid(v) for v in x.tolist()])
+        want = expit(x)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert math.isnan(sigmoid(math.nan)) and math.isnan(float(expit(math.nan)))
+
+    def test_outcome_probs_is_probs_arrays_bit_for_bit(self):
+        f = np.concatenate([np.linspace(-40.0, 40.0, 1601), [-1e300, -1e-300, 0.0, 1e-300, 1e300]])
+        for alpha in (1e-12, 0.02, 0.45, math.log(2.0), 3.0, 40.0, 354.0):
+            d = DrawParam.from_alpha(alpha)
+            arrays = _probs_arrays(f, d.alpha)
+            got = [outcome_probs(v, d) for v in f.tolist()]
+            assert [p.p_w for p in got] == arrays[0].tolist()
+            assert [p.p_d for p in got] == np.minimum(arrays[1], 1.0).tolist()
+            assert [p.p_l for p in got] == arrays[2].tolist()
 
 
 class TestLogLikelihood:
