@@ -299,13 +299,13 @@ def parse_dataset(source: str | Path | IO[str] | IO[bytes]) -> Dataset:
     ``source`` may be a path or an open text/byte stream.  Raises
     :class:`DataError` naming the offending line for malformed rows,
     duplicate match ids, wrong lineup sizes, duplicated players, unknown
-    outcome/home tokens, bytes that are not UTF-8 and fields longer than
-    ``csv.field_size_limit()``.
+    outcome/home tokens, bytes that are not UTF-8 (or that a text stream's
+    decoder rejects) and fields longer than ``csv.field_size_limit()``.
     """
     if isinstance(source, (str, Path)):
         text: str | bytes = Path(source).read_bytes()
     elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
-        return _parse_stream(source)  # type: ignore[arg-type]
+        return _parse_stream(_text_lines(source))  # type: ignore[arg-type]
     else:
         text = source.read()
     # bytes are decoded whole before parsing, so a byte that is not UTF-8 is
@@ -320,16 +320,36 @@ def _decode(raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[: exc.start].decode("utf-8")
-        # lines end at LF, CR or CR LF, as the csv reader counts them
-        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-        raise DataError(
-            f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        ) from None
+        raise _undecodable(exc) from None
 
 
-def _parse_stream(fh: IO[str]) -> Dataset:
-    reader = csv.reader(fh)
+def _text_lines(fh: IO[str]) -> io.StringIO:
+    """A text stream's rest, read whole, split into lines as iterating the stream splits them.
+
+    A stream in universal newline mode ends lines at LF, CR and CR LF, any
+    other at LF.  A byte that the stream's decoder rejects is a DataError
+    naming its line, counted from the stream's start if nothing read it
+    before.
+    """
+    try:
+        # the decoder gets the stream's remaining bytes in one piece
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc) from None
+    return io.StringIO(text, newline="" if getattr(fh, "newlines", None) else "\n")
+
+
+def _undecodable(exc: UnicodeDecodeError) -> DataError:
+    """A DataError naming the line of the byte that ``exc`` could not decode."""
+    head = exc.object[: exc.start].decode(exc.encoding, "replace")
+    # lines end at LF, CR or CR LF, as the csv reader counts them
+    line = 1 + head.replace("\r\n", "\n").replace("\r", "\n").count("\n")
+    byte = exc.object[exc.start]
+    return DataError(f"line {line}: byte 0x{byte:02x} is not {exc.encoding.upper()} ({exc.reason})")
+
+
+def _parse_stream(lines: Iterable[str]) -> Dataset:
+    reader = csv.reader(lines)
     try:
         return _parse_rows(reader)
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()

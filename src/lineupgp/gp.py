@@ -55,10 +55,14 @@ with the implicit term through the mode).  Its route-specific parts come
 from the inverse of whichever factor the posterior holds, C^{-1} or B^{-1},
 scaled in place, so on the low-rank route a gradient builds no N x N array.
 
-A model file stores the training set, hyperparameters, mode and dual
-coefficients; loading rebuilds the record from them through the
+A model file (version 5) stores the training set, hyperparameters, mode and
+dual coefficients; loading rebuilds the record from them through the
 function a fit ends with, so under the same BLAS threads it is the fitted
-posterior bit for bit.
+posterior bit for bit.  The lineups are most of a file, so each registry
+index is written in the narrowest little-endian unsigned type that holds
+P-1 (one byte up to 256 players, two up to 65,536, else four), and the home
+signs as the CSV's home tokens; the mode and dual coefficients stay 8-byte
+floats.  The same fit always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .data import Dataset, MatchRecord, Outcome
+from .data import Dataset, HomeSide, MatchRecord, Outcome
 from .errors import DataError, NumericalError
 from .kernel import (
     PLAYERS_PER_SIDE,
@@ -118,7 +122,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "lineupgp/model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -657,20 +661,17 @@ def predict_outcomes(post: LaplacePosterior, test: MatchVector) -> PredictiveDis
     return quadrature_outcome_probs(mu, var, post.hyper.draw)
 
 
-def _inverse_from_upper(upper: np.ndarray) -> np.ndarray:
-    """A^{-1} in C order from the upper Cholesky factor of A, by LAPACK dpotri.
+def _inverse_lower(upper: np.ndarray) -> np.ndarray:
+    """A^{-1} in C order, held in its lower triangle, from the upper Cholesky factor of A.
 
-    dpotri's output is the only array built: it is symmetrized in place.
+    LAPACK dpotri fills the upper triangle of its Fortran-order output, which
+    is the lower triangle of the C-order transpose; the strict upper triangle
+    holds zeros.  dpotri's output is the only array built.
     """
     inv, info = sla.lapack.dpotri(upper, lower=0)
     if info != 0:
         raise NumericalError(f"dpotri failed (info {info}) inverting a Cholesky factor")
-    # dpotri fills the upper triangle of its Fortran-order output, which is
-    # the lower triangle of the C-order transpose; mirror it row by row
-    inv = inv.T
-    for i in range(len(inv) - 1):
-        inv[i, i + 1 :] = inv[i + 1 :, i]
-    return inv
+    return inv.T
 
 
 def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]:
@@ -681,7 +682,7 @@ def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]
     K_h = sigma2_home h h' are the two scaled parts of the Gram.
     """
     parts, kp = post.parts, post.hyper.kernel
-    inv = _inverse_from_upper(post.factor.upper)
+    inv = _inverse_lower(post.factor.upper)
     if post.low_rank:
         # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}: Sigma_f = X T X',
         #   X' R X = S^{-1/2} (I - C^{-1}) S^{-1/2}, so for dS = S on one block
@@ -693,11 +694,12 @@ def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]
         rs = np.sqrt(parts.variances(kp))
         inv *= rs[:, None]
         inv *= rs
-        for i in range(1, len(inv)):
-            inv[i, :i] *= 2.0
+        np.multiply(inv, 2.0, out=inv, where=np.tri(len(inv), k=-1, dtype=bool))
         return parts.pairs.T @ inv.ravel(), float(np.sum(explained[:-1])), float(explained[-1])
-    # R in place
+    # R in place, mirrored row by row into its upper triangle
     r = inv
+    for i in range(len(r) - 1):
+        r[i, i + 1 :] = r[i + 1 :, i]
     r *= post.sqrt_w[:, None]
     r *= post.sqrt_w
     k = gram(parts.overlap, parts.homes, parts.homes, kp)
@@ -765,15 +767,24 @@ def optimize_hyperparams(
     One INFO log line reports the evaluations used, why the search stopped,
     and the evidence at the init and at the point found.
     """
-    # only the search needs scipy.optimize, and predict never searches
-    import scipy.optimize
+    return _search(_search_parts(train, budget), init, budget)
 
+
+def _search_parts(train: Dataset, budget: int) -> _TrainParts:
+    """The training set's parts, once the search's budget and training set are checked."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     if train.n < 1:
         raise DataError("cannot optimize on an empty training set")
-    parts = _dataset_parts(train)
+    return _dataset_parts(train)
 
+
+def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
+    """optimize_hyperparams on a training set already made parts."""
+    # only the search needs scipy.optimize, and predict never searches
+    import scipy.optimize
+
+    n = len(parts.codes)
     theta0 = np.array(
         [
             math.log(init.kernel.sigma2),
@@ -816,7 +827,7 @@ def optimize_hyperparams(
         # per match: L-BFGS-B's first trial step is the whole gradient, and
         # the gradient of the whole evidence grows with N; at N = 600 that
         # step reaches the box's corners, where Newton can fail
-        return -post.evidence / train.n, -_evidence_gradient(post) / train.n
+        return -post.evidence / n, -_evidence_gradient(post) / n
 
     x0 = np.clip(theta0, *np.array(_SEARCH_BOUNDS).T)
     try:
@@ -894,10 +905,16 @@ def train_model(
     optimize: bool = False,
     budget: int = 200,
 ) -> GPModel:
-    """Fit (optionally after an evidence search) and wrap with the registry."""
+    """Fit (optionally after an evidence search) and wrap with the registry.
+
+    The search and the fit share one set of training parts, which do not
+    depend on the hyperparameters; the fit starts cold, as :func:`fit` does.
+    """
     if optimize:
-        hyper = optimize_hyperparams(train, hyper, budget=budget)
-    post = fit(train, hyper)
+        parts = _search_parts(train, budget)
+        post = _laplace(parts, _search(parts, hyper, budget))
+    else:
+        post = fit(train, hyper)
     return GPModel(posterior=post, registry=dict(train.registry))
 
 
@@ -908,6 +925,11 @@ def _encode_array(arr: np.ndarray, dtype: str) -> dict:
         "shape": list(cast.shape),
         "data": base64.b64encode(cast.tobytes()).decode("ascii"),
     }
+
+
+def _index_dtype(p: int) -> str:
+    """The narrowest little-endian unsigned type that holds every index below ``p``."""
+    return next((d for d in ("<u1", "<u2") if p <= np.iinfo(d).max + 1), "<u4")
 
 
 def _field(obj: dict, key: str, kind: type | tuple[type, ...]):
@@ -928,7 +950,7 @@ def _finite(obj: dict, key: str) -> float:
 
 
 def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``payload[key]`` decoded and checked against ``dtype``, ``shape`` and finiteness."""
+    """``payload[key]`` checked against ``dtype``, ``shape`` and finiteness, as float64 or int64."""
     obj = _field(payload, key, dict)
     if obj.get("dtype") != dtype or obj.get("shape") != list(shape):
         raise DataError(
@@ -942,14 +964,18 @@ def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -
     need = np.dtype(dtype).itemsize * math.prod(shape)
     if len(raw) != need:
         raise DataError(f"model array {key!r} holds {len(raw)} bytes, its shape needs {need}")
-    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if arr.dtype.kind != "f":
+        return arr.astype(np.int64)
+    if not np.all(np.isfinite(arr)):
         raise DataError(f"model array {key!r} has non-finite values")
-    return arr
+    return arr.astype(np.float64)
 
 
 _TOKENS = {o.code: o.token for o in Outcome}
 _CODES = {o.token: o.code for o in Outcome}
+_HOME_TOKENS = {h.sign: h.token for h in HomeSide}
+_SIGNS = {h.token: h.sign for h in HomeSide}
 
 
 def save_model(model: GPModel, path: str | Path) -> None:
@@ -958,6 +984,7 @@ def save_model(model: GPModel, path: str | Path) -> None:
     ids = sorted(model.registry, key=model.registry.__getitem__)
     parts = post.parts
     z = parts.z
+    index = _index_dtype(len(ids))
     payload = {
         "magic": MODEL_MAGIC,
         "version": MODEL_VERSION,
@@ -972,10 +999,10 @@ def save_model(model: GPModel, path: str | Path) -> None:
         "newton_iters": post.newton_iters,
         "registry": ids,
         "outcomes": "".join(_TOKENS[c] for c in parts.codes.tolist()),
-        "homes": parts.homes.tolist(),
+        "homes": "".join(_HOME_TOKENS[h] for h in parts.homes.tolist()),
         # rows of Z hold their 22 entries sorted by column
-        "plus": _encode_array(z.indices[z.data > 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
-        "minus": _encode_array(z.indices[z.data < 0].reshape(-1, PLAYERS_PER_SIDE), "<i4"),
+        "plus": _encode_array(z.indices[z.data > 0].reshape(-1, PLAYERS_PER_SIDE), index),
+        "minus": _encode_array(z.indices[z.data < 0].reshape(-1, PLAYERS_PER_SIDE), index),
         "mode": _encode_array(post.mode, "<f8"),
         "dual_coef": _encode_array(post.dual_coef, "<f8"),
     }
@@ -1017,13 +1044,17 @@ def load_model(path: str | Path) -> GPModel:
     n = len(codes)
     if n < 1:
         raise DataError("model file holds no training matches")
-    homes = _field(payload, "homes", list)
-    if len(homes) != n or any(type(h) is not int or h not in (-1, 0, 1) for h in homes):
-        raise DataError(f"model 'homes' must hold {n} signs in {{-1, 0, 1}}")
-    plus = _decode_array(payload, "plus", "<i4", (n, PLAYERS_PER_SIDE))
-    minus = _decode_array(payload, "minus", "<i4", (n, PLAYERS_PER_SIDE))
+    try:
+        homes = np.array([_SIGNS[t] for t in _field(payload, "homes", str)], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"unknown home token {exc.args[0]!r} in the model file") from None
+    if len(homes) != n:
+        raise DataError(f"model 'homes' holds {len(homes)} home tokens, expected {n}")
+    index = _index_dtype(len(ids))
+    plus = _decode_array(payload, "plus", index, (n, PLAYERS_PER_SIDE))
+    minus = _decode_array(payload, "minus", index, (n, PLAYERS_PER_SIDE))
     lineups = np.concatenate([plus, minus], axis=1)
-    if np.any(lineups < 0) or np.any(lineups >= len(ids)):
+    if np.any(lineups >= len(ids)):
         raise DataError("model lineups index players outside the registry")
     if np.any(np.diff(plus, axis=1) <= 0) or np.any(np.diff(minus, axis=1) <= 0):
         raise DataError("model lineups must be strictly increasing")
@@ -1034,7 +1065,7 @@ def load_model(path: str | Path) -> GPModel:
         raise DataError("model 'newton_iters' must be >= 0")
     mode, dual_coef = (_decode_array(payload, key, "<f8", (n,)) for key in ("mode", "dual_coef"))
 
-    parts = _make_parts(plus, minus, np.array(homes, dtype=np.int64), codes, len(ids))
+    parts = _make_parts(plus, minus, homes, codes, len(ids))
     s = parts.variances(hyper.kernel)
     try:
         with _finite_arithmetic("the rebuild overflowed"):

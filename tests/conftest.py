@@ -165,3 +165,15 @@ def version_3_payload(payload: dict) -> dict:
     """A model payload laid out as version 3 wrote it: with the jitter its fit added to K."""
     jitter = 1e-6 * payload["hyper"]["sigma2"]
     return dict(payload, version=3, hyper=dict(payload["hyper"], jitter=None), jitter_used=jitter)
+
+
+def version_4_payload(payload: dict) -> dict:
+    """A model payload laid out as version 4 wrote it: 4-byte lineups and home signs as a list."""
+    signs = {"1": 1, "2": -1, "0": 0}
+
+    def wide(obj: dict) -> dict:
+        arr = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).astype("<i4")
+        return dict(obj, dtype="<i4", data=base64.b64encode(arr.tobytes()).decode())
+
+    v4 = {"version": 4, "homes": [signs[t] for t in payload["homes"]]}
+    return dict(payload, **v4, plus=wide(payload["plus"]), minus=wide(payload["minus"]))

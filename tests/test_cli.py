@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import version_1_payload, version_2_payload, version_3_payload
+from conftest import version_1_payload, version_2_payload, version_3_payload, version_4_payload
 import lineupgp
 from lineupgp import __version__, cli
 from lineupgp.data import Dataset, parse_dataset, serialize_dataset
@@ -123,7 +123,12 @@ class TestTrainPredict:
     def test_model_file_shape(self, workspace):
         payload = json.loads(workspace["model"].read_text())
         assert payload["magic"] == "lineupgp/model"
+        assert payload["version"] == 5
         assert payload["hyper"]["sigma2"] == 1.0
+        # 56 players: one byte per lineup index, one token per home
+        assert payload["plus"]["dtype"] == payload["minus"]["dtype"] == "<u1"
+        assert len(payload["homes"]) == len(payload["outcomes"])
+        assert set(payload["homes"]) <= {"1", "2", "0"}
 
     def test_predict_to_file(self, workspace, tmp_path):
         out = tmp_path / "preds.csv"
@@ -606,8 +611,15 @@ class TestExitCodes:
         n = payload["mode"]["shape"][0]
         misshaped = dict(payload, mode=dict(payload["mode"], shape=[n + 1]))
         huge_alpha = dict(payload, hyper=dict(payload["hyper"], log_alpha=math.log(400.0)))
-        old = (version_1_payload(payload), version_2_payload(payload), version_3_payload(payload))
-        for i, bad in enumerate((no_mode, misshaped, *old, huge_alpha)):
+        wrong_width = dict(payload, plus=dict(payload["plus"], dtype="<u2"))
+        bad_homes = dict(payload, homes="H" + payload["homes"][1:])
+        old = (
+            version_1_payload(payload),
+            version_2_payload(payload),
+            version_3_payload(payload),
+            version_4_payload(payload),
+        )
+        for i, bad in enumerate((no_mode, misshaped, *old, huge_alpha, wrong_width, bad_homes)):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(bad))
             assert cli.run(["predict", "--model", str(path), "--test", str(workspace["test"])]) == 2

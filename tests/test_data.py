@@ -260,15 +260,21 @@ class TestParseErrors:
         path = tmp_path / "bad.csv"
         path.write_bytes(raw)
         message = f"^line {bad_line}: byte 0xff is not UTF-8 \\(invalid start byte\\)$"
-        for source in (path, io.BytesIO(raw)):
+        for source in (path, io.BytesIO(raw), io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")):
             with pytest.raises(DataError, match=message):
                 parse_dataset(source)
+
+    def test_text_stream_not_utf8_names_its_line(self):
+        # a text stream's own decoder meets the byte
+        stream = io.TextIOWrapper(io.BytesIO(b"match_id\n\xff\n"), encoding="utf-8")
+        with pytest.raises(DataError, match="^line 2: byte 0xff is not UTF-8 \\(invalid start byte\\)$"):
+            parse_dataset(stream)
 
     @pytest.mark.parametrize("newline", ["\n", "\r"])
     def test_bad_byte_beats_an_earlier_bad_row(self, tmp_path, newline):
         # bytes are decoded whole before any row is read, so the byte on
         # line 250, past the first 8 KB, is reported rather than the short
-        # lineup on line 2, on both routes
+        # lineup on line 2, from a path, a byte stream or a text stream
         rows = [_row(match_id=f"m{i:03d}") for i in range(299)]
         rows[0] = _row(match_id="m000", lineup1=P[:10])
         lines = [HEADER_LINE.encode(), *(row.encode() for row in rows)]
@@ -277,7 +283,7 @@ class TestParseErrors:
         assert raw.index(b"\xff") > 8192
         path = tmp_path / "bad.csv"
         path.write_bytes(raw)
-        for source in (path, io.BytesIO(raw)):
+        for source in (path, io.BytesIO(raw), io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")):
             with pytest.raises(DataError, match="^line 250: byte 0xff is not UTF-8"):
                 parse_dataset(source)
         good = newline.join([HEADER_LINE, _row(), ""]).encode("utf-8")

@@ -21,6 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import (
     brute_force_evidence,
@@ -31,6 +32,7 @@ from conftest import (
     version_1_payload,
     version_2_payload,
     version_3_payload,
+    version_4_payload,
 )
 from lineupgp import gp
 from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
@@ -41,6 +43,7 @@ from lineupgp.gp import (
     Hyperparams,
     _dataset_parts,
     _evidence_gradient,
+    _index_dtype,
     _laplace,
     _newton_mode,
     fit,
@@ -551,6 +554,23 @@ class TestEvidenceGradient:
         unit = 8 * (train.num_players + 1) ** 2
         assert peak - base <= 2 * unit, (peak - base) / unit
 
+    def test_low_rank_traces_equal_the_loop_reference(self, default_league):
+        # the symmetrized C^{-1} and a row-by-row doubling of its lower
+        # triangle, as the traces were first written: the same bits
+        for ds, hyper in self._cases(default_league):
+            post = _laplace(_dataset_parts(ds), hyper)
+            inv = sla.lapack.dpotri(post.factor.upper, lower=0)[0].T
+            for i in range(len(inv) - 1):
+                inv[i, i + 1 :] = inv[i + 1 :, i]
+            explained = 1.0 - np.diagonal(inv)
+            rs = np.sqrt(post.parts.variances(hyper.kernel))
+            t = inv * rs[:, None] * rs
+            for i in range(1, len(t)):
+                t[i, :i] *= 2.0
+            sigma_f, tr_z, tr_h = gp._posterior_traces(post)
+            assert np.array_equal(sigma_f, post.parts.pairs.T @ t.ravel())
+            assert (tr_z, tr_h) == (float(np.sum(explained[:-1])), float(explained[-1]))
+
     def test_routes_agree(self, default_league):
         # one training set through L_C and through a dense L_B, to rounding,
         # far below what central differences resolve
@@ -955,6 +975,49 @@ class TestModelPersistence:
                 p = fresh.predict(rec)
                 q = back.predict(rec)
                 assert (p.p_w, p.p_d, p.p_l) == (q.p_w, q.p_d, q.p_l)
+            # save -> load -> save writes the same bytes
+            again = tmp_path / f"again{i}.json"
+            save_model(back, again)
+            assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        ("players", "dtype"), [(1, "<u1"), (256, "<u1"), (257, "<u2"), (65536, "<u2"), (65537, "<u4")]
+    )
+    def test_index_width_rule(self, players, dtype):
+        assert _index_dtype(players) == dtype
+
+    @pytest.mark.parametrize(("players", "dtype"), [(256, "<u1"), (257, "<u2")])
+    def test_lineups_in_the_narrowest_width(self, tmp_path, players, dtype):
+        # 40 players on the pitch take the registry's top indices, up to P-1,
+        # behind ids that play no match
+        ds = random_dataset(np.random.default_rng(257), 12, 40)
+        bench = [f"b{i:03d}" for i in range(players - ds.num_players)]
+        registry = {pid: i for i, pid in enumerate(bench)}
+        registry.update((pid, len(bench) + i) for pid, i in ds.registry.items())
+        wide = Dataset.from_records(ds.records, registry)
+        hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.5, alpha=0.5)
+        fresh = train_model(wide, hyper)
+        path = tmp_path / "model.json"
+        save_model(fresh, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 5
+        lineups = [
+            np.frombuffer(base64.b64decode(payload[key]["data"]), payload[key]["dtype"])
+            for key in ("plus", "minus")
+        ]
+        assert [payload[key]["dtype"] for key in ("plus", "minus")] == [dtype, dtype]
+        assert max(int(arr.max()) for arr in lineups) == players - 1
+        back = load_model(path)
+        assert back.registry == fresh.registry
+        for field in ("mode", "dual_coef", "chol"):
+            assert np.array_equal(getattr(back.posterior, field), getattr(fresh.posterior, field))
+        # any width but the registry's is a data error
+        other = {"<u1": "<u2", "<u2": "<u1"}[dtype]
+        for key in ("plus", "minus"):
+            bad = dict(payload, **{key: dict(payload[key], dtype=other)})
+            path.write_text(json.dumps(bad))
+            with pytest.raises(DataError, match=f"model array '{key}' is '{other}'"):
+                load_model(path)
 
     def test_rejects_wrong_magic_and_version(self, tmp_path):
         ds, model = self._trained(seed=253)
@@ -981,6 +1044,10 @@ class TestModelPersistence:
         bad.write_text(json.dumps(version_3_payload(json.loads(path.read_text()))))
         with pytest.raises(DataError, match="version 3.*retrain"):
             load_model(bad)
+        # a version 4 file holds 4-byte lineups and home signs as a list
+        bad.write_text(json.dumps(version_4_payload(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="version 4.*retrain"):
+            load_model(bad)
 
     def test_rejects_corrupt_payloads(self, tmp_path):
         _, model = self._trained(seed=255)
@@ -993,9 +1060,9 @@ class TestModelPersistence:
             obj = good[key]
             return np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).reshape(obj["shape"])
 
-        def with_array(key, arr):
+        def with_array(key, arr, dtype=None):
             data = base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode()
-            return dict(good, **{key: dict(good[key], data=data)})
+            return dict(good, **{key: dict(good[key], dtype=dtype or good[key]["dtype"], data=data)})
 
         def with_entry(key, index, value):
             arr = decoded(key).copy()
@@ -1003,6 +1070,10 @@ class TestModelPersistence:
             return with_array(key, arr)
 
         plus = decoded("plus")
+        assert good["plus"]["dtype"] == "<u1"
+        # lineups are unsigned: the largest index their width holds stands
+        # for a negative one, outside the registry either way
+        top = np.iinfo(plus.dtype).max
         bad_payloads = [
             {k: v for k, v in good.items() if k != "mode"},
             {k: v for k, v in good.items() if k != "hyper"},
@@ -1015,11 +1086,17 @@ class TestModelPersistence:
             dict(good, outcomes=good["outcomes"][:-1]),
             dict(good, outcomes="X" + good["outcomes"][1:]),
             dict(good, homes=good["homes"][:-1]),
-            dict(good, homes=[2] + good["homes"][1:]),
+            dict(good, homes="3" + good["homes"][1:]),
+            dict(good, homes="-" + good["homes"][1:]),
+            # version 4's home signs
+            dict(good, homes=[{"1": 1, "2": -1, "0": 0}[t] for t in good["homes"]]),
             dict(good, registry=good["registry"][:-1] + good["registry"][:1]),
             with_entry("plus", (0, -1), len(good["registry"])),
-            with_entry("plus", (0, 0), -1),
+            with_entry("plus", (0, 0), top),
             with_array("plus", plus[:, ::-1]),
+            # a valid lineup in the wrong width, version 4's among them
+            with_array("plus", plus.astype("<u2"), "<u2"),
+            with_array("plus", plus.astype("<i4"), "<i4"),
             with_entry("minus", 0, plus[0]),
             with_entry("mode", 0, np.nan),
             # finite and well formed, but not the stationary point of the fit
@@ -1134,3 +1211,17 @@ class TestTrainModel:
         ds = random_dataset(np.random.default_rng(262), 12, 35)
         model = train_model(ds, Hyperparams.create(), optimize=True, budget=5)
         assert model.posterior.newton_iters < 100
+
+    def test_search_and_fit_share_the_parts(self, default_league, monkeypatch):
+        # the bits of a search then a cold fit, from one build of the training arrays
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        want = fit(default_league, optimize_hyperparams(default_league, init, budget=8))
+        builds = []
+        real = gp._dataset_parts
+        monkeypatch.setattr(gp, "_dataset_parts", lambda train: builds.append(1) or real(train))
+        got = train_model(default_league, init, optimize=True, budget=8).posterior
+        assert len(builds) == 1
+        assert got.hyper == want.hyper
+        for field in ("mode", "dual_coef", "chol"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.newton_iters == want.newton_iters
