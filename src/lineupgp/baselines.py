@@ -13,23 +13,28 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .data import Dataset, HomeSide, MatchRecord, Outcome
 from .errors import DataError, NumericalError
-from .gp import Hyperparams, quadrature_outcome_probs
-from .kernel import MatchVector
 from .likelihood import (
     DrawParam,
     PredictiveDistribution,
+    loglik_alpha_curvature,
+    loglik_alpha_derivs,
     loglik_derivs_vector,
     loglik_vector,
     outcome_probs,
     sigmoid,
 )
+
+if TYPE_CHECKING:
+    # the weight-space oracle's types; Elo and the other baselines load
+    # neither the GP stack nor scipy.linalg, so it imports them when it runs
+    from .gp import Hyperparams
+    from .kernel import MatchVector
 
 __all__ = [
     "EloState",
@@ -55,6 +60,10 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 _STATIONARITY_TOL = 1e-8
 _ROUNDING = 8.0 * float(np.finfo(np.float64).eps)
+# Newton on the Elo draw margin stops at a step this small relative to alpha;
+# its error is then of the order of the step squared
+_ELO_ALPHA_TOL = 1e-10
+_ELO_ALPHA_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -133,25 +142,6 @@ def elo_rk_predict(
     return outcome_probs(rating_delta_to_latent(delta), d)
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 100) -> float:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def fit_elo_alpha(
     latents: np.ndarray,
     codes: np.ndarray,
@@ -160,24 +150,49 @@ def fit_elo_alpha(
 ) -> DrawParam:
     """Draw margin maximizing ternary likelihood at fixed latents.
 
-    1-D golden-section search on log(alpha) over [log lo, log hi].  Raises
-    NumericalError where the log-likelihood is not finite, as when the
-    latents' spread makes its sum overflow.
+    The summed log-likelihood L is strictly concave in alpha, so its maximum
+    on [lo, hi] is lo where L' <= 0 there, hi where L' >= 0 there, and else
+    the root of L'.  Newton's method finds that root from the alpha that fits
+    the draw rate when every latent is 0, inside a bracket on the root that
+    each step narrows; a step that would leave the bracket, or an L'' that
+    underflows to 0, bisects it instead.  Raises NumericalError where L is
+    not finite, as when the latents' spread makes its sum overflow.
     """
     if len(latents) != len(codes):
         raise ValueError("latents and outcome codes must have equal length")
 
-    def neg_loglik(log_alpha: float) -> float:
-        alpha = math.exp(log_alpha)
-        # the sum of finite terms can overflow: checked here instead of warned about
-        with np.errstate(over="ignore"):
-            total = float(np.sum(loglik_vector(codes, latents, alpha)))
-        if not math.isfinite(total):
-            raise NumericalError(f"the Elo log-likelihood is {total} at alpha = {alpha:.6g}")
-        return -total
+    def slope(alpha: float) -> float:
+        return float(np.sum(loglik_alpha_derivs(codes, latents, alpha)[0]))
 
-    best = _golden_min(neg_loglik, math.log(lo), math.log(hi))
-    return DrawParam(log_alpha=best)
+    if slope(lo) <= 0.0:
+        alpha = lo
+    elif slope(hi) >= 0.0:
+        alpha = hi
+    else:
+        # here some matches are draws and some are not: no draws would give
+        # L' < 0 at lo, only draws L' > 0 at hi
+        a, b = lo, hi
+        alpha = 2.0 * math.atanh(float(np.mean(codes == 0)))
+        if not a < alpha < b:
+            alpha = 0.5 * (a + b)
+        for _ in range(_ELO_ALPHA_MAX_ITER):
+            d1 = slope(alpha)
+            d2 = float(np.sum(loglik_alpha_curvature(codes, latents, alpha)))
+            if d1 > 0.0:
+                a = alpha
+            else:
+                b = alpha
+            step = -d1 / d2 if d2 < 0.0 else math.inf
+            if abs(step) <= _ELO_ALPHA_TOL * alpha:
+                alpha += step
+                break
+            alpha = alpha + step if a < alpha + step < b else 0.5 * (a + b)
+    # the sum of finite terms can overflow: checked here instead of warned about
+    with np.errstate(over="ignore"):
+        total = float(np.sum(loglik_vector(codes, latents, alpha)))
+    if not math.isfinite(total):
+        raise NumericalError(f"the Elo log-likelihood is {total} at alpha = {alpha:.6g}")
+    return DrawParam.from_alpha(alpha)
 
 
 @dataclass
@@ -353,6 +368,8 @@ class WeightSpacePosterior:
         return mu, max(var, 0.0)
 
     def predict_outcomes(self, vec: MatchVector) -> PredictiveDistribution:
+        from .gp import quadrature_outcome_probs
+
         mu, var = self.predict_latent(vec)
         return quadrature_outcome_probs(mu, var, self.hyper.draw)
 
@@ -378,6 +395,8 @@ def primal_laplace_fit_vectors(
     feature (a zero-variance prior), keeping the prior covariance
     invertible.  An empty match list returns the prior itself.
     """
+    import scipy.linalg as sla
+
     kp = hyper.kernel
     alpha = hyper.alpha
     has_home = kp.sigma2_home > 0.0

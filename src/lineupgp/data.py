@@ -64,7 +64,7 @@ class Outcome(enum.Enum):
     @property
     def code(self) -> int:
         """Sign convention: +1 win, 0 draw, -1 loss (team1's view)."""
-        return {"W": 1, "D": 0, "L": -1}[self.value]
+        return _CODE_BY_OUTCOME[self]
 
     @classmethod
     def from_token(cls, token: str) -> "Outcome":
@@ -88,7 +88,7 @@ class HomeSide(enum.Enum):
     @property
     def sign(self) -> int:
         """+1 when team1 is at home, -1 when team2 is, 0 when neutral."""
-        return {"1": 1, "2": -1, "0": 0}[self.value]
+        return _SIGN_BY_HOME[self]
 
     @classmethod
     def from_token(cls, token: str) -> "HomeSide":
@@ -98,6 +98,9 @@ class HomeSide(enum.Enum):
             raise DataError(f"unknown home token {token!r} (expected 1, 2 or 0)") from None
 
 
+# looked up once per match by Elo, the GP's training parts and its scoring
+_CODE_BY_OUTCOME = {Outcome.TEAM1_WIN: 1, Outcome.DRAW: 0, Outcome.TEAM2_WIN: -1}
+_SIGN_BY_HOME = {HomeSide.TEAM1: 1, HomeSide.TEAM2: -1, HomeSide.NEUTRAL: 0}
 # the parser's token tables; a miss goes to from_token, which words the error
 _HOME_BY_TOKEN = {h.token: h for h in HomeSide}
 _OUTCOME_BY_TOKEN = {o.token: o for o in Outcome}

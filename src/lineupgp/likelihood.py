@@ -209,6 +209,22 @@ def loglik_alpha_derivs(
     return dlp, dd1, dw_alpha, dw_f
 
 
+def loglik_alpha_curvature(codes: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
+    """d^2 log p/d alpha^2 per match: -p_w q_w for a win, -p_l q_l for a loss,
+    and -4 exp(-2 alpha) / (1 - exp(-2 alpha))^2 - p_w q_w - p_l q_l for a draw.
+
+    With p and q as in :func:`loglik_alpha_derivs`.  Every term is negative, so
+    the log-likelihood is strictly concave in alpha; far from f = alpha a win's
+    or a loss's term underflows to 0.
+    """
+    from scipy.special import expit
+
+    g_w = expit(f - alpha) * expit(alpha - f)
+    g_l = expit(-f - alpha) * expit(alpha + f)
+    draw = -4.0 * math.exp(-2.0 * alpha) / math.expm1(-2.0 * alpha) ** 2
+    return np.where(codes > 0, -g_w, np.where(codes < 0, -g_l, draw - g_w - g_l))
+
+
 def log_likelihood(y: Outcome, f: float, d: DrawParam) -> float:
     """log p(y | f, alpha)."""
     val = loglik_vector(np.array([y.code]), np.array([float(f)]), d.alpha)

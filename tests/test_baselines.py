@@ -30,10 +30,49 @@ from lineupgp.data import HomeSide, Outcome
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import Hyperparams
 from lineupgp.kernel import SELF_OVERLAP, MatchVector
-from lineupgp.likelihood import DrawParam, outcome_probs
+from lineupgp.likelihood import DrawParam, loglik_vector, outcome_probs
 from lineupgp.simulate import SimConfig, simulate_dataset
 
 P = player_ids(60)
+
+
+def _golden_min(fun, lo: float, hi: float, iters: int = 100) -> float:
+    """Golden-section minimum of a unimodal function on [lo, hi]."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def _golden_alpha(latents, codes, lo=1e-4, hi=10.0) -> float:
+    """The draw margin by 100 golden-section steps on log(alpha) over [log lo, log hi]."""
+
+    def neg_loglik(log_alpha: float) -> float:
+        return -float(np.sum(loglik_vector(codes, latents, math.exp(log_alpha))))
+
+    return math.exp(_golden_min(neg_loglik, math.log(lo), math.log(hi)))
+
+
+def _elo_latents(ds):
+    """(pre-match latents, outcome codes) of an Elo fold over ``ds`` at the default constants."""
+    state, latents, codes = EloState(), [], []
+    for rec in ds.records:
+        delta = state.rating(rec.team1) - state.rating(rec.team2) + state.home_advantage * rec.home.sign
+        latents.append(rating_delta_to_latent(delta))
+        codes.append(rec.outcome.code)
+        state = elo_update(state, rec)
+    return np.array(latents), np.array(codes)
 
 
 class TestEloExpected:
@@ -150,6 +189,35 @@ class TestFitEloAlpha:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_elo_alpha(np.zeros(3), np.zeros(2, dtype=int))
+
+    def test_matches_the_golden_section_oracle(self):
+        # the inputs of the tests above, and Elo's latents on seeded leagues
+        rng = np.random.default_rng(303)
+        probs = outcome_probs(0.0, DrawParam.from_alpha(0.45)).as_array()
+        cases = [(np.zeros(4000), rng.choice(np.array([1, 0, -1]), size=4000, p=probs))]
+        rng = np.random.default_rng(304)
+        latents = rng.normal(0.0, 0.5, size=20000)
+        u = rng.random(20000)
+        p_w, p_l = expit(latents - 0.45), expit(-latents - 0.45)
+        cases.append((latents, np.where(u < p_w, 1, np.where(u < 1.0 - p_l, 0, -1))))
+        for seed in range(6):
+            cases.append(_elo_latents(simulate_dataset(SimConfig(seed=seed)).dataset))
+        for latents, codes in cases:
+            got = fit_elo_alpha(latents, codes).alpha
+            want = _golden_alpha(latents, codes)
+            assert abs(got - want) <= 1e-7 * want
+            loglik = float(np.sum(loglik_vector(codes, latents, got)))
+            golden = float(np.sum(loglik_vector(codes, latents, want)))
+            assert loglik >= golden - 1e-12 * abs(golden)
+
+    def test_no_draws_or_only_draws_take_an_end(self):
+        latents = np.random.default_rng(306).normal(0.0, 0.5, size=300)
+        no_draws = np.where(latents > 0.0, 1, -1)
+        assert fit_elo_alpha(latents, no_draws).alpha == pytest.approx(1e-4, rel=1e-15)
+        assert fit_elo_alpha(latents, np.zeros(300, dtype=int)).alpha == pytest.approx(10.0, rel=1e-15)
+        # the oracle agrees
+        assert _golden_alpha(latents, no_draws) <= 1.0001e-4
+        assert _golden_alpha(latents, np.zeros(300, dtype=int)) >= 9.999
 
 
 class TestEloModel:

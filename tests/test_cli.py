@@ -763,9 +763,9 @@ def test_uniform_loss_is_ln3_everywhere(workspace, capsys):
 
 
 def test_cold_import_loads_no_solver_package():
-    # Newton's conjugate gradients are written in NumPy: scipy.sparse.linalg
-    # would add ~14 ms to every start of the CLI, and only a search needs
-    # scipy.optimize
+    # Newton's conjugate gradients and the evidence search are written in
+    # NumPy: scipy.sparse.linalg would add ~14 ms to every start of the CLI,
+    # and scipy.optimize ~0.2 s to every search
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
@@ -780,6 +780,36 @@ def test_cold_import_loads_no_solver_package():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        (["train", "--optimize", "--budget", "5"], ["scipy.optimize"]),
+        (["elo-fit"], ["lineupgp.gp", "lineupgp.kernel", "scipy.linalg", "scipy.sparse"]),
+    ],
+    ids=["search", "elo-fit"],
+)
+def test_command_loads_only_what_it_runs(workspace, tmp_path, command, absent):
+    # an evidence search needs no scipy.optimize, and Elo none of the GP stack
+    # that only the weight-space oracle's methods import
+    argv = [*command, "--train", str(workspace["train"])]
+    if command[0] == "train":
+        argv += ["--model-out", str(tmp_path / "m.json")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        f"import sys; from lineupgp import cli; rc = cli.run({argv!r}); "
+        f"print(rc, [m for m in {absent!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert out.stdout.strip().split("\n")[-1] == "0 []"
 
 
 @pytest.mark.parametrize(

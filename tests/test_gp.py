@@ -890,6 +890,41 @@ class TestOptimize:
             # the init, with the caller's exact object
             assert calls[0] is init
 
+    def test_gradient_only_below_the_budget(self, default_league, monkeypatch):
+        # the evaluation that spends the budget computes no gradient: it could
+        # only lead to an evaluation past the budget
+        calls = []
+        gradient = gp._evidence_gradient
+
+        def counted(post):
+            calls.append(post)
+            return gradient(post)
+
+        monkeypatch.setattr(gp, "_evidence_gradient", counted)
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        for budget in (1, 2, 5, 10):
+            calls.clear()
+            optimize_hyperparams(default_league, init, budget=budget)
+            assert len(calls) <= max(budget - 1, 0)
+
+    @pytest.mark.parametrize(
+        "seed, optimum",
+        [
+            (1, -608.6819039),
+            (2, -612.8024534),
+            (3, -533.4239904),
+            (4, -540.1746917),
+            (5, -488.0097772),
+        ],
+    )
+    def test_reaches_the_pinned_optima(self, seed, optimum):
+        # the first 600 matches of `simulate --seed`: the evidence L-BFGS-B
+        # (scipy 1.17) found from the usual init, rounded down at the 7th decimal
+        league = Dataset.from_records(simulate_dataset(SimConfig(seed=seed)).dataset.records[:600])
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        best = optimize_hyperparams(league, init, budget=200)
+        assert log_marginal(fit(league, best)) >= optimum
+
     def test_home_scale_towards_zero(self):
         # the first 600 matches of `simulate --seed 16`: the evidence keeps
         # rising as sigma2_home -> 0, where a lower bound of -8 on its log

@@ -23,6 +23,7 @@ from lineupgp.likelihood import (
     _probs_arrays,
     log_likelihood,
     log_likelihood_derivs,
+    loglik_alpha_curvature,
     loglik_alpha_derivs,
     loglik_derivs_vector,
     loglik_vector,
@@ -284,6 +285,22 @@ class TestAlphaDerivatives:
                         want = mp_fd_alpha_derivs(y.code, float(f), float(alpha))
                         for g, w in zip(got, want):
                             assert abs(g[0] - float(w)) <= 1e-12 * max(1.0, abs(float(w)))
+
+    def test_curvature_matches_mp_on_criterion_2_grid(self):
+        # the same 630 points; central second differences in alpha
+        with mp.workdps(50):
+            h = mp.mpf("1e-12")
+            for alpha in np.linspace(0.5, 5.0, 10):
+                for f in np.linspace(-10.0, 10.0, 21):
+                    for y in OUTCOMES:
+                        (got,) = loglik_alpha_curvature(
+                            np.array([y.code]), np.array([f]), float(alpha)
+                        )
+                        a = mp.mpf(float(alpha))
+                        c = [mp_loglik(y.code, float(f), a + s * h) for s in (-1, 0, 1)]
+                        want = float((c[0] - 2 * c[1] + c[2]) / (h * h))
+                        assert got < 0.0
+                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestLogExpm1:
