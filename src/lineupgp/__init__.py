@@ -28,14 +28,11 @@ _MODULES = {
         "MatchVector",
         "build_match_vector",
         "export_heatmap",
-        "kernel_eval",
         "kernel_matrix",
     ),
     "likelihood": (
         "DrawParam",
         "PredictiveDistribution",
-        "log_likelihood",
-        "log_likelihood_derivs",
         "outcome_probs",
     ),
     "gp": (
@@ -46,8 +43,6 @@ _MODULES = {
         "load_model",
         "log_marginal",
         "optimize_hyperparams",
-        "predict_latent",
-        "predict_outcomes",
         "quadrature_outcome_probs",
         "save_model",
         "train_model",
@@ -61,7 +56,6 @@ _MODULES = {
         "elo_rk_predict",
         "elo_update",
         "odds_to_probs",
-        "primal_laplace_fit",
         "uniform_probs",
     ),
     "evaluation": ("EvalReport", "evaluate", "log_loss"),

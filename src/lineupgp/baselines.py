@@ -1,11 +1,4 @@
-"""Reference predictors: Elo, bookmaker odds, uniform, weight-space Laplace.
-
-The weight-space fit is the slow-but-obvious mirror of the kernel
-classifier: an explicit Gaussian prior over per-player weights (plus one
-home weight), Newton ascent on the log posterior, dense covariance.  For
-any dataset small enough to afford it, its predictions must match the
-kernel route, which is what the equivalence tests pin down.
-"""
+"""Reference predictors: Elo, bookmaker odds, uniform."""
 
 from __future__ import annotations
 
@@ -13,28 +6,21 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, HomeSide, MatchRecord, Outcome
+from .data import Dataset, HomeSide, MatchRecord
 from .errors import DataError, NumericalError
 from .likelihood import (
     DrawParam,
     PredictiveDistribution,
     loglik_alpha_curvature,
     loglik_alpha_derivs,
-    loglik_derivs_vector,
     loglik_vector,
     outcome_probs,
     sigmoid,
 )
-
-if TYPE_CHECKING:
-    # the weight-space oracle's types; Elo and the other baselines load
-    # neither the GP stack nor scipy.linalg, so it imports them when it runs
-    from .gp import Hyperparams
-    from .kernel import MatchVector
 
 __all__ = [
     "EloState",
@@ -48,18 +34,11 @@ __all__ = [
     "OddsModel",
     "uniform_probs",
     "UniformModel",
-    "WeightSpacePosterior",
-    "primal_laplace_fit",
-    "primal_laplace_fit_vectors",
 ]
 
 # one Elo rating point in latent units
 ELO_LATENT_SCALE = math.log(10.0) / 400.0
 
-_NEWTON_TOL = 1e-10
-_NEWTON_MAX_ITER = 100
-_STATIONARITY_TOL = 1e-8
-_ROUNDING = 8.0 * float(np.finfo(np.float64).eps)
 # Newton on the Elo draw margin stops at a step this small relative to alpha;
 # its error is then of the order of the step squared
 _ELO_ALPHA_TOL = 1e-10
@@ -334,156 +313,3 @@ class UniformModel:
 
     def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution]:
         return [self.predict(rec) for rec in records]
-
-
-@dataclass(frozen=True)
-class WeightSpacePosterior:
-    """Dense Laplace posterior over player weights (plus optional home).
-
-    Intended for small P; the feature dimension is fixed at fit time, so
-    match vectors scored here must stay within the fitted registry.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    num_players: int
-    has_home: bool
-    hyper: Hyperparams
-
-    def _features(self, vec: MatchVector) -> np.ndarray:
-        dim = self.num_players + (1 if self.has_home else 0)
-        if vec.plus_indices[-1] >= self.num_players or vec.minus_indices[-1] >= self.num_players:
-            raise DataError("match vector indexes players outside the fitted registry")
-        x = np.zeros(dim)
-        x[vec.plus_indices] = 1.0
-        x[vec.minus_indices] = -1.0
-        if self.has_home:
-            x[-1] = float(vec.home)
-        return x
-
-    def predict_latent(self, vec: MatchVector) -> tuple[float, float]:
-        x = self._features(vec)
-        mu = float(self.mean @ x)
-        var = float(x @ self.cov @ x)
-        return mu, max(var, 0.0)
-
-    def predict_outcomes(self, vec: MatchVector) -> PredictiveDistribution:
-        from .gp import quadrature_outcome_probs
-
-        mu, var = self.predict_latent(vec)
-        return quadrature_outcome_probs(mu, var, self.hyper.draw)
-
-
-def primal_laplace_fit(train: Dataset, hyper: Hyperparams) -> WeightSpacePosterior:
-    """Weight-space Laplace fit over a dataset's registry."""
-    from .kernel import build_match_vector
-
-    vectors = [build_match_vector(r, train.registry) for r in train.records]
-    outcomes = [r.outcome for r in train.records]
-    return primal_laplace_fit_vectors(vectors, outcomes, train.num_players, hyper)
-
-
-def primal_laplace_fit_vectors(
-    vectors: Sequence[MatchVector],
-    outcomes: Sequence[Outcome],
-    num_players: int,
-    hyper: Hyperparams,
-) -> WeightSpacePosterior:
-    """Newton ascent on the weight-space log posterior.
-
-    ``sigma2_home = 0`` pins the home weight at zero by dropping the
-    feature (a zero-variance prior), keeping the prior covariance
-    invertible.  An empty match list returns the prior itself.
-    """
-    import scipy.linalg as sla
-
-    kp = hyper.kernel
-    alpha = hyper.alpha
-    has_home = kp.sigma2_home > 0.0
-    dim = num_players + (1 if has_home else 0)
-    prior_var = np.full(dim, kp.sigma2)
-    if has_home:
-        prior_var[-1] = kp.sigma2_home
-    prior_prec = 1.0 / prior_var
-
-    n = len(vectors)
-    if n == 0:
-        return WeightSpacePosterior(
-            mean=np.zeros(dim),
-            cov=np.diag(prior_var),
-            num_players=num_players,
-            has_home=has_home,
-            hyper=hyper,
-        )
-
-    x_mat = np.zeros((n, dim))
-    for i, vec in enumerate(vectors):
-        if vec.plus_indices[-1] >= num_players or vec.minus_indices[-1] >= num_players:
-            raise DataError("match vector indexes players outside the registry")
-        x_mat[i, vec.plus_indices] = 1.0
-        x_mat[i, vec.minus_indices] = -1.0
-        if has_home:
-            x_mat[i, -1] = float(vec.home)
-    codes = np.array([o.code for o in outcomes], dtype=np.int64)
-
-    s = np.zeros(dim)
-    f = x_mat @ s
-    obj = float(np.sum(loglik_vector(codes, f, alpha)))
-    hessian = np.zeros((dim, dim))
-    converged = False
-    last_delta = math.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        d1, d2 = loglik_derivs_vector(codes, f, alpha)
-        grad = x_mat.T @ d1 - prior_prec * s
-        hessian = (x_mat.T * (-d2)) @ x_mat
-        hessian[np.diag_indices_from(hessian)] += prior_prec
-        try:
-            chol = sla.cho_factor(hessian, lower=True)
-        except sla.LinAlgError as exc:
-            raise NumericalError(f"weight-space Hessian factorization failed: {exc}") from None
-        step = sla.cho_solve(chol, grad)
-
-        # the full step is also taken when the objective falls by no more
-        # than rounding noise; the gradient test below decides convergence
-        floor = obj - _ROUNDING * max(1.0, abs(obj))
-        t = 1.0
-        improved = False
-        while t >= 1e-12:
-            s_try = s + t * step
-            f_try = x_mat @ s_try
-            obj_try = float(np.sum(loglik_vector(codes, f_try, alpha))) - 0.5 * float(
-                (s_try * prior_prec) @ s_try
-            )
-            if obj_try > obj or (t == 1.0 and obj_try >= floor):
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            converged = bool(np.max(np.abs(grad)) <= 1e-6 * max(1.0, float(np.max(np.abs(s)))))
-            break
-        last_delta = obj_try - obj
-        s, f, obj = s_try, f_try, obj_try
-        d1_new, _ = loglik_derivs_vector(codes, f, alpha)
-        grad_new = x_mat.T @ d1_new - prior_prec * s
-        if last_delta < _NEWTON_TOL and np.max(np.abs(grad_new)) <= _STATIONARITY_TOL * max(
-            1.0, float(np.max(np.abs(s)))
-        ):
-            converged = True
-            break
-    if not converged:
-        raise NumericalError(
-            f"weight-space Newton did not converge (final |dObj| = {last_delta:.3e})"
-        )
-
-    d1, d2 = loglik_derivs_vector(codes, f, alpha)
-    hessian = (x_mat.T * (-d2)) @ x_mat
-    hessian[np.diag_indices_from(hessian)] += prior_prec
-    chol = sla.cho_factor(hessian, lower=True)
-    cov = sla.cho_solve(chol, np.eye(dim))
-    return WeightSpacePosterior(
-        mean=s,
-        cov=cov,
-        num_players=num_players,
-        has_home=has_home,
-        hyper=hyper,
-    )

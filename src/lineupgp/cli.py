@@ -162,13 +162,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _collect_dests(parser: _Parser) -> set[str]:
-    dests = {a.dest for a in parser._actions if a.dest != "help"}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                dests |= {a.dest for a in sp._actions if a.dest != "help"}
-    return dests
+def _subparsers(parser: _Parser) -> list[argparse.ArgumentParser]:
+    return [
+        sp
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for sp in action.choices.values()
+    ]
+
+
+def _actions(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in parser._actions if a.dest != "help"]
 
 
 def _extract_config(argv: list[str]) -> tuple[dict, list[str]]:
@@ -204,18 +208,36 @@ def _extract_config(argv: list[str]) -> tuple[dict, list[str]]:
     return cfg, out
 
 
+def _config_value(key: str, value: object, switches: set[str]) -> object:
+    """A config value as its flag would receive it.
+
+    A switch takes a JSON boolean.  Any other flag takes a string or a
+    number, passed on as its text so that argparse converts and checks it
+    with the flag's own type, as it does a default given as a string.
+    """
+    if key in switches:
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key} must be true or false, got {json.dumps(value)}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key} must be a string or a number, got {json.dumps(value)}")
+    return str(value)
+
+
 def _apply_config(parser: _Parser, config: dict) -> None:
     if not config:
         return
-    known = _collect_dests(parser)
-    unknown = sorted(set(config) - known)
+    subparsers = _subparsers(parser)
+    actions = [a for p in (parser, *subparsers) for a in _actions(p)]
+    unknown = sorted(set(config) - {a.dest for a in actions})
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    switches = {a.dest for a in actions if isinstance(a, argparse._StoreTrueAction)}
+    config = {key: _config_value(key, value, switches) for key, value in config.items()}
     parser.set_defaults(**config)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                sp.set_defaults(**{k: v for k, v in config.items() if k in _collect_dests(sp)})
+    for sp in subparsers:
+        dests = {a.dest for a in _actions(sp)}
+        sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
 
 
 def _hyper_from_args(args: argparse.Namespace) -> Hyperparams:
@@ -330,7 +352,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         write_per_match_csv,
         write_summary_csv,
     )
-    from .gp import train_model
 
     names = _parse_model_names(args.models)
     if "odds" in names and not args.odds:
@@ -344,6 +365,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     models = []
     for name in names:
         if name == "gp":
+            from .gp import train_model
+
             models.append(train_model(train, hyper, optimize=args.optimize, budget=budget))
         elif name == "elo":
             models.append(elo.fit(train))

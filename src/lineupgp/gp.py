@@ -113,9 +113,7 @@ __all__ = [
     "GPModel",
     "fit",
     "log_marginal",
-    "predict_latent",
     "predict_latent_many",
-    "predict_outcomes",
     "quadrature_outcome_probs",
     "optimize_hyperparams",
     "train_model",
@@ -613,12 +611,6 @@ def predict_latent_many(
     return mu, np.maximum(var, 0.0)
 
 
-def predict_latent(post: LaplacePosterior, test: MatchVector) -> tuple[float, float]:
-    """Posterior latent mean and variance for one match vector."""
-    mu, var = predict_latent_many(post, test.plus_indices, test.minus_indices, [test.home])
-    return float(mu[0]), float(var[0])
-
-
 def _quadrature(mu: np.ndarray, var: np.ndarray, alpha: float) -> np.ndarray:
     """(T, 3) win/draw/loss probabilities under f* ~ Normal(mu, var), in blocks.
 
@@ -655,12 +647,6 @@ def quadrature_outcome_probs(mu: float, var: float, d: DrawParam) -> PredictiveD
         raise ValueError(f"variance must be >= 0, got {var!r}")
     (probs,) = _distributions(_quadrature(np.array([mu], float), np.array([var], float), d.alpha))
     return probs
-
-
-def predict_outcomes(post: LaplacePosterior, test: MatchVector) -> PredictiveDistribution:
-    """Posterior predictive win/draw/loss probabilities for one match."""
-    mu, var = predict_latent(post, test)
-    return quadrature_outcome_probs(mu, var, post.hyper.draw)
 
 
 def _inverse_lower(upper: np.ndarray) -> np.ndarray:

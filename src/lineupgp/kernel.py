@@ -6,10 +6,9 @@ team1's eleven, -1 for team2's) plus one home feature.  The kernel is
     k(a, b) = sigma2 * <z_a, z_b> + sigma2_home * h_a * h_b
 
 where the player inner product reduces to signed overlap counts between
-two 22-sparse vectors, so it never touches the P-dimensional space.
-Pairwise evaluation intersects the sorted index lists directly.  A set of
-matches is otherwise held as its sparse signed incidence Z, and every Gram
-is assembled by :func:`gram` from the integer products Z_r Z_c'.
+two 22-sparse vectors, so it never touches the P-dimensional space.  A set
+of matches is held as its sparse signed incidence Z, and every Gram is
+assembled by :func:`gram` from the integer products Z_r Z_c'.
 
 No jitter is ever added to a Gram: the fit never factors K itself, only
 B = I + W^{1/2} K W^{1/2} or its low-rank counterpart C, and both have every
@@ -35,8 +34,6 @@ __all__ = [
     "KernelParams",
     "MatchVector",
     "build_match_vector",
-    "signed_overlap",
-    "kernel_eval",
     "kernel_matrix",
     "export_heatmap",
 ]
@@ -105,38 +102,6 @@ def build_match_vector(rec: MatchRecord, registry: Mapping[str, int]) -> MatchVe
     )
 
 
-def _n_common(x: np.ndarray, y: np.ndarray) -> int:
-    """|x ∩ y| for sorted unique index arrays (two-pointer merge)."""
-    i = j = n = 0
-    nx, ny = len(x), len(y)
-    while i < nx and j < ny:
-        xi, yj = x[i], y[j]
-        if xi == yj:
-            n += 1
-            i += 1
-            j += 1
-        elif xi < yj:
-            i += 1
-        else:
-            j += 1
-    return n
-
-
-def signed_overlap(a: MatchVector, b: MatchVector) -> int:
-    """<z_a, z_b> over the player part alone; an integer in [-22, 22]."""
-    return (
-        _n_common(a.plus_indices, b.plus_indices)
-        + _n_common(a.minus_indices, b.minus_indices)
-        - _n_common(a.plus_indices, b.minus_indices)
-        - _n_common(a.minus_indices, b.plus_indices)
-    )
-
-
-def kernel_eval(a: MatchVector, b: MatchVector, p: KernelParams) -> float:
-    """k(a, b) by intersecting the index lists."""
-    return p.sigma2 * float(signed_overlap(a, b)) + p.sigma2_home * float(a.home * b.home)
-
-
 def incidence(plus: np.ndarray, minus: np.ndarray, width: int) -> sp.csr_matrix:
     """Signed incidence Z of stacked lineups, shape (n, width), indices sorted per row.
 
@@ -195,15 +160,10 @@ def _cross(
     return (z_r @ z_c.T).toarray(), homes_r, homes_c
 
 
-def overlap_matrix(rows: Sequence[MatchVector], cols: Sequence[MatchVector]) -> np.ndarray:
-    """Integer signed-overlap counts, shape (len(rows), len(cols))."""
-    return _cross(rows, cols)[0]
-
-
 def kernel_matrix(
     rows: Sequence[MatchVector], cols: Sequence[MatchVector], p: KernelParams
 ) -> np.ndarray:
-    """Gram matrix K[i, j] = kernel_eval(rows[i], cols[j], p), bit-exactly."""
+    """Gram matrix K[i, j] = k(rows[i], cols[j]) of two match lists."""
     return gram(*_cross(rows, cols), p)
 
 

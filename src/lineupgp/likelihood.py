@@ -37,8 +37,6 @@ __all__ = [
     "DrawParam",
     "PredictiveDistribution",
     "outcome_probs",
-    "log_likelihood",
-    "log_likelihood_derivs",
 ]
 
 
@@ -223,15 +221,3 @@ def loglik_alpha_curvature(codes: np.ndarray, f: np.ndarray, alpha: float) -> np
     g_l = expit(-f - alpha) * expit(alpha + f)
     draw = -4.0 * math.exp(-2.0 * alpha) / math.expm1(-2.0 * alpha) ** 2
     return np.where(codes > 0, -g_w, np.where(codes < 0, -g_l, draw - g_w - g_l))
-
-
-def log_likelihood(y: Outcome, f: float, d: DrawParam) -> float:
-    """log p(y | f, alpha)."""
-    val = loglik_vector(np.array([y.code]), np.array([float(f)]), d.alpha)
-    return float(val[0])
-
-
-def log_likelihood_derivs(y: Outcome, f: float, d: DrawParam) -> tuple[float, float]:
-    """(d/df, d^2/df^2) of log p(y | f, alpha)."""
-    d1, d2 = loglik_derivs_vector(np.array([y.code]), np.array([float(f)]), d.alpha)
-    return float(d1[0]), float(d2[0])

@@ -30,7 +30,6 @@ from lineupgp.baselines import (
     elo_expected,
     elo_rk_predict,
     elo_update,
-    primal_laplace_fit,
 )
 from lineupgp.data import Dataset, HomeSide, Outcome, split_by_cutoff
 from lineupgp.evaluation import evaluate, log_loss
@@ -39,14 +38,18 @@ from lineupgp.gp import (
     fit,
     log_marginal,
     optimize_hyperparams,
-    predict_latent,
-    predict_outcomes,
     quadrature_outcome_probs,
     train_model,
 )
 from lineupgp.kernel import KernelParams, build_match_vector, kernel_matrix
-from lineupgp.likelihood import DrawParam, log_likelihood_derivs, outcome_probs
+from lineupgp.likelihood import DrawParam, outcome_probs
 from lineupgp.simulate import SimConfig, bayes_log_loss, simulate_dataset
+from oracles import (
+    log_likelihood_derivs,
+    predict_latent,
+    predict_outcomes,
+    primal_laplace_fit,
+)
 
 _LN3 = math.log(3.0)
 

@@ -22,7 +22,6 @@ from lineupgp.baselines import (
     fit_elo_alpha,
     load_odds_csv,
     odds_to_probs,
-    primal_laplace_fit_vectors,
     rating_delta_to_latent,
     uniform_probs,
 )
@@ -31,6 +30,7 @@ from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import Hyperparams
 from lineupgp.kernel import SELF_OVERLAP, MatchVector
 from lineupgp.likelihood import DrawParam, loglik_vector, outcome_probs
+from oracles import primal_laplace_fit, primal_laplace_fit_vectors
 from lineupgp.simulate import SimConfig, simulate_dataset
 
 P = player_ids(60)
@@ -363,8 +363,6 @@ class TestWeightSpaceOracle:
         assert var == pytest.approx(SELF_OVERLAP * 0.2, rel=1e-12)
 
     def test_posterior_tightens_with_data(self):
-        from lineupgp.baselines import primal_laplace_fit
-
         ds = random_dataset(np.random.default_rng(305), 25, 30)
         hyper = Hyperparams.create(sigma2=0.3, sigma2_home=0.4, alpha=0.5)
         wsp = primal_laplace_fit(ds, hyper)

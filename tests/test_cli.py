@@ -457,6 +457,36 @@ class TestConfigFile:
     def test_dangling_config_flag(self):
         assert cli.run(["train", "--config"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("evaluate", {"models": 5}),
+            ("train", {"sigma2": None}),
+            ("simulate", {"seed": 2.5}),
+            ("simulate", {"teams": 4.0}),
+            ("train", {"optimize": "no"}),
+            ("evaluate", {"clip": "yes"}),
+            ("train", {"budget": 2.5, "optimize": True}),
+            ("simulate", {"seed": True}),
+        ],
+    )
+    def test_wrongly_typed_value_is_a_usage_error(
+        self, workspace, tmp_path, capsys, command, config
+    ):
+        # a switch takes only a JSON boolean; any other flag a string or a
+        # number, which the flag's own type then checks
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        data = {
+            "train": ["--train", str(workspace["train"]), "--model-out", str(tmp_path / "m.json")],
+            "evaluate": ["--train", str(workspace["train"]), "--test", str(workspace["test"])],
+            "simulate": ["--out", str(tmp_path / "s.csv")],
+        }[command]
+        rc = cli.run([command, *data, "--config", str(cfg)])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("usage error:"), lines
+
 
 _ARRAYS = ("plus", "minus", "mode", "dual_coef")
 _PATHS = [
@@ -787,15 +817,21 @@ def test_cold_import_loads_no_solver_package():
     [
         (["train", "--optimize", "--budget", "5"], ["scipy.optimize"]),
         (["elo-fit"], ["lineupgp.gp", "lineupgp.kernel", "scipy.linalg", "scipy.sparse"]),
+        (
+            ["evaluate", "--models", "elo,random"],
+            ["lineupgp.gp", "lineupgp.kernel", "scipy.linalg", "scipy.sparse"],
+        ),
     ],
-    ids=["search", "elo-fit"],
+    ids=["search", "elo-fit", "evaluate-elo-random"],
 )
 def test_command_loads_only_what_it_runs(workspace, tmp_path, command, absent):
-    # an evidence search needs no scipy.optimize, and Elo none of the GP stack
-    # that only the weight-space oracle's methods import
+    # an evidence search needs no scipy.optimize, and Elo and the uniform
+    # model none of the GP stack
     argv = [*command, "--train", str(workspace["train"])]
     if command[0] == "train":
         argv += ["--model-out", str(tmp_path / "m.json")]
+    if command[0] == "evaluate":
+        argv += ["--test", str(workspace["test"])]
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
@@ -843,7 +879,7 @@ def test_every_public_name_resolves_to_its_module_object():
     # the package resolves names on first access; each must be the object
     # its defining module holds
     names = [name for name in lineupgp.__all__ if name != "__version__"]
-    assert len(names) == len(set(names)) == 51
+    assert len(names) == len(set(names)) == 45
     for name in names:
         obj = getattr(lineupgp, name)
         assert obj.__module__.startswith("lineupgp."), name

@@ -35,7 +35,6 @@ from conftest import (
     version_4_payload,
 )
 from lineupgp import gp
-from lineupgp.baselines import primal_laplace_fit, primal_laplace_fit_vectors
 from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import (
@@ -50,8 +49,6 @@ from lineupgp.gp import (
     load_model,
     log_marginal,
     optimize_hyperparams,
-    predict_latent,
-    predict_outcomes,
     quadrature_outcome_probs,
     save_model,
     train_model,
@@ -59,19 +56,25 @@ from lineupgp.gp import (
 from lineupgp.kernel import (
     SELF_OVERLAP,
     build_match_vector,
-    kernel_eval,
     kernel_matrix,
     match_incidence,
 )
 from lineupgp.likelihood import (
     DrawParam,
     _probs_arrays,
-    log_likelihood_derivs,
     loglik_derivs_vector,
     loglik_vector,
     outcome_probs,
 )
 from lineupgp.simulate import SimConfig, simulate_dataset
+from oracles import (
+    kernel_eval,
+    log_likelihood_derivs,
+    predict_latent,
+    predict_outcomes,
+    primal_laplace_fit,
+    primal_laplace_fit_vectors,
+)
 
 IDS = player_ids(80)
 

@@ -21,8 +21,6 @@ from lineupgp.likelihood import (
     PredictiveDistribution,
     _log_expm1,
     _probs_arrays,
-    log_likelihood,
-    log_likelihood_derivs,
     loglik_alpha_curvature,
     loglik_alpha_derivs,
     loglik_derivs_vector,
@@ -30,6 +28,7 @@ from lineupgp.likelihood import (
     outcome_probs,
     sigmoid,
 )
+from oracles import log_likelihood, log_likelihood_derivs
 
 OUTCOMES = (Outcome.TEAM1_WIN, Outcome.DRAW, Outcome.TEAM2_WIN)
 
