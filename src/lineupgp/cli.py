@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Diagnostics go to stderr; requested data goes to stdout or ``--out`` files.
-A JSON ``--config`` file may mirror any flag by its underscored name
-(e.g. ``{"sigma2_home": 0.5}``); explicit flags win over the config.
+A JSON ``--config`` file may mirror any flag of the command it runs with by
+its underscored name (e.g. ``{"sigma2_home": 0.5}``); explicit flags win
+over the config, and a key that the command takes no flag for is a usage
+error.
 
 Every command starts a fresh interpreter, and importing NumPy and SciPy
 costs more than many commands do.  So this module imports only the error
@@ -162,13 +164,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _subparsers(parser: _Parser) -> list[argparse.ArgumentParser]:
-    return [
-        sp
+def _subparsers(parser: _Parser) -> dict[str, argparse.ArgumentParser]:
+    return {
+        name: sp
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
-        for sp in action.choices.values()
-    ]
+        for name, sp in action.choices.items()
+    }
 
 
 def _actions(parser: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -224,20 +226,26 @@ def _config_value(key: str, value: object, switches: set[str]) -> object:
     return str(value)
 
 
-def _apply_config(parser: _Parser, config: dict) -> None:
+def _apply_config(parser: _Parser, config: dict, argv: list[str]) -> None:
+    """Make the config's values the defaults of the command that ``argv`` runs.
+
+    The command is the first token that is not an option, as the top-level
+    parser takes no option with a value; without a known one, argparse
+    reports the missing or unknown command.  A key that no flag of the
+    command takes is a usage error.
+    """
     if not config:
         return
-    subparsers = _subparsers(parser)
-    actions = [a for p in (parser, *subparsers) for a in _actions(p)]
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    sub = _subparsers(parser).get(command)
+    if sub is None:
+        return
+    actions = _actions(sub)
     unknown = sorted(set(config) - {a.dest for a in actions})
     if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+        raise UsageError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
     switches = {a.dest for a in actions if isinstance(a, argparse._StoreTrueAction)}
-    config = {key: _config_value(key, value, switches) for key, value in config.items()}
-    parser.set_defaults(**config)
-    for sp in subparsers:
-        dests = {a.dest for a in _actions(sp)}
-        sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
+    sub.set_defaults(**{key: _config_value(key, value, switches) for key, value in config.items()})
 
 
 def _hyper_from_args(args: argparse.Namespace) -> Hyperparams:
@@ -478,7 +486,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         config, rest = _extract_config(raw)
         parser = _build_parser()
-        _apply_config(parser, config)
+        _apply_config(parser, config, rest)
         try:
             args = parser.parse_args(rest)
         except SystemExit as exc:  # --help / --version exit 0 inside argparse

@@ -487,6 +487,35 @@ class TestConfigFile:
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith("usage error:"), lines
 
+    @pytest.mark.parametrize(
+        "command, config, keys",
+        [
+            ("train", {"clip": True, "seed": 7}, "clip, seed"),
+            ("train", {"sigma2": 0.5, "models": "gp"}, "models"),
+            ("simulate", {"sigma2": 0.5}, "sigma2"),
+            ("elo-fit", {"alpha": 0.5, "optimize": True}, "alpha, optimize"),
+            ("evaluate", {"command": "train"}, "command"),
+        ],
+    )
+    def test_key_the_command_does_not_take(
+        self, workspace, tmp_path, capsys, command, config, keys
+    ):
+        # each key is some command's flag (or the command itself), but not
+        # one this command takes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        data = {
+            "train": ["--train", str(workspace["train"]), "--model-out", str(tmp_path / "m.json")],
+            "evaluate": ["--train", str(workspace["train"]), "--test", str(workspace["test"])],
+            "simulate": ["--out", str(tmp_path / "s.csv")],
+            "elo-fit": ["--train", str(workspace["train"])],
+        }[command]
+        rc = cli.run([command, *data, "--config", str(cfg)])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert rc == 1
+        assert lines == [f"usage error: unknown config key(s) for {command}: {keys}"]
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "s.csv").exists()
+
 
 _ARRAYS = ("plus", "minus", "mode", "dual_coef")
 _PATHS = [

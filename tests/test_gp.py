@@ -986,6 +986,109 @@ class TestOptimize:
         (line,) = [r.getMessage() for r in caplog.records if "evidence search" in r.getMessage()]
         assert "3 of 3 evaluations" in line and "budget used up" in line
 
+    @pytest.mark.parametrize(
+        "init",
+        [
+            Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45),
+            # outside the box: the init and the point it clips to are both evaluated
+            Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=20.0),
+        ],
+    )
+    def test_logs_each_evaluation(self, default_league, caplog, init):
+        with caplog.at_level(logging.DEBUG, logger=gp.__name__):
+            optimize_hyperparams(default_league, init, budget=200)
+        records = [r for r in caplog.records if r.getMessage().startswith("search evaluation")]
+        assert {r.levelno for r in records} == {logging.DEBUG}
+        used, stop = _search_summary(caplog)
+        assert len(records) == used
+        roles = [r.getMessage().split("(")[1].split(")")[0] for r in records]
+        starts = 2 if init.draw.log_alpha > gp._SEARCH_BOUNDS[2][1] else 1
+        assert roles[: starts + 3] == ["init"] * starts + ["probe"] * 3
+        assert set(roles[starts + 3 :]) <= {"trial", "accepted"}
+        assert "accepted" in roles and _converged(stop)
+
+    def test_default_league_in_few_evaluations(self, default_league, caplog):
+        # the identity-started BFGS took 19 evaluations here
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        with caplog.at_level(logging.INFO, logger=gp.__name__):
+            optimize_hyperparams(default_league, init, budget=200)
+        used, stop = _search_summary(caplog)
+        assert used <= 14 and _converged(stop), (used, stop)
+
+    def test_dense_route_converges(self, caplog):
+        league = simulate_dataset(
+            SimConfig(seed=0, num_players=560, num_teams=40, matches_per_team=28)
+        ).dataset
+        assert league.n <= league.num_players + 1
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        with caplog.at_level(logging.INFO, logger=gp.__name__):
+            best = optimize_hyperparams(league, init, budget=200)
+        used, stop = _search_summary(caplog)
+        assert _converged(stop) and "line search failed" not in stop, stop
+        assert log_marginal(fit(league, best)) > log_marginal(fit(league, init))
+
+    def test_init_on_the_bounds_evaluates_inside_the_box(self, default_league, monkeypatch):
+        # log sigma2_home and log alpha start on their lower and upper bounds:
+        # the probe of log alpha steps inward, and no point leaves the box
+        hypers = []
+        laplace = gp._laplace
+
+        def recorded(*args, **kwargs):
+            hypers.append(args[1])
+            return laplace(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "_laplace", recorded)
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=0.0, alpha=math.exp(2.0))
+        optimize_hyperparams(default_league, init, budget=200)
+        assert hypers[0] is init and len(hypers) > 4
+        (scale_lo, scale_hi), _, (alpha_lo, alpha_hi) = gp._SEARCH_BOUNDS
+        for h in hypers[1:]:
+            for scale in (h.kernel.sigma2, h.kernel.sigma2_home):
+                assert math.exp(scale_lo) <= scale <= math.exp(scale_hi), h
+            assert alpha_lo <= h.draw.log_alpha <= alpha_hi, h
+        assert hypers[3].draw.log_alpha == 2.0 - gp._PROBE_STEP
+
+    @pytest.mark.parametrize("budget", [2, 3, 4])
+    def test_budget_spent_in_the_probes(self, default_league, monkeypatch, budget):
+        posts, gradients = [], []
+        laplace, gradient = gp._laplace, gp._evidence_gradient
+
+        def fitted(*args, **kwargs):
+            posts.append(laplace(*args, **kwargs))
+            return posts[-1]
+
+        def differentiated(post):
+            gradients.append(post)
+            return gradient(post)
+
+        monkeypatch.setattr(gp, "_laplace", fitted)
+        monkeypatch.setattr(gp, "_evidence_gradient", differentiated)
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        best = optimize_hyperparams(default_league, init, budget=budget)
+        assert len(posts) == budget and len(gradients) == budget - 1
+        assert all(p is not posts[-1] for p in gradients)
+        monkeypatch.undo()
+        assert log_marginal(fit(default_league, best)) >= log_marginal(fit(default_league, init))
+
+
+def _search_summary(caplog) -> tuple[int, str]:
+    """The evaluations used and the stop reason, from the search's one INFO line."""
+    (line,) = [
+        r.getMessage()
+        for r in caplog.records
+        if r.levelno == logging.INFO and r.getMessage().startswith("evidence search")
+    ]
+    used = int(line.split("evidence search: ")[1].split(" of ")[0])
+    return used, line.split("; stop: ")[1].split(";")[0]
+
+
+def _converged(stop: str) -> bool:
+    return stop in (
+        "projected gradient within gtol",
+        "predicted reduction within ftol",
+        "relative reduction within ftol",
+    )
+
 
 class TestModelPersistence:
     def _trained(self, seed=251):
