@@ -12,34 +12,29 @@ use the well-conditioned matrix B = I + W^{1/2} K W^{1/2} (W is the negated
 likelihood Hessian, nonnegative because the likelihood is log-concave).
 K = X S X' for the sparse features X = [Z | h] (23 nonzeros per row) and
 S = diag(sigma2, ..., sigma2, sigma2_home) is applied as X (s * X'v) and
-never held.  The training set's shape picks one of two routes:
+never held.  With U = W^{1/2} X S^{1/2}, B = I + U U' is solved by Woodbury
+through the Cholesky factor of the (P+1) x (P+1) matrix C = I + U'U (P
+players), with log|B| = log|C| (Rasmussen & Williams 2006, Section 3.4): no
+N x N array is ever built.
 
-* N <= P+1 matches (P players): each Newton step solves with B by
-  conjugate gradients, B applied through K's sparse products, and B is
-  factored once, at the mode, as a dense N x N Cholesky factor built from
-  Z Z' kept as exact int8 counts;
-* N > P+1: K has rank <= P+1, so B = I + U U' with U = W^{1/2} X S^{1/2},
-  solved by Woodbury through the Cholesky factor of the (P+1) x (P+1)
-  matrix C = I + U'U, with log|B| = log|C|, at every Newton step and at
-  the mode.
+C is I plus a positive semidefinite matrix, so every eigenvalue is >= 1:
+its Cholesky factor exists for any hyperparameters, even where K is
+singular, as when two matches field the same lineups at the same venue or
+N > P+1.  So K is exactly sigma2 Z Z' + sigma2_home h h', with no jitter on
+its diagonal.
 
-B and C are each I plus a positive semidefinite matrix, so every eigenvalue
-of either is >= 1 (Rasmussen & Williams 2006, Section 3.4): their Cholesky
-factors exist for any hyperparameters, even where K is singular, as when two
-matches field the same lineups at the same venue.  So K is exactly
-sigma2 Z Z' + sigma2_home h h', with no jitter on its diagonal.
-
-The route decides only which matrix is factored and how a Newton step
-solves with B.  The posterior is one record, :class:`LaplacePosterior`,
+The training set's shape picks only how a Newton step solves with B.  With
+N <= P+1 matches, each step runs conjugate gradients, B applied through K's
+sparse products, and C is factored once, at the mode; with N > P+1, every
+step factors C.  The posterior is one record, :class:`LaplacePosterior`,
 that one function builds for a fit, each evaluation of the evidence search
 and load_model.
 
 The weights w ~ N(0, S) with f = X w have the Laplace posterior mean
-m = S X' grad log p(y|f_hat), so a test match x gets mean x'm.  On the
-low-rank route their covariance is S^{1/2} C^{-1} S^{1/2}, exactly, so x
-gets variance |L_C^{-1} S^{1/2} x|^2; on the dense route it comes through
-L_B from k* = X S x.  Players unseen in training add their prior variance
-and nothing to the mean on either route.
+m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly,
+so a test match x gets mean x'm and variance |L_C^{-1} S^{1/2} x|^2.
+Players unseen in training add their prior variance and nothing to the
+mean.
 
 Test matches are scored in batches: their lineups come in as registry-index
 arrays, any index past the training registry standing for an unseen player,
@@ -56,10 +51,8 @@ Laplace evidence (Rasmussen & Williams 2006, Algorithm 5.1, with the implicit
 term through the mode).  BFGS starts from the inverse of the Hessian at
 the init, taken by forward differences of that gradient at one probe per log
 (Nocedal & Wright 2006, Section 8.1), so a 600-match league takes 9-21
-evaluations, against 14-43 from an identity start.  The gradient's
-route-specific parts come from the inverse of whichever factor the posterior
-holds, C^{-1} or B^{-1}, scaled in place, so on the low-rank route a gradient
-builds no N x N array.
+evaluations, against 14-43 from an identity start.  The gradient's traces
+come from C^{-1}, scaled in place, so a gradient builds no N x N array.
 
 A model file (version 5) stores the training set, hyperparameters, mode and
 dual coefficients; loading rebuilds the record from them through the
@@ -97,7 +90,6 @@ from .kernel import (
     KernelParams,
     MatchVector,
     build_match_vector,
-    gram,
     incidence,
 )
 from .likelihood import (
@@ -139,7 +131,7 @@ _GH_POINTS = 32
 _gh_nodes, _gh_weights = np.polynomial.hermite.hermgauss(_GH_POINTS)
 _gh_weights = _gh_weights / math.sqrt(math.pi)
 
-# test matches per batch solve: memory stays O(_BLOCK * max(N, P)) for any test set
+# test matches per batch solve: memory stays O(_BLOCK * P) for any test set
 _BLOCK = 1024
 
 
@@ -198,8 +190,8 @@ def _chol_upper(sym: np.ndarray) -> np.ndarray:
 class _BFactor:
     """B = I + W^{1/2} K W^{1/2} factored: ``solve(v)`` is B^{-1} v.
 
-    ``upper`` is the upper Cholesky factor of C on the low-rank route, of B
-    on the dense one.
+    ``upper`` is the upper Cholesky factor of C = I + S^{1/2} X' W X S^{1/2},
+    and ``half_logdet`` is 0.5 log|C| = 0.5 log|B|.
     """
 
     solve: Callable[[np.ndarray], np.ndarray]
@@ -209,14 +201,12 @@ class _BFactor:
 
 @dataclass(frozen=True)
 class _TrainParts:
-    """The training set as arrays, plus the hyperparameter-free matrix its route factors.
+    """The training set as arrays, plus the hyperparameter-free map that builds C.
 
     ``x`` is the sparse feature matrix X = [Z | h] (N x (P+1)) and ``xt`` its
-    transpose, so K = X S X' is applied as X (s * X'v) and never held.  With
-    more matches than features (N > P+1), ``pairs`` (sparse, (P+1)^2 x N)
-    maps match weights u to the lower triangle of X' diag(u) X, flattened in
-    C order, and so builds C; otherwise ``overlap`` holds Z Z' as exact int8
-    counts (|count| <= 22) and builds B.
+    transpose, so K = X S X' is applied as X (s * X'v) and never held.
+    ``pairs`` (sparse, (P+1)^2 x N) maps match weights u to the lower
+    triangle of X' diag(u) X, flattened in C order, and so builds C.
     """
 
     z: sp.csr_matrix
@@ -224,8 +214,7 @@ class _TrainParts:
     codes: np.ndarray
     x: sp.csr_matrix
     xt: sp.csc_matrix
-    pairs: sp.csc_matrix | None = None
-    overlap: np.ndarray | None = None
+    pairs: sp.csc_matrix
 
     def variances(self, kp: KernelParams) -> np.ndarray:
         """diag(S): the prior variances of the P player weights, then the home weight's."""
@@ -239,28 +228,22 @@ class _TrainParts:
 
 
 def _factor_b(parts: _TrainParts, kp: KernelParams, sw: np.ndarray) -> _BFactor:
-    """B = I + W^{1/2} K W^{1/2} factored by the parts' route (see the module docstring).
+    """B = I + U U' (U = W^{1/2} X S^{1/2}) factored through C = I + U'U.
 
-    Dense: B itself, built from the overlap counts.  Low rank: B = I + U U'
-    by Woodbury through C = I + U'U, so B^{-1} v = v - W^{1/2} X S^{1/2} C^{-1}
-    S^{1/2} X' W^{1/2} v and log|B| = log|C|.
+    By Woodbury, B^{-1} v = v - W^{1/2} X S^{1/2} C^{-1} S^{1/2} X' W^{1/2} v,
+    and log|B| = log|C|.
     """
     if not np.all(np.isfinite(sw)):
         raise NumericalError("non-finite likelihood curvature in the Laplace fit")
-    # I + D M D for B (M = K, D = W^{1/2}) or for C (M = X' W X, D = S^{1/2})
-    if parts.pairs is None:
-        m, d = gram(parts.overlap, parts.homes, parts.homes, kp), sw
-    else:
-        d = np.sqrt(parts.variances(kp))
-        m = (parts.pairs @ (sw * sw)).reshape(len(d), len(d))
+    # C = I + D M D with M = X' W X and D = S^{1/2}, built in its lower triangle
+    d = np.sqrt(parts.variances(kp))
+    m = (parts.pairs @ (sw * sw)).reshape(len(d), len(d))
     m *= d[:, None]
     m *= d
     m[np.diag_indices_from(m)] += 1.0
     upper = _chol_upper(m)
 
     def solve(v: np.ndarray) -> np.ndarray:
-        if parts.pairs is None:
-            return sla.cho_solve((upper, False), v, check_finite=False)
         t = sla.cho_solve((upper, False), d * (parts.xt @ (sw * v)), check_finite=False)
         return v - sw * (parts.x @ (d * t))
 
@@ -299,23 +282,20 @@ def _make_parts(
     x = sp.csr_matrix(
         (vals.astype(np.float64).ravel(), cols.ravel(), starts * cols.shape[1]), shape=(n, p + 1)
     )
-    # one transposed view for every product: building it per product costs more than the product
-    features = (z, homes, codes, x, x.T)
-    # the route rule: low rank when there are more matches than features
-    if n <= p + 1:
-        # every partial sum of a count is at most 22 in size, so int8 is exact throughout
-        z8 = z.astype(np.int8)
-        return _TrainParts(*features, overlap=(z8 @ z8.T).toarray())
     hi, lo = np.tril_indices(cols.shape[1])
+    # each pair's flat index into C and its product, built in place: fewer
+    # transient (N, 276) arrays lower the peak memory of a fit and of a load
+    keys = cols[:, hi]
+    keys *= idx(p + 1)
+    keys += cols[:, lo]
+    prods = vals[:, hi]
+    prods *= vals[:, lo]
     pairs = sp.csc_matrix(
-        (
-            (vals[:, hi] * vals[:, lo]).ravel().astype(np.float64),
-            (cols[:, hi] * idx(p + 1) + cols[:, lo]).ravel(),
-            starts * len(hi),
-        ),
+        (prods.ravel().astype(np.float64), keys.ravel(), starts * len(hi)),
         shape=((p + 1) ** 2, n),
     )
-    return _TrainParts(*features, pairs=pairs)
+    # one transposed view for every product: building it per product costs more than the product
+    return _TrainParts(z, homes, codes, x, x.T, pairs)
 
 
 def _psi(codes: np.ndarray, f: np.ndarray, a: np.ndarray, alpha: float) -> float:
@@ -327,15 +307,17 @@ _CG_RTOL = 1e-12
 
 
 def _cg_limit(n: int) -> int:
-    """CG iterations worth one factor of the N x N matrix B, at most N.
+    """CG iterations worth one factor of an N x N matrix, at most N.
 
     An iteration costs two sparse products, about 25 + 0.045 N us on one
-    core, and a factor of B about N^3 / 3 flops plus building B: 2.5 ms at
-    N = 400, 40 ms at 1300, 124 ms at 2000, where the two break even at
-    57, 457 and 1173 iterations, near N^2 / 3300.  Newton's steps on a
-    well-conditioned B, as at sigma2 = 0.09, sigma2_home = 1, alpha = 0.45,
-    take 20-45 iterations at any N from 30 to 2000, so no limit falls
-    below 64.
+    core, and a factor of the N x N matrix B about N^3 / 3 flops plus
+    building it: 2.5 ms at N = 400, 40 ms at 1300, 124 ms at 2000, where the
+    two break even at 57, 457 and 1173 iterations, near N^2 / 3300.  The
+    fallback factors the (P+1) x (P+1) matrix C, and CG runs only where
+    N <= P+1, so the fallback costs at least as much as a factor of B: the
+    limit is conservative.  Newton's steps on a well-conditioned B, as at
+    sigma2 = 0.09, sigma2_home = 1, alpha = 0.45, take 20-45 iterations at
+    any N from 30 to 2000, so no limit falls below 64.
     """
     return min(n, max(64, n * n // 3300))
 
@@ -378,19 +360,19 @@ def _newton_mode(
     f = 0), else from a = 0.  The objective is strictly concave in f, so
     every start reaches the same mode.
 
-    Each step solves B v = W^{1/2} K b.  On the dense route that is
+    Each step solves B v = W^{1/2} K b.  With N <= P+1 matches that is
     Newton-CG (Nocedal & Wright 2006, Section 7.1): conjugate gradients
     with B applied as v + W^{1/2} K W^{1/2} v through ``k_dot``, started
-    from the previous step's v, so no N x N array is built.  Once a step
-    needs more iterations than one factor costs (``_cg_limit``), as on an
-    ill-conditioned B at large sigma2, that step and every later one are
-    solved through ``_factor_b``.  The low-rank route solves every step
-    through ``_factor_b``.  One DEBUG log line per step gives Psi, the step
-    length and the solver's work.
+    from the previous step's v, so C is factored only at the mode.  Once a
+    step needs more iterations than ``_cg_limit``, as on an ill-conditioned
+    B at large sigma2, that step and every later one are solved through
+    ``_factor_b``.  With N > P+1, where C is smaller than B, every step is
+    solved through ``_factor_b``.  One DEBUG log line per step gives Psi,
+    the step length and the solver's work.
     """
     codes, alpha, kp = parts.codes, hyper.alpha, hyper.kernel
     k = partial(parts.k_dot, parts.variances(kp))
-    n = len(codes)
+    n, p = parts.z.shape
     a = np.zeros(n)
     f = np.zeros(n)
     psi = _psi(codes, f, a, alpha)
@@ -403,7 +385,7 @@ def _newton_mode(
     d1, d2 = loglik_derivs_vector(codes, f, alpha)
     last_delta = math.inf
     v = np.zeros(n)
-    use_cg = parts.pairs is None
+    use_cg = n <= p + 1
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         w = -d2
         sw = np.sqrt(w)
@@ -473,10 +455,10 @@ class LaplacePosterior:
     ``mode = K dual_coef``; no N x N Gram is held.  ``grad`` is the likelihood
     gradient at the mode, ``sqrt_w`` the square root of its negated Hessian
     and ``loglik`` log p(y|mode).  ``factor`` holds B = I + W^{1/2} K W^{1/2}
-    factored by the route: with N > P+1 matches (``low_rank``) through the
-    (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2}, otherwise as B.  Both
-    are >= I, so neither needs jitter on K, however singular K is.
-    ``_at_mode`` builds it; a model file saves no field that it derives.
+    factored through the (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2},
+    which is >= I, so it needs no jitter on K, however singular K is; the
+    weights' posterior covariance is S^{1/2} C^{-1} S^{1/2}.  ``_at_mode``
+    builds it; a model file saves no field that it derives.
     """
 
     parts: _TrainParts
@@ -494,13 +476,8 @@ class LaplacePosterior:
         return len(self.mode)
 
     @property
-    def low_rank(self) -> bool:
-        """N > P+1: ``chol`` factors C and prediction runs in weight space."""
-        return self.parts.pairs is not None
-
-    @property
     def chol(self) -> np.ndarray:
-        """The lower Cholesky factor, of C or of B, in C order."""
+        """The lower Cholesky factor of C, in C order."""
         return self.factor.upper.T
 
     @property
@@ -553,7 +530,7 @@ def log_marginal(post: LaplacePosterior) -> float:
 def _latent_block(
     post: LaplacePosterior, plus: np.ndarray, minus: np.ndarray, homes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped (mu, var) of one block of test matches (see predict_latent_many)."""
+    """(mu, var) of one block of test matches (see predict_latent_many)."""
     kp = post.hyper.kernel
     parts = post.parts
     p = parts.z.shape[1]
@@ -567,21 +544,12 @@ def _latent_block(
     x[p] = homes
     x = x[: p + 1]
     mu = x.T @ post.weight_mean
-    s = parts.variances(kp)
-    # chol is finite: load_model, like fit, factors it from a finite B (or C)
-    if post.low_rank:
-        x *= np.sqrt(s)[:, None]
-        v = sla.solve_triangular(post.chol, x, lower=True, check_finite=False)
-        # each player unseen in training adds its prior variance
-        unseen = np.sum(plus >= p, axis=1) + np.sum(minus >= p, axis=1)
-        return mu, np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
-    # k* = X S x, one column per test match, then each row scaled by W^{1/2}
-    x *= s[:, None]
-    k_star = parts.x @ x
-    k_star *= post.sqrt_w[:, None]
-    v = sla.solve_triangular(post.chol, k_star, lower=True, check_finite=False)
-    k_ss = SELF_OVERLAP * kp.sigma2 + kp.sigma2_home * homes.astype(np.float64) ** 2
-    return mu, k_ss - np.einsum("ij,ij->j", v, v)
+    x *= np.sqrt(parts.variances(kp))[:, None]
+    # chol is finite: load_model, like fit, factors it from a finite C
+    v = sla.solve_triangular(post.chol, x, lower=True, check_finite=False)
+    # each player unseen in training adds its prior variance
+    unseen = np.sum(plus >= p, axis=1) + np.sum(minus >= p, axis=1)
+    return mu, np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
 
 
 def _blocks(t: int) -> list[slice]:
@@ -596,7 +564,8 @@ def predict_latent_many(
     ``plus`` and ``minus`` are (T, 11) registry indices of the two lineups and
     ``homes`` the T home signs.  An index at or past the training registry's
     size P is a player unseen in training, which adds its prior variance and
-    nothing to the mean.  Scored in blocks of ``_BLOCK`` matches.
+    nothing to the mean.  Scored in blocks of ``_BLOCK`` matches.  Each
+    variance is a sum of squares, so none is negative.
     """
     homes = np.asarray(homes, dtype=np.int64)
     plus = np.asarray(plus, dtype=np.int64).reshape(len(homes), PLAYERS_PER_SIDE)
@@ -605,14 +574,7 @@ def predict_latent_many(
     var = np.empty(len(homes))
     for rows in _blocks(len(homes)):
         mu[rows], var[rows] = _latent_block(post, plus[rows], minus[rows], homes[rows])
-    bad = var < -1e-8
-    if np.any(bad):
-        logger.warning(
-            "clamping %d negative predictive variance(s), most negative %g",
-            int(np.sum(bad)),
-            float(np.min(var)),
-        )
-    return mu, np.maximum(var, 0.0)
+    return mu, var
 
 
 def _quadrature(mu: np.ndarray, var: np.ndarray, alpha: float) -> np.ndarray:
@@ -667,7 +629,7 @@ def _inverse_lower(upper: np.ndarray) -> np.ndarray:
 
 
 def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]:
-    """The parts of the evidence gradient that need the inverse of B (or of C).
+    """The parts of the evidence gradient that need the inverse of B, from C^{-1}.
 
     Returns diag(Sigma_f) with Sigma_f = (K^{-1} + W)^{-1}, then tr(R K_z) and
     tr(R K_h), where R = W^{1/2} B^{-1} W^{1/2} and K_z = sigma2 Z Z',
@@ -675,29 +637,18 @@ def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]
     """
     parts, kp = post.parts, post.hyper.kernel
     inv = _inverse_lower(post.factor.upper)
-    if post.low_rank:
-        # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}: Sigma_f = X T X',
-        #   X' R X = S^{-1/2} (I - C^{-1}) S^{-1/2}, so for dS = S on one block
-        #   of weights and 0 elsewhere, tr(R X dS X') = sum of 1 - C^{-1}_jj
-        #   over the block: the share of each prior variance the data removes
-        explained = 1.0 - np.diagonal(inv)
-        # T in place; x_i' T x_i for every training row from the pair products
-        # of its entries, which read only the lower triangle, off-diagonal doubled
-        rs = np.sqrt(parts.variances(kp))
-        inv *= rs[:, None]
-        inv *= rs
-        np.multiply(inv, 2.0, out=inv, where=np.tri(len(inv), k=-1, dtype=bool))
-        return parts.pairs.T @ inv.ravel(), float(np.sum(explained[:-1])), float(explained[-1])
-    # R in place, mirrored row by row into its upper triangle
-    r = inv
-    for i in range(len(r) - 1):
-        r[i, i + 1 :] = r[i + 1 :, i]
-    r *= post.sqrt_w[:, None]
-    r *= post.sqrt_w
-    k = gram(parts.overlap, parts.homes, parts.homes, kp)
-    sigma_f = np.diagonal(k) - np.einsum("ij,ij->i", k @ r, k)
-    h = parts.homes.astype(np.float64)
-    return sigma_f, kp.sigma2 * float(np.sum(r * parts.overlap)), kp.sigma2_home * float(h @ r @ h)
+    # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}: Sigma_f = X T X',
+    #   X' R X = S^{-1/2} (I - C^{-1}) S^{-1/2}, so for dS = S on one block
+    #   of weights and 0 elsewhere, tr(R X dS X') = sum of 1 - C^{-1}_jj
+    #   over the block: the share of each prior variance the data removes
+    explained = 1.0 - np.diagonal(inv)
+    # T in place; x_i' T x_i for every training row from the pair products
+    # of its entries, which read only the lower triangle, off-diagonal doubled
+    rs = np.sqrt(parts.variances(kp))
+    inv *= rs[:, None]
+    inv *= rs
+    np.multiply(inv, 2.0, out=inv, where=np.tri(len(inv), k=-1, dtype=bool))
+    return parts.pairs.T @ inv.ravel(), float(np.sum(explained[:-1])), float(explained[-1])
 
 
 def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:

@@ -10,9 +10,11 @@ two 22-sparse vectors, so it never touches the P-dimensional space.  A set
 of matches is held as its sparse signed incidence Z, and every Gram is
 assembled by :func:`gram` from the integer products Z_r Z_c'.
 
-No jitter is ever added to a Gram: the fit never factors K itself, only
-B = I + W^{1/2} K W^{1/2} or its low-rank counterpart C, and both have every
+No jitter is ever added to a Gram, and the fit builds none: it factors
+only the weight-space matrix C = I + S^{1/2} X' W X S^{1/2}, which has every
 eigenvalue >= 1 for any positive semidefinite K, singular ones included.
+A Gram from :func:`kernel_matrix` serves ``heatmap`` and callers that want
+K itself.
 """
 
 from __future__ import annotations

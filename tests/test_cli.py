@@ -201,14 +201,15 @@ class TestTrainPredict:
 
     @pytest.mark.parametrize("matches_per_team", [10, 40])
     def test_predict_equals_evaluate_bit_for_bit(self, tmp_path, matches_per_team):
-        # 20 matches over 56 players serve from L_B, 80 from weight space
+        # 20 matches over 56 players (N <= P+1, Newton-CG) and 80 (N > P+1)
         sim = ["--teams", "4", "--matches-per-team", str(matches_per_team), "--players", "56"]
         paths = {name: str(tmp_path / name) for name in ("train", "test", "model", "preds", "rows")}
         assert cli.run(["simulate", "--seed", "0", *sim, "--out", paths["train"]]) == 0
         assert cli.run(["simulate", "--seed", "1", *sim, "--out", paths["test"]]) == 0
         data = ["--train", paths["train"], "--alpha", "0.45"]
         assert cli.run(["train", *data, "--model-out", paths["model"]]) == 0
-        assert load_model(paths["model"]).posterior.low_rank == (matches_per_team == 40)
+        post = load_model(paths["model"]).posterior
+        assert (post.n > post.parts.z.shape[1] + 1) == (matches_per_team == 40)
         assert cli.run(["predict", "--model", paths["model"], "--test", paths["test"], "--out", paths["preds"]]) == 0
         assert cli.run(["evaluate", *data, "--test", paths["test"], "--models", "gp", "--per-match-out", paths["rows"]]) == 0
         predicted = Path(paths["preds"]).read_text().strip().split("\n")[1:]

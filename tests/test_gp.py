@@ -4,7 +4,8 @@ Oracles used here:
   * a bisection root-finder for the single-match posterior mode,
   * the weight-space (primal) Laplace fit for the multi-match case,
   * a tensor-grid integrator for the evidence on tiny datasets,
-  * the dense N x N Gram for the low-rank route's mode and evidence,
+  * the dense N x N Gram for the evidence (log|B| by slogdet) and for
+    predictions (the dual formula), on both sides of N = P+1,
   * central differences of the evidence for its analytic gradient,
   * closed forms for fully disjoint test matches.
 """
@@ -195,13 +196,12 @@ class TestDualPrimalEquivalence:
     def test_partly_unseen_lineups(self):
         # lineups mixing training players with unseen ones: the unseen half
         # adds prior variance only, as under the train/test union registry;
-        # 30 matches over 40 players serve from B, 60 over 30 from weight space
+        # 30 matches over 40 players (N <= P+1) and 60 over 30 (N > P+1)
         rng = np.random.default_rng(213)
         for n_matches, n_players in ((30, 40), (60, 30)):
             ds = random_dataset(rng, n_matches, n_players)
             hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)
             model = train_model(ds, hyper)
-            assert model.posterior.low_rank == (ds.n > ds.num_players + 1)
             seen = sorted(ds.registry)
             fresh = [f"q{i:03d}" for i in range(10)]
             union = dict(ds.registry)
@@ -224,18 +224,12 @@ class TestDualPrimalEquivalence:
                 assert abs(var_d - var_p) <= 1e-6
 
 
-def _dense_parts(parts):
-    """The same training set on the dense route: B factored from the int8 overlap Z Z'."""
-    overlap = (parts.z @ parts.z.T).toarray().astype(np.int8)
-    return dataclasses.replace(parts, pairs=None, overlap=overlap)
-
-
 def _dense_evidence(ds, hyper):
-    """Mode by Newton through the dense N x N factor of B, evidence with log|B| from slogdet."""
+    """Mode by the package's Newton, evidence with log|B| from slogdet of the dense N x N B."""
     vecs = [build_match_vector(r, ds.registry) for r in ds.records]
     k = kernel_matrix(vecs, vecs, hyper.kernel)
     codes = np.array([r.outcome.code for r in ds.records])
-    f, a, _ = _newton_mode(_dense_parts(_dataset_parts(ds)), hyper)
+    f, a, _ = _newton_mode(_dataset_parts(ds), hyper)
     _, d2 = loglik_derivs_vector(codes, f, hyper.alpha)
     sw = np.sqrt(-d2)
     sign, logdet = np.linalg.slogdet(np.eye(ds.n) + sw[:, None] * k * sw[None, :])
@@ -251,13 +245,21 @@ def _neutral(ds):
 
 
 class TestLowRankRoute:
-    """N > P+1: Newton steps through the (P+1) x (P+1) factor of B."""
+    """Newton to the mode and the evidence through the (P+1) x (P+1) factor of C.
+
+    The cases sit on both sides of N = P+1: past it every Newton step
+    factors C, up to it the steps run conjugate gradients.
+    """
 
     def _cases(self):
         rng = np.random.default_rng(271)
         wide = random_dataset(rng, 60, 40)
         edge = random_dataset(rng, 32, 30)
         assert wide.n > wide.num_players + 1 and edge.n == edge.num_players + 2
+        # N = P+1 exactly, and N well below P
+        square = random_dataset(rng, 31, 30)
+        narrow = random_dataset(rng, 20, 44)
+        assert square.n == square.num_players + 1 and narrow.n < narrow.num_players
         return [
             (wide, Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)),
             (wide, Hyperparams.create(sigma2=0.5, sigma2_home=3.0, alpha=0.2)),
@@ -265,21 +267,15 @@ class TestLowRankRoute:
             (wide, Hyperparams.create(sigma2=0.2, sigma2_home=0.7, alpha=0.5)),
             (_neutral(wide), Hyperparams.create(sigma2=0.3, sigma2_home=1.0, alpha=0.6)),
             (edge, Hyperparams.create(sigma2=0.15, sigma2_home=0.4, alpha=0.45)),
+            (square, Hyperparams.create(sigma2=0.15, sigma2_home=0.4, alpha=0.45)),
+            (narrow, Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)),
+            (narrow, Hyperparams.create(sigma2=0.5, sigma2_home=3.0, alpha=0.2)),
+            (_neutral(narrow), Hyperparams.create(sigma2=0.2, sigma2_home=0.0, alpha=0.5)),
         ]
-
-    def test_route_follows_shape(self):
-        rng = np.random.default_rng(272)
-        dense = random_dataset(rng, 31, 30)
-        assert dense.n == dense.num_players + 1
-        assert _dataset_parts(dense).pairs is None
-        assert not fit(dense, Hyperparams.create()).low_rank
-        for ds, _ in self._cases():
-            assert _dataset_parts(ds).pairs is not None
-            assert fit(ds, Hyperparams.create()).low_rank
 
     def test_incidence_from_registry(self):
         # Z from registry lookups equals Z stacked from match vectors, on both
-        # routes and with a registry wider than the training lineups
+        # sides of N = P+1 and with a registry wider than the training lineups
         rng = np.random.default_rng(273)
         league = random_dataset(rng, 60, 30)
         wide = Dataset.from_records(league.records, registry={**league.registry, "q000": 30})
@@ -305,16 +301,16 @@ class TestLowRankRoute:
 
     def test_evidence_matches_dense(self):
         for ds, hyper in self._cases():
-            low_rank = _laplace(_dataset_parts(ds), hyper).evidence
+            served = _laplace(_dataset_parts(ds), hyper).evidence
             f_dense, dense = _dense_evidence(ds, hyper)
             post = fit(ds, hyper)
-            assert abs(low_rank - dense) <= 1e-9 * abs(dense)
-            assert abs(low_rank - log_marginal(post)) <= 1e-9 * abs(dense)
+            assert abs(served - dense) <= 1e-9 * abs(dense)
+            assert abs(served - log_marginal(post)) <= 1e-9 * abs(dense)
             assert np.max(np.abs(post.mode - f_dense)) <= 1e-8
 
 
 def _dense_dual_latent(post, train, vec):
-    """mu = k*' grad and var = k** - |L_B^{-1} W^{1/2} k*|^2 from the dense Gram."""
+    """mu = k*' grad and var = k** - |L_B^{-1} W^{1/2} k*|^2 from the dense Gram and B."""
     kp = post.hyper.kernel
     vecs = [build_match_vector(r, train.registry) for r in train.records]
     k = kernel_matrix(vecs, vecs, kp)
@@ -326,42 +322,46 @@ def _dense_dual_latent(post, train, vec):
 
 
 class TestWeightSpaceServing:
-    """N > P+1: predictions from L_C equal the dense dual formula."""
+    """Predictions from L_C equal the dense dual formula, on both sides of N = P+1."""
 
     def test_matches_dense_dual(self):
-        league = simulate_dataset(SimConfig(seed=0)).dataset.records
-        train = Dataset.from_records(league[:300])
+        default = simulate_dataset(SimConfig(seed=0)).dataset.records
+        cup_sized = simulate_dataset(
+            SimConfig(seed=0, num_players=560, num_teams=40, matches_per_team=13)
+        ).dataset.records
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
-        model = train_model(train, hyper)
-        assert model.posterior.low_rank
         # four players per side unseen in training
         fresh = tuple(f"q{i:03d}" for i in range(8))
-        mixed = tuple(
-            dataclasses.replace(rec, lineup1=rec.lineup1[:7] + fresh[:4], lineup2=rec.lineup2[:7] + fresh[4:])
-            for rec in league[340:345]
-        )
-        for rec in league[300:340] + mixed:
-            # the union registry: a player unseen in training overlaps no training match
-            vec = model.vector_for(rec)
-            mu_w, var_w = model.predict_latent(rec)
-            mu_d, var_d = _dense_dual_latent(model.posterior, train, vec)
-            assert abs(mu_w - mu_d) <= 1e-12
-            assert abs(var_w - var_d) <= 1e-12
-            got = model.predict(rec).as_array()
-            want = quadrature_outcome_probs(mu_d, var_d, hyper.draw).as_array()
-            assert np.max(np.abs(got - want)) <= 1e-12
+        for league, cut in ((default, 300), (cup_sized, 200)):
+            train = Dataset.from_records(league[:cut])
+            assert (train.n > train.num_players + 1) == (league is default)
+            model = train_model(train, hyper)
+            mixed = tuple(
+                dataclasses.replace(rec, lineup1=rec.lineup1[:7] + fresh[:4], lineup2=rec.lineup2[:7] + fresh[4:])
+                for rec in league[cut + 40 : cut + 45]
+            )
+            for rec in league[cut : cut + 40] + mixed:
+                # the union registry: a player unseen in training overlaps no training match
+                vec = model.vector_for(rec)
+                mu_w, var_w = model.predict_latent(rec)
+                mu_d, var_d = _dense_dual_latent(model.posterior, train, vec)
+                assert abs(mu_w - mu_d) <= 1e-12
+                assert abs(var_w - var_d) <= 1e-12
+                got = model.predict(rec).as_array()
+                want = quadrature_outcome_probs(mu_d, var_d, hyper.draw).as_array()
+                assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestBatchServing:
     """predict_many scores a test set in one batch, equal to its one-row calls."""
 
     def _models(self):
-        # a low-rank league (60 matches over 30 players) and a dense one (20 over 44)
+        # one league with N > P+1 (60 matches over 30 players), one with N <= P+1 (20 over 44)
         rng = np.random.default_rng(291)
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=0.6, alpha=0.45)
-        models = [train_model(random_dataset(rng, n, p), hyper) for n, p in ((60, 30), (20, 44))]
-        assert [m.posterior.low_rank for m in models] == [True, False]
-        return rng, models
+        leagues = [random_dataset(rng, n, p) for n, p in ((60, 30), (20, 44))]
+        assert [ds.n > ds.num_players + 1 for ds in leagues] == [True, False]
+        return rng, [train_model(ds, hyper) for ds in leagues]
 
     def _records(self, rng, model):
         seen = sorted(model.registry)
@@ -396,7 +396,7 @@ class TestBatchServing:
         for model in models:
             records = self._records(rng, model)
             self._assert_matches_one_row(model, records)
-            # all 22 unseen at a neutral venue: the prior, exactly, on either route
+            # all 22 unseen at a neutral venue: the prior, exactly
             mu, var = model.predict_latent(records[-1])
             assert mu == 0.0 and var == SELF_OVERLAP * 0.09
 
@@ -527,13 +527,13 @@ class TestEvidenceGradient:
 
     def test_low_rank_route(self, default_league):
         for ds, hyper in self._cases(default_league):
-            assert _dataset_parts(ds).pairs is not None
+            assert ds.n > ds.num_players + 1
             self._check(ds, hyper)
 
     def test_dense_route(self):
         league = random_dataset(np.random.default_rng(281), 20, 44)
         for ds, hyper in self._cases(league):
-            assert _dataset_parts(ds).pairs is None
+            assert ds.n <= ds.num_players + 1
             self._check(ds, hyper)
 
     def test_low_rank_peak_memory(self):
@@ -546,7 +546,7 @@ class TestEvidenceGradient:
         dates = sorted({r.date for r in records})
         train = Dataset.from_records([r for r in records if r.date < dates[len(dates) * 3 // 4]])
         post = fit(train, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45))
-        assert post.low_rank and train.n == 1230 and train.num_players == 420
+        assert train.n == 1230 and train.num_players == 420
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -573,16 +573,6 @@ class TestEvidenceGradient:
             sigma_f, tr_z, tr_h = gp._posterior_traces(post)
             assert np.array_equal(sigma_f, post.parts.pairs.T @ t.ravel())
             assert (tr_z, tr_h) == (float(np.sum(explained[:-1])), float(explained[-1]))
-
-    def test_routes_agree(self, default_league):
-        # one training set through L_C and through a dense L_B, to rounding,
-        # far below what central differences resolve
-        for ds, hyper in self._cases(default_league):
-            low = _dataset_parts(ds)
-            dense = _dense_parts(low)
-            g_low = _evidence_gradient(_laplace(low, hyper))
-            g_dense = _evidence_gradient(_laplace(dense, hyper))
-            assert np.all(np.abs(g_low - g_dense) <= 1e-8 * np.maximum(1.0, np.abs(g_dense)))
 
 
 class TestPrediction:
@@ -721,7 +711,7 @@ class TestQuadrature:
 
 
 def _no_jitter_leagues():
-    """A dense league, the same league with every match twice, and a low-rank league."""
+    """A league with N <= P+1, the same league with every match twice, and one with N > P+1."""
     rng = np.random.default_rng(285)
     dense = random_dataset(rng, 30, 70)
     copies = [dataclasses.replace(rec, match_id=rec.match_id + "b") for rec in dense.records]
@@ -732,7 +722,7 @@ def _no_jitter_leagues():
 
 
 class TestNoJitter:
-    """K carries no jitter: B and C are >= I, so a fit needs none, even on a singular K."""
+    """K carries no jitter: C is >= I, so a fit needs none, even on a singular K."""
 
     def test_fits_at_the_search_box_corners(self):
         dense, doubled, low_rank = _no_jitter_leagues()
@@ -744,7 +734,6 @@ class TestNoJitter:
                 s2, home, alpha = np.exp(theta)
                 hyper = Hyperparams.create(sigma2=s2, sigma2_home=home, alpha=alpha)
                 post = fit(ds, hyper)
-                assert post.low_rank == (ds is low_rank)
                 if ds is doubled:
                     # every match twice: K has equal rows, so it is singular
                     vecs = [build_match_vector(r, ds.registry) for r in ds.records]
@@ -769,19 +758,21 @@ def _counting_cholesky(monkeypatch):
 
 
 class TestNewtonCG:
-    """Dense-route Newton steps by conjugate gradients; B is factored once, at the mode."""
+    """With N <= P+1, Newton steps by conjugate gradients; C is factored once, at the mode."""
 
     def test_dense_fit_factors_once(self, monkeypatch):
         rng = np.random.default_rng(286)
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         calls = _counting_cholesky(monkeypatch)
-        post = fit(random_dataset(rng, 150, 300), hyper)
-        assert not post.low_rank and post.newton_iters >= 2
+        ds = random_dataset(rng, 150, 300)
+        post = fit(ds, hyper)
+        assert ds.n <= ds.num_players + 1 and post.newton_iters >= 2
         assert calls[0] == 1
-        # the low-rank route still factors C at every step and at the mode
+        # with N > P+1, C is factored at every step and at the mode
         calls[0] = 0
-        post = fit(random_dataset(rng, 60, 30), hyper)
-        assert post.low_rank
+        ds = random_dataset(rng, 60, 30)
+        post = fit(ds, hyper)
+        assert ds.n > ds.num_players + 1
         assert calls[0] == post.newton_iters + 1
 
     def test_agrees_with_the_factored_step(self, monkeypatch, caplog):
@@ -795,7 +786,7 @@ class TestNewtonCG:
             s2, home, alpha = np.exp(theta)
             cases.append((dense, Hyperparams.create(sigma2=s2, sigma2_home=home, alpha=alpha)))
         cg_posts = [fit(ds, hyper) for ds, hyper in cases]
-        # CG that never converges: every step falls back to the factor of B
+        # CG that never converges: every step falls back to the factor of C
         monkeypatch.setattr(gp, "_cg", lambda matvec, rhs, x0: (None, len(rhs)))
         calls = _counting_cholesky(monkeypatch)
         for (ds, hyper), post in zip(cases, cg_posts):
@@ -815,7 +806,7 @@ class TestNewtonCG:
 
     def test_past_its_limit_the_fit_factors(self, monkeypatch, caplog):
         # at the search box's large-sigma2 corner B is ill-conditioned: the
-        # step whose CG runs past _cg_limit goes through the factor of B, and
+        # step whose CG runs past _cg_limit goes through the factor of C, and
         # so does every later step
         ds = random_dataset(np.random.default_rng(287), 150, 300)
         hyper = Hyperparams.create(sigma2=np.exp(3.0), sigma2_home=np.exp(3.0), alpha=np.exp(2.0))
@@ -823,7 +814,7 @@ class TestNewtonCG:
         with caplog.at_level(logging.DEBUG, logger=gp.__name__):
             post = fit(ds, hyper)
         steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
-        assert not post.low_rank and len(steps) == post.newton_iters
+        assert ds.n <= ds.num_players + 1 and len(steps) == post.newton_iters
         first = next(i for i, m in enumerate(steps) if m.endswith(", factored"))
         assert first >= 1
         assert steps[first].endswith(f", {gp._cg_limit(ds.n)} CG iterations, factored")
@@ -1101,11 +1092,11 @@ class TestModelPersistence:
         rng = np.random.default_rng(252)
         small = (model, [random_record(rng, sorted(ds.registry), "t0009") for _ in range(10)])
         # 100 matches: large enough for the triangular solve to round a
-        # differently laid out factor of B differently
+        # differently laid out factor of C differently
         league = simulate_dataset(SimConfig(seed=0)).dataset.records
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         large = (train_model(Dataset.from_records(league[:100]), hyper), league[100:140])
-        # 300 matches over 224 players: Newton on the low-rank route
+        # 300 matches over 224 players: Newton factors C at every step
         wide = (train_model(Dataset.from_records(league[:300]), hyper), league[300:340])
         for i, (fresh, records) in enumerate((small, large, wide)):
             path = tmp_path / f"model{i}.json"
@@ -1266,14 +1257,14 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("sigma2_home", [None, 0.0])
     def test_load_rebuilds_the_fitted_posterior(self, tmp_path, default_league, sigma2_home):
-        # one league served from weight space (N > P+1) and one from L_B;
-        # None keeps the default home scale, 0.0 switches the home feature off
+        # one league with N > P+1 and one with N <= P+1; None keeps the
+        # default home scale, 0.0 switches the home feature off
         dense = random_dataset(np.random.default_rng(258), 20, 44)
         home = {} if sigma2_home is None else {"sigma2_home": sigma2_home}
         hyper = Hyperparams.create(sigma2=0.09, alpha=0.45, **home)
         for i, ds in enumerate((default_league, dense)):
+            assert (ds.n > ds.num_players + 1) == (i == 0)
             fresh = train_model(ds, hyper)
-            assert fresh.posterior.low_rank == (i == 0)
             path = tmp_path / f"model{i}.json"
             save_model(fresh, path)
             back, post = load_model(path).posterior, fresh.posterior
@@ -1284,37 +1275,38 @@ class TestModelPersistence:
             assert log_marginal(back) == log_marginal(post)
 
     def test_dense_load_peak_memory(self, tmp_path):
-        # 400 matches over more players: the dense route, where load holds
-        # the overlap, the Gram and B (3 N^2 doubles) plus the decoded file;
-        # a fourth N x N array, such as h h', passes the bound
+        # 400 matches over about 600 players (N <= P+1): load peaks at the
+        # factor of C ((P+1)^2 doubles, the unit), the pair map that builds
+        # C (~0.46 unit) and the decoded file, ~1.65 units; one N x N array of
+        # doubles (~0.44 unit) fails the bound
         ds = random_dataset(np.random.default_rng(400), 400, 600)
+        assert ds.n <= ds.num_players + 1
         model = train_model(ds, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45))
-        assert not model.posterior.low_rank
         path = tmp_path / "model.json"
         save_model(model, path)
+        unit = 8 * (ds.num_players + 1) ** 2
         tracemalloc.start()
         try:
             load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.75 * 8 * ds.n**2, peak / (8 * ds.n**2)
+        assert peak <= 1.85 * unit, peak / unit
 
     def test_dense_posterior_holds_no_gram(self, tmp_path):
         # the league of test_dense_load_peak_memory: a loaded model holds the
-        # factor of B (N^2 doubles) and Z Z' as int8 counts (N^2 / 8 bytes), and
-        # a fit builds one B at a time; a float64 overlap or an N x N Gram held
-        # beside them fails both bounds
+        # factor of C ((P+1)^2 doubles, the unit) and the pair map (~0.46
+        # unit), and a fit builds one C, at the mode, ~1.57 units each; an
+        # N x N Gram or B (~0.44 unit) held beside them fails both bounds
         ds = random_dataset(np.random.default_rng(400), 400, 600)
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
-        unit = 8 * ds.n**2
+        unit = 8 * (ds.num_players + 1) ** 2
         tracemalloc.start()
         try:
             post = fit(ds, hyper)
             fit_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not post.low_rank
         path = tmp_path / "model.json"
         save_model(GPModel(post, dict(ds.registry)), path)
         del post
@@ -1324,9 +1316,8 @@ class TestModelPersistence:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert not model.posterior.low_rank
-        assert held <= 1.6 * unit, held / unit
-        assert fit_peak <= 2.0 * unit, fit_peak / unit
+        assert held <= 1.75 * unit, held / unit
+        assert fit_peak <= 1.75 * unit, fit_peak / unit
 
     def test_unseen_players_get_prior_prediction(self):
         ds, model = self._trained(seed=254)
