@@ -17,6 +17,13 @@ through the Cholesky factor of the (P+1) x (P+1) matrix C = I + U'U (P
 players), with log|B| = log|C| (Rasmussen & Williams 2006, Section 3.4): no
 N x N array is ever built.
 
+C and its Cholesky factor are held in LAPACK's rectangular full packed
+format (RFP; Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2),
+2010): the (P+1)(P+2)/2 entries of the lower triangle in one array, half the
+dense square, which LAPACK factors (dpftrf), solves with (dpftrs, dtfsm) and
+inverts (dpftri) by level-3 BLAS.  A map from match weights to the packed
+triangle builds C directly, so no path builds a (P+1) x (P+1) array.
+
 C is I plus a positive semidefinite matrix, so every eigenvalue is >= 1:
 its Cholesky factor exists for any hyperparameters, even where K is
 singular, as when two matches field the same lineups at the same venue or
@@ -52,7 +59,8 @@ term through the mode).  BFGS starts from the inverse of the Hessian at
 the init, taken by forward differences of that gradient at one probe per log
 (Nocedal & Wright 2006, Section 8.1), so a 600-match league takes 9-21
 evaluations, against 14-43 from an identity start.  The gradient's traces
-come from C^{-1}, scaled in place, so a gradient builds no N x N array.
+come from C^{-1}, packed and scaled in place, so a gradient builds no N x N
+array.
 
 A model file (version 5) stores the training set, hyperparameters, mode and
 dual coefficients; loading rebuilds the record from them through the
@@ -131,6 +139,11 @@ _GH_POINTS = 32
 _gh_nodes, _gh_weights = np.polynomial.hermite.hermgauss(_GH_POINTS)
 _gh_weights = _gh_weights / math.sqrt(math.pi)
 
+# how far the three integrated outcome probabilities of a match may sum from
+# one; over means -30 to 30, variances 1e-6 to 1000 and alpha 1e-4 to 50
+# they stay within 4.5e-15
+_MASS_TOL = 1e-12
+
 # test matches per batch solve: memory stays O(_BLOCK * P) for any test set
 _BLOCK = 1024
 
@@ -173,30 +186,102 @@ def _finite_arithmetic(what: str) -> Iterator[None]:
         raise NumericalError(f"{what}: {exc}") from None
 
 
-def _chol_upper(sym: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor U (U'U = sym) of a C-order matrix held in its lower triangle.
+def _rfp_offsets(c: np.ndarray, n: int) -> np.ndarray:
+    """Offsets that place the lower triangle of an n x n matrix in RFP (see _rfp_slots).
 
-    ``sym.T`` is F-contiguous, so LAPACK factors it in place, and ``U.T`` is
-    the lower factor in C order.  The caller checks finiteness.  Every matrix
-    factored here is >= I, so a failure means an entry overflowed.
+    Entry (i, j), i >= j, sits at slot i + O(j) if j < ceil(n/2) and at
+    j + O(i) otherwise; this returns O(c) for each index c.
     """
-    try:
-        return sla.cholesky(sym.T, lower=False, overwrite_a=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from None
+    even = 1 - n % 2
+    lda, n1 = n + even, (n + 1) // 2
+    return np.where(c < n1, c * lda + even, (c - n1 + 1 - even) * lda - n1)
+
+
+def _rfp_slots(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Where entries (i, j), i >= j, of an n x n lower triangle sit in RFP.
+
+    LAPACK's rectangular full packed format with TRANSR = 'N', UPLO = 'L'
+    holds the n(n+1)/2 entries as a column-major lda x ceil(n/2) array, with
+    lda = n + 1 for even n and n for odd n (Gustavson, Wasniewski, Dongarra &
+    Langou, ACM TOMS 37(2), 2010).  Columns j < ceil(n/2) stay in place, one
+    row down if n is even; the trailing triangle, j >= ceil(n/2), sits
+    transposed above them, one column right if n is odd.
+    """
+    return np.where(j < (n + 1) // 2, i + _rfp_offsets(j, n), j + _rfp_offsets(i, n))
+
+
+def _rfp_diagonal(n: int) -> np.ndarray:
+    """The RFP slots of an n x n matrix's diagonal, in order."""
+    return _rfp_slots(np.arange(n), np.arange(n), n)
+
+
+def _pair_slots(cols: np.ndarray, vals: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The RFP slot and the product of every pair of entries of each row of an n-column matrix.
+
+    ``cols`` (R, m) holds each row's column indices in increasing order and
+    ``vals`` their values.  Each row has m(m+1)/2 pairs, an entry paired
+    with itself included, and a pair of columns j >= k is entry (j, k) of a
+    lower triangle.  Returns two (R, m(m+1)/2) arrays, the pairs' slots and
+    their products, in the same order for every row.
+    """
+    # reorder each row, its columns below ceil(n/2) ascending and the rest
+    # descending: then every pair's slot is col_a + O(col_b), with b the
+    # earlier position (see _rfp_offsets)
+    m = np.arange(cols.shape[1])
+    split = np.count_nonzero(cols < (n + 1) // 2, axis=1)[:, None]
+    flat = np.where(m < split, m, m[-1] + split - m)
+    flat += np.arange(0, cols.size, len(m))[:, None]
+    cols, vals = cols.ravel()[flat], vals.ravel()[flat]
+    hi, lo = np.tril_indices(len(m))
+    # built in place: fewer transient (R, m(m+1)/2) arrays lower the peak
+    # memory of a fit and of a load
+    keys = cols[:, hi]
+    keys += _rfp_offsets(cols, n)[:, lo]
+    prods = vals[:, hi]
+    prods *= vals[:, lo]
+    return keys, prods
+
+
+def _scale_rfp(packed: np.ndarray, s: np.ndarray) -> None:
+    """A -> S^{1/2} A S^{1/2} in place, for A packed in RFP and S = diag(s).
+
+    Every entry but the last row's takes the player variance s[0]; the last
+    row, the home weight's, takes sqrt(s_home s_j).
+    """
+    n = len(s)
+    home = _rfp_slots(np.full(n, n - 1), np.arange(n), n)
+    row = packed[home] * math.sqrt(s[-1])
+    row *= np.sqrt(s)
+    packed *= s[0]
+    packed[home] = row
+
+
+def _cholesky(n: int, packed: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor, in RFP, of the n x n matrix packed in RFP, factored in place.
+
+    The caller checks finiteness.  Every matrix factored here is >= I, so a
+    failure means an entry overflowed.
+    """
+    factor, info = sla.lapack.dpftrf(n, packed, transr="N", uplo="L", overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"dpftrf failed (info {info}) in the Cholesky factorization")
+    return factor
 
 
 @dataclass(frozen=True)
 class _BFactor:
     """B = I + W^{1/2} K W^{1/2} factored: ``solve(v)`` is B^{-1} v.
 
-    ``upper`` is the upper Cholesky factor of C = I + S^{1/2} X' W X S^{1/2},
-    and ``half_logdet`` is 0.5 log|C| = 0.5 log|B|.
+    ``rfp`` is L_C, the lower Cholesky factor of the (P+1) x (P+1) matrix
+    C = I + S^{1/2} X' W X S^{1/2}, in rectangular full packed format (see
+    _rfp_slots): (P+1)(P+2)/2 doubles, half the dense square, which
+    ``scipy.linalg.lapack.dtfttr(P+1, rfp, uplo="L")`` unpacks.
+    ``half_logdet`` is 0.5 log|C| = 0.5 log|B|.
     """
 
     solve: Callable[[np.ndarray], np.ndarray]
     half_logdet: float
-    upper: np.ndarray
+    rfp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -205,8 +290,8 @@ class _TrainParts:
 
     ``x`` is the sparse feature matrix X = [Z | h] (N x (P+1)) and ``xt`` its
     transpose, so K = X S X' is applied as X (s * X'v) and never held.
-    ``pairs`` (sparse, (P+1)^2 x N) maps match weights u to the lower
-    triangle of X' diag(u) X, flattened in C order, and so builds C.
+    ``pairs`` (sparse, (P+1)(P+2)/2 x N) maps match weights u to the lower
+    triangle of X' diag(u) X packed in RFP (see _rfp_slots), and so builds C.
     """
 
     z: sp.csr_matrix
@@ -235,19 +320,22 @@ def _factor_b(parts: _TrainParts, kp: KernelParams, sw: np.ndarray) -> _BFactor:
     """
     if not np.all(np.isfinite(sw)):
         raise NumericalError("non-finite likelihood curvature in the Laplace fit")
-    # C = I + D M D with M = X' W X and D = S^{1/2}, built in its lower triangle
-    d = np.sqrt(parts.variances(kp))
-    m = (parts.pairs @ (sw * sw)).reshape(len(d), len(d))
-    m *= d[:, None]
-    m *= d
-    m[np.diag_indices_from(m)] += 1.0
-    upper = _chol_upper(m)
+    # C = I + D M D with M = X' W X and D = S^{1/2}, packed in RFP
+    s = parts.variances(kp)
+    d = np.sqrt(s)
+    n = len(s)
+    c = parts.pairs @ (sw * sw)
+    _scale_rfp(c, s)
+    diag = _rfp_diagonal(n)
+    c[diag] += 1.0
+    rfp = _cholesky(n, c)
 
     def solve(v: np.ndarray) -> np.ndarray:
-        t = sla.cho_solve((upper, False), d * (parts.xt @ (sw * v)), check_finite=False)
+        rhs = d * (parts.xt @ (sw * v))
+        t, _ = sla.lapack.dpftrs(n, rfp, rhs, transr="N", uplo="L", overwrite_b=1)
         return v - sw * (parts.x @ (d * t))
 
-    return _BFactor(solve, float(np.sum(np.log(np.diagonal(upper)))), upper)
+    return _BFactor(solve, float(np.sum(np.log(rfp[diag]))), rfp)
 
 
 def _dataset_parts(train: Dataset) -> _TrainParts:
@@ -273,8 +361,8 @@ def _make_parts(
     z = incidence(plus, minus, width)
     n, p = z.shape
     # row i of X: its 22 players in increasing column order, then the home
-    # column (kept when zero), so every pair j >= k of a row's entries lands in
-    # the lower triangle of X' diag(u) X; narrow ints keep the pair arrays cheap
+    # column (kept when zero); narrow ints keep the pair arrays cheap, and
+    # every RFP offset and slot lies within +-(P+1)^2
     idx = np.int32 if (p + 1) ** 2 <= np.iinfo(np.int32).max else np.int64
     cols = np.hstack([z.indices.reshape(n, SELF_OVERLAP), np.full((n, 1), p)]).astype(idx)
     vals = np.hstack([z.data.reshape(n, SELF_OVERLAP), homes[:, None]]).astype(np.int8)
@@ -282,17 +370,10 @@ def _make_parts(
     x = sp.csr_matrix(
         (vals.astype(np.float64).ravel(), cols.ravel(), starts * cols.shape[1]), shape=(n, p + 1)
     )
-    hi, lo = np.tril_indices(cols.shape[1])
-    # each pair's flat index into C and its product, built in place: fewer
-    # transient (N, 276) arrays lower the peak memory of a fit and of a load
-    keys = cols[:, hi]
-    keys *= idx(p + 1)
-    keys += cols[:, lo]
-    prods = vals[:, hi]
-    prods *= vals[:, lo]
+    keys, prods = _pair_slots(cols, vals, p + 1)
     pairs = sp.csc_matrix(
-        (prods.ravel().astype(np.float64), keys.ravel(), starts * len(hi)),
-        shape=((p + 1) ** 2, n),
+        (prods.ravel().astype(np.float64), keys.ravel(), starts * keys.shape[1]),
+        shape=((p + 1) * (p + 2) // 2, n),
     )
     # one transposed view for every product: building it per product costs more than the product
     return _TrainParts(z, homes, codes, x, x.T, pairs)
@@ -457,8 +538,10 @@ class LaplacePosterior:
     and ``loglik`` log p(y|mode).  ``factor`` holds B = I + W^{1/2} K W^{1/2}
     factored through the (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2},
     which is >= I, so it needs no jitter on K, however singular K is; the
-    weights' posterior covariance is S^{1/2} C^{-1} S^{1/2}.  ``_at_mode``
-    builds it; a model file saves no field that it derives.
+    weights' posterior covariance is S^{1/2} C^{-1} S^{1/2}.  C's lower
+    Cholesky factor is ``factor.rfp``, packed in rectangular full packed
+    format; no dense (P+1) x (P+1) array is held.  ``_at_mode`` builds the
+    record; a model file saves no field that it derives.
     """
 
     parts: _TrainParts
@@ -474,11 +557,6 @@ class LaplacePosterior:
     @property
     def n(self) -> int:
         return len(self.mode)
-
-    @property
-    def chol(self) -> np.ndarray:
-        """The lower Cholesky factor of C, in C order."""
-        return self.factor.upper.T
 
     @property
     def evidence(self) -> float:
@@ -535,18 +613,18 @@ def _latent_block(
     parts = post.parts
     p = parts.z.shape[1]
     t = len(homes)
-    # rows: the P players, the home feature, then one row that takes every
-    # unseen player and is dropped
-    x = np.zeros((p + 2, t))
-    cols = np.arange(t)[:, None]
-    x[np.where(plus < p, plus, p + 1), cols] = 1.0
-    x[np.where(minus < p, minus, p + 1), cols] = -1.0
-    x[p] = homes
-    x = x[: p + 1]
-    mu = x.T @ post.weight_mean
+    # row j: test match j's features, its seen players and the home sign;
+    # their transpose is Fortran-ordered, so dtfsm solves it in place
+    feats = np.zeros((t, p + 1))
+    for lineup, sign in ((plus, 1.0), (minus, -1.0)):
+        seen = lineup < p
+        feats[np.nonzero(seen)[0], lineup[seen]] = sign
+    feats[:, p] = homes
+    mu = feats @ post.weight_mean
+    x = feats.T
     x *= np.sqrt(parts.variances(kp))[:, None]
-    # chol is finite: load_model, like fit, factors it from a finite C
-    v = sla.solve_triangular(post.chol, x, lower=True, check_finite=False)
+    # the factor is finite: load_model, like fit, factors it from a finite C
+    v = sla.lapack.dtfsm(1.0, post.factor.rfp, x, transr="N", side="L", uplo="L", overwrite_b=1)
     # each player unseen in training adds its prior variance
     unseen = np.sum(plus >= p, axis=1) + np.sum(minus >= p, axis=1)
     return mu, np.einsum("ij,ij->j", v, v) + kp.sigma2 * unseen
@@ -582,7 +660,9 @@ def _quadrature(mu: np.ndarray, var: np.ndarray, alpha: float) -> np.ndarray:
 
     Each of the three is integrated by 32-node Gauss-Hermite quadrature and
     the triple renormalized to sum to one; ``var = 0`` rows take the exact
-    point evaluation, as :func:`outcome_probs`.
+    point evaluation, as :func:`outcome_probs`.  A triple whose integrals sum
+    to more than ``_MASS_TOL`` away from one, or to NaN, raises
+    NumericalError: renormalizing would hide the lost mass.
     """
     out = np.empty((len(mu), 3))
     for rows in _blocks(len(mu)):
@@ -590,6 +670,13 @@ def _quadrature(mu: np.ndarray, var: np.ndarray, alpha: float) -> np.ndarray:
         x = m[:, None] + np.sqrt(2.0 * v)[:, None] * _gh_nodes
         bar = np.stack(_probs_arrays(x, alpha), axis=1) @ _gh_weights
         total = bar[:, 0] + bar[:, 1] + bar[:, 2]
+        lost = ~(np.abs(total - 1.0) <= _MASS_TOL)
+        if np.any(lost):
+            i = int(np.argmax(lost))
+            raise NumericalError(
+                f"quadrature lost probability mass: the outcome probabilities of a match with "
+                f"latent mean {m[i]:.6g} and variance {v[i]:.6g} sum to {total[i]!r}"
+            )
         bar /= total[:, None]
         exact = v == 0.0
         if np.any(exact):
@@ -615,17 +702,15 @@ def quadrature_outcome_probs(mu: float, var: float, d: DrawParam) -> PredictiveD
     return probs
 
 
-def _inverse_lower(upper: np.ndarray) -> np.ndarray:
-    """A^{-1} in C order, held in its lower triangle, from the upper Cholesky factor of A.
+def _inverse(n: int, rfp: np.ndarray) -> np.ndarray:
+    """A^{-1} packed in RFP, from the lower Cholesky factor of the n x n matrix A in RFP.
 
-    LAPACK dpotri fills the upper triangle of its Fortran-order output, which
-    is the lower triangle of the C-order transpose; the strict upper triangle
-    holds zeros.  dpotri's output is the only array built.
+    dpftri's output is the only array built; the factor is kept.
     """
-    inv, info = sla.lapack.dpotri(upper, lower=0)
+    inv, info = sla.lapack.dpftri(n, rfp, transr="N", uplo="L")
     if info != 0:
-        raise NumericalError(f"dpotri failed (info {info}) inverting a Cholesky factor")
-    return inv.T
+        raise NumericalError(f"dpftri failed (info {info}) inverting a Cholesky factor")
+    return inv
 
 
 def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]:
@@ -636,19 +721,20 @@ def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]
     K_h = sigma2_home h h' are the two scaled parts of the Gram.
     """
     parts, kp = post.parts, post.hyper.kernel
-    inv = _inverse_lower(post.factor.upper)
+    s = parts.variances(kp)
+    inv = _inverse(len(s), post.factor.rfp)
+    diag = _rfp_diagonal(len(s))
     # with C^{-1} from L_C and T = S^{1/2} C^{-1} S^{1/2}: Sigma_f = X T X',
     #   X' R X = S^{-1/2} (I - C^{-1}) S^{-1/2}, so for dS = S on one block
     #   of weights and 0 elsewhere, tr(R X dS X') = sum of 1 - C^{-1}_jj
     #   over the block: the share of each prior variance the data removes
-    explained = 1.0 - np.diagonal(inv)
+    explained = 1.0 - inv[diag]
     # T in place; x_i' T x_i for every training row from the pair products
     # of its entries, which read only the lower triangle, off-diagonal doubled
-    rs = np.sqrt(parts.variances(kp))
-    inv *= rs[:, None]
-    inv *= rs
-    np.multiply(inv, 2.0, out=inv, where=np.tri(len(inv), k=-1, dtype=bool))
-    return parts.pairs.T @ inv.ravel(), float(np.sum(explained[:-1])), float(explained[-1])
+    _scale_rfp(inv, s)
+    inv *= 2.0
+    inv[diag] *= 0.5
+    return parts.pairs.T @ inv, float(np.sum(explained[:-1])), float(explained[-1])
 
 
 def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:

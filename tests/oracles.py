@@ -7,8 +7,9 @@ any dataset small enough to afford it, its predictions must match the
 kernel route (Rasmussen & Williams 2006, Sections 2.1 and 3.4), which is
 what the equivalence tests pin down.  The pairwise kernel intersects two
 matches' sorted index lists, where the served Gram comes from sparse
-incidence products.  The one-match helpers at the end are one-row calls of
-the batch functions the package serves.
+incidence products.  ``dense_c`` builds as a plain square the matrix C,
+which the package only ever holds packed.  The one-match helpers at the
+end are one-row calls of the batch functions the package serves.
 """
 
 from __future__ import annotations
@@ -187,6 +188,15 @@ def primal_laplace_fit_vectors(
         has_home=has_home,
         hyper=hyper,
     )
+
+
+def dense_c(post: LaplacePosterior) -> np.ndarray:
+    """C = I + U'U with U = W^{1/2} X S^{1/2}: the posterior's (P+1) x (P+1) matrix, dense."""
+    parts = post.parts
+    u = parts.x.toarray()
+    u *= post.sqrt_w[:, None]
+    u *= np.sqrt(parts.variances(post.hyper.kernel))
+    return np.eye(u.shape[1]) + u.T @ u
 
 
 def _n_common(x: np.ndarray, y: np.ndarray) -> int:

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 from conftest import version_1_payload, version_2_payload, version_3_payload, version_4_payload
 import lineupgp
-from lineupgp import __version__, cli
+from lineupgp import __version__, cli, gp
 from lineupgp.data import Dataset, parse_dataset, serialize_dataset
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import load_model
+from lineupgp.likelihood import _probs_arrays
 
 _SIM_COMMON = ["--teams", "4", "--matches-per-team", "10", "--players", "56"]
 
@@ -732,6 +733,18 @@ class TestExitCodes:
         monkeypatch.setitem(cli._DISPATCH, "elo-fit", boom)
         assert cli.run(["elo-fit", "--train", "whatever"]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_lost_quadrature_mass_exits_3(self, workspace, monkeypatch, capsys):
+        def leaking(x, alpha):
+            p_w, p_d, p_l = _probs_arrays(x, alpha)
+            return p_w, 0.5 * p_d, p_l
+
+        monkeypatch.setattr(gp, "_probs_arrays", leaking)
+        argv = ["--train", str(workspace["train"]), "--test", str(workspace["test"]), "--models", "gp"]
+        assert cli.run(["evaluate", *argv]) == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        message = "numerical error: quadrature lost probability mass"
+        assert len(err) == 1 and err[0].startswith(message), err
 
     @settings(
         max_examples=80,

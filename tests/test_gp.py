@@ -69,6 +69,7 @@ from lineupgp.likelihood import (
 )
 from lineupgp.simulate import SimConfig, simulate_dataset
 from oracles import (
+    dense_c,
     kernel_eval,
     log_likelihood_derivs,
     predict_latent,
@@ -539,8 +540,8 @@ class TestEvidenceGradient:
     def test_low_rank_peak_memory(self):
         # season's training set (`simulate --seed 0 --teams 30 --players 420
         # --matches-per-team 110`, its first 3/4 of dates): N = 1230 > P+1 = 421.
-        # dpotri's output is the one (P+1)^2 array a gradient builds; a second,
-        # such as a symmetrized copy or the doubled lower triangle, fails the bound
+        # dpftri's packed output, half of (P+1)^2 doubles, is the largest array
+        # a gradient builds
         sim = SimConfig(seed=0, num_teams=30, num_players=420, matches_per_team=110)
         records = simulate_dataset(sim).dataset.records
         dates = sorted({r.date for r in records})
@@ -558,21 +559,20 @@ class TestEvidenceGradient:
         assert peak - base <= 2 * unit, (peak - base) / unit
 
     def test_low_rank_traces_equal_the_loop_reference(self, default_league):
-        # the symmetrized C^{-1} and a row-by-row doubling of its lower
-        # triangle, as the traces were first written: the same bits
+        # the traces from the packed C^{-1} against the dense inverse of the
+        # dense C and a row-by-row x_i' T x_i, within rounding of the doubles
         for ds, hyper in self._cases(default_league):
             post = _laplace(_dataset_parts(ds), hyper)
-            inv = sla.lapack.dpotri(post.factor.upper, lower=0)[0].T
-            for i in range(len(inv) - 1):
-                inv[i, i + 1 :] = inv[i + 1 :, i]
+            inv = np.linalg.inv(dense_c(post))
             explained = 1.0 - np.diagonal(inv)
             rs = np.sqrt(post.parts.variances(hyper.kernel))
             t = inv * rs[:, None] * rs
-            for i in range(1, len(t)):
-                t[i, :i] *= 2.0
+            x = post.parts.x.toarray()
+            want = np.array([row @ t @ row for row in x])
             sigma_f, tr_z, tr_h = gp._posterior_traces(post)
-            assert np.array_equal(sigma_f, post.parts.pairs.T @ t.ravel())
-            assert (tr_z, tr_h) == (float(np.sum(explained[:-1])), float(explained[-1]))
+            assert np.max(np.abs(sigma_f - want)) <= 1e-13 * np.max(np.abs(want))
+            assert abs(tr_z - float(np.sum(explained[:-1]))) <= 1e-13 * abs(tr_z)
+            assert abs(tr_h - float(explained[-1])) <= 1e-13 * abs(tr_h)
 
 
 class TestPrediction:
@@ -702,6 +702,25 @@ class TestQuadrature:
             bars = [weights @ p for p in _probs_arrays(mu + math.sqrt(2.0 * var) * nodes, d.alpha)]
             assert np.max(np.abs(row - np.array(bars) / sum(bars))) <= 4e-16
 
+    def test_lost_mass_is_a_numerical_error(self, monkeypatch):
+        d = DrawParam.from_alpha(0.45)
+
+        def leaking(scale, nan=False):
+            def probs(x, alpha):
+                p_w, p_d, p_l = _probs_arrays(x, alpha)
+                return p_w, p_d * scale, np.where(x > 1.0, np.nan, p_l) if nan else p_l
+
+            return probs
+
+        # a loss within _MASS_TOL is renormalized away
+        monkeypatch.setattr(gp, "_probs_arrays", leaking(1.0 - 1e-14))
+        got = quadrature_outcome_probs(0.3, 1.0, d).as_array()
+        assert abs(got.sum() - 1.0) <= 1e-15
+        for probs in (leaking(1.0 - 1e-9), leaking(1.0, nan=True)):
+            monkeypatch.setattr(gp, "_probs_arrays", probs)
+            with pytest.raises(NumericalError, match="^quadrature lost probability mass"):
+                gp._quadrature(np.array([-0.5, 0.3]), np.array([0.2, 1.0]), d.alpha)
+
     def test_spread_flattens_probabilities(self):
         d = DrawParam.from_alpha(0.45)
         sharp = quadrature_outcome_probs(2.0, 0.01, d)
@@ -741,19 +760,84 @@ class TestNoJitter:
                     assert np.array_equal(k[::2], k[1::2])
                 k_grad = post.parts.k_dot(post.parts.variances(hyper.kernel), post.grad)
                 assert gp._stationary(post.mode, k_grad, gp._STATIONARITY_BOUND)
-                assert np.all(np.diagonal(post.chol) >= 1.0), theta
+                n = ds.num_players + 1
+                assert np.all(post.factor.rfp[gp._rfp_diagonal(n)] >= 1.0), theta
+
+
+class TestPackedFactor:
+    """C and its factor are held in rectangular full packed format (TRANSR = 'N', UPLO = 'L')."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 225, 226, 421, 850])
+    def test_slots_match_dtrttf(self, n):
+        # every entry distinct
+        a = np.arange(n * n, dtype=float).reshape(n, n)
+        rfp, info = sla.lapack.dtrttf(np.asfortranarray(a), transr="N", uplo="L")
+        assert info == 0 and len(rfp) == n * (n + 1) // 2
+        i, j = np.tril_indices(n)
+        assert np.array_equal(rfp[gp._rfp_slots(i, j, n)], a[i, j])
+        assert np.array_equal(rfp[gp._rfp_diagonal(n)], np.diagonal(a))
+        # the pair map's int32 keys, on a row that holds every column: each
+        # pair's slot holds the product of its two entries
+        cols = np.arange(n, dtype=np.int32)[None, :]
+        vals = np.where(np.arange(n) % 3 == 0, -1, 1).astype(np.int8)[None, :]
+        keys, prods = gp._pair_slots(cols, vals, n)
+        assert keys.dtype == np.int32
+        outer = np.outer(vals[0], vals[0])
+        assert np.array_equal(np.sort(keys[0]), np.arange(len(rfp)))
+        signs, _ = sla.lapack.dtrttf(np.asfortranarray(outer, dtype=float), transr="N", uplo="L")
+        assert np.array_equal(prods[0], signs[keys[0]])
+
+    def test_factor_unpacks_to_the_dense_cholesky(self, default_league):
+        # one league with N <= P+1 and one with N > P+1, of both parities of
+        # P+1; the packed C is built from the pair map, the dense one from X
+        narrow = random_dataset(np.random.default_rng(289), 150, 301)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        assert (narrow.num_players + default_league.num_players) % 2 == 1
+        for ds in (narrow, default_league):
+            post = fit(ds, hyper)
+            n = ds.num_players + 1
+            assert (ds.n > n) == (ds is default_league)
+            x = post.parts.x.toarray()
+            m, info = sla.lapack.dtrttf((x.T * post.sqrt_w**2) @ x, transr="N", uplo="L")
+            assert info == 0
+            err = np.max(np.abs(post.parts.pairs @ post.sqrt_w**2 - m))
+            assert err <= 1e-14 * np.max(np.abs(m))
+            lower, info = sla.lapack.dtfttr(n, post.factor.rfp, transr="N", uplo="L")
+            want = np.linalg.cholesky(dense_c(post))
+            assert info == 0
+            assert np.max(np.abs(np.tril(lower) - want)) <= 1e-13 * np.max(np.abs(want))
+            diagonal = post.factor.rfp[gp._rfp_diagonal(n)]
+            assert post.factor.half_logdet == float(np.sum(np.log(diagonal)))
+
+    def test_failures_raise_numerical_error(self):
+        # dpftrf on a matrix that is not positive definite, in the leading
+        # and in the trailing block of the packed array, and dpftri on a
+        # singular factor
+        n = 6
+        diag = gp._rfp_diagonal(n)
+        for k in (1, 4):
+            packed = np.zeros(n * (n + 1) // 2)
+            packed[diag] = 1.0
+            packed[diag[k]] = -1.0
+            with pytest.raises(NumericalError, match=rf"^dpftrf failed \(info {k + 1}\)"):
+                gp._cholesky(n, packed)
+        factor = np.zeros(n * (n + 1) // 2)
+        factor[diag] = 1.0
+        factor[diag[2]] = 0.0
+        with pytest.raises(NumericalError, match=r"^dpftri failed \(info 3\)"):
+            gp._inverse(n, factor)
 
 
 def _counting_cholesky(monkeypatch):
-    """Count the calls to gp._chol_upper from here on; returns the one-element counter."""
+    """Count the calls to gp._cholesky from here on; returns the one-element counter."""
     calls = [0]
-    chol = gp._chol_upper
+    chol = gp._cholesky
 
-    def counted(sym):
+    def counted(n, packed):
         calls[0] += 1
-        return chol(sym)
+        return chol(n, packed)
 
-    monkeypatch.setattr(gp, "_chol_upper", counted)
+    monkeypatch.setattr(gp, "_cholesky", counted)
     return calls
 
 
@@ -1141,8 +1225,9 @@ class TestModelPersistence:
         assert max(int(arr.max()) for arr in lineups) == players - 1
         back = load_model(path)
         assert back.registry == fresh.registry
-        for field in ("mode", "dual_coef", "chol"):
+        for field in ("mode", "dual_coef"):
             assert np.array_equal(getattr(back.posterior, field), getattr(fresh.posterior, field))
+        assert np.array_equal(back.posterior.factor.rfp, fresh.posterior.factor.rfp)
         # any width but the registry's is a data error
         other = {"<u1": "<u2", "<u2": "<u1"}[dtype]
         for key in ("plus", "minus"):
@@ -1268,17 +1353,18 @@ class TestModelPersistence:
             path = tmp_path / f"model{i}.json"
             save_model(fresh, path)
             back, post = load_model(path).posterior, fresh.posterior
-            for field in ("mode", "grad", "sqrt_w", "chol", "dual_coef"):
+            for field in ("mode", "grad", "sqrt_w", "dual_coef"):
                 assert np.array_equal(getattr(back, field), getattr(post, field)), field
+            assert np.array_equal(back.factor.rfp, post.factor.rfp)
             for field in ("loglik", "newton_iters"):
                 assert getattr(back, field) == getattr(post, field), field
             assert log_marginal(back) == log_marginal(post)
 
     def test_dense_load_peak_memory(self, tmp_path):
-        # 400 matches over about 600 players (N <= P+1): load peaks at the
-        # factor of C ((P+1)^2 doubles, the unit), the pair map that builds
-        # C (~0.46 unit) and the decoded file, ~1.65 units; one N x N array of
-        # doubles (~0.44 unit) fails the bound
+        # 400 matches over about 600 players (N <= P+1), in units of (P+1)^2
+        # doubles: load peaks at the packed factor of C (~0.50 unit), the pair
+        # map that builds C (~0.46 unit) and the decoded file, ~1.13 units; a
+        # second packed copy of C, or one N x N array (~0.44 unit), fails the bound
         ds = random_dataset(np.random.default_rng(400), 400, 600)
         assert ds.n <= ds.num_players + 1
         model = train_model(ds, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45))
@@ -1291,13 +1377,14 @@ class TestModelPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.85 * unit, peak / unit
+        assert peak <= 1.25 * unit, peak / unit
 
     def test_dense_posterior_holds_no_gram(self, tmp_path):
         # the league of test_dense_load_peak_memory: a loaded model holds the
-        # factor of C ((P+1)^2 doubles, the unit) and the pair map (~0.46
-        # unit), and a fit builds one C, at the mode, ~1.57 units each; an
-        # N x N Gram or B (~0.44 unit) held beside them fails both bounds
+        # packed factor of C (~0.50 of the unit, (P+1)^2 doubles) and the pair
+        # map (~0.46 unit), and a fit builds one packed C, at the mode, ~1.07
+        # units each; a second packed copy, or an N x N Gram or B (~0.44
+        # unit), held beside them fails both bounds
         ds = random_dataset(np.random.default_rng(400), 400, 600)
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         unit = 8 * (ds.num_players + 1) ** 2
@@ -1316,8 +1403,8 @@ class TestModelPersistence:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held <= 1.75 * unit, held / unit
-        assert fit_peak <= 1.75 * unit, fit_peak / unit
+        assert held <= 1.2 * unit, held / unit
+        assert fit_peak <= 1.2 * unit, fit_peak / unit
 
     def test_unseen_players_get_prior_prediction(self):
         ds, model = self._trained(seed=254)
@@ -1354,6 +1441,7 @@ class TestTrainModel:
         got = train_model(default_league, init, optimize=True, budget=8).posterior
         assert len(builds) == 1
         assert got.hyper == want.hyper
-        for field in ("mode", "dual_coef", "chol"):
+        for field in ("mode", "dual_coef"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert np.array_equal(got.factor.rfp, want.factor.rfp)
         assert got.newton_iters == want.newton_iters
