@@ -7,16 +7,22 @@ records are walked in (date, match_id) order and each record's players are
 registered in sorted order, lineup1 before lineup2.  Re-parsing a
 serialized dataset therefore reproduces the exact same indices.
 
-A valid CSV row costs a few C-level operations.  ``MatchRecord`` first runs
-one combined test over all its fields (``_plainly_valid``): the 26 names
-joined once and scanned for separators, forbidden characters and
-whitespace, one set of the 22 players, and exact types for the date, venue
-and outcome.  Only a record that fails it goes through the per-field
-checks (``_check_fields``), which raise the first rule broken, so a bad
-record gets the same message either way.  The parser memoizes each date
-token per call, accepting a token that ``date.fromisoformat`` reads and
-``isoformat`` writes back unchanged (strptime only words the error), and
-maps venue and outcome tokens through dicts.
+A valid file costs a few C-level operations per row.  ``parse_dataset``
+reads all rows with ``csv.reader`` and checks them once, as columns: field
+counts, date tokens (memoized: a token is valid when ``date.fromisoformat``
+reads it and ``isoformat`` writes it back unchanged), venue and outcome
+tokens, one join of every id in the file (scanned for separators,
+forbidden characters, empty ids and whitespace), ten ``;`` per lineup,
+team1 != team2, unique match ids and 22 distinct players per row.  When
+all pass, the same step orders the rows, sorts each lineup, and builds
+the registry and the arrays a fit reads (``Dataset.arrays``); the
+``MatchRecord``s are made from the same columns, without rerunning their
+checks, when a caller first reads ``Dataset.records``.  On any failure
+the same text is parsed again row by row, where each ``MatchRecord`` runs
+one combined test (``_plainly_valid``) and, when that fails, the
+per-field checks (``_check_fields``), which raise the first rule broken.
+So every error names its line and reads as it would from the row path
+alone, and a record built by hand is checked as before.
 """
 
 from __future__ import annotations
@@ -26,10 +32,16 @@ import datetime as dt
 import enum
 import io
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_HEADER = (
     "match_id",
@@ -104,6 +116,8 @@ _SIGN_BY_HOME = {HomeSide.TEAM1: 1, HomeSide.TEAM2: -1, HomeSide.NEUTRAL: 0}
 # the parser's token tables; a miss goes to from_token, which words the error
 _HOME_BY_TOKEN = {h.token: h for h in HomeSide}
 _OUTCOME_BY_TOKEN = {o.token: o for o in Outcome}
+_SIGN_BY_TOKEN = {h.token: h.sign for h in HomeSide}
+_CODE_BY_TOKEN = {o.token: o.code for o in Outcome}
 
 
 def _check_name(name: str, what: str) -> None:
@@ -212,6 +226,33 @@ class MatchRecord:
         return self.lineup1 + self.lineup2
 
 
+def _unchecked_record(
+    match_id: str,
+    date: dt.date,
+    competition: str,
+    team1: str,
+    team2: str,
+    lineup1: tuple[str, ...],
+    lineup2: tuple[str, ...],
+    home: HomeSide,
+    outcome: Outcome,
+) -> MatchRecord:
+    """A MatchRecord of fields that already passed every rule, lineups sorted; runs no check."""
+    rec = object.__new__(MatchRecord)
+    rec.__dict__.update(
+        match_id=match_id,
+        date=date,
+        competition=competition,
+        team1=team1,
+        team2=team2,
+        lineup1=lineup1,
+        lineup2=lineup2,
+        home=home,
+        outcome=outcome,
+    )
+    return rec
+
+
 def build_registry(records: Sequence[MatchRecord]) -> dict[str, int]:
     """Dense first-appearance indices over records already in dataset order."""
     registry: dict[str, int] = {}
@@ -220,6 +261,19 @@ def build_registry(records: Sequence[MatchRecord]) -> dict[str, int]:
             if pid not in registry:
                 registry[pid] = len(registry)
     return registry
+
+
+@dataclass(frozen=True, eq=False)
+class MatchArrays:
+    """A dataset's matches as arrays, one row per record in dataset order.
+
+    ``lineups`` (N, 22) holds the registry indices of each record's
+    ``players``; ``homes`` the home signs and ``codes`` the outcome codes.
+    """
+
+    lineups: np.ndarray
+    homes: np.ndarray
+    codes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -231,15 +285,40 @@ class Dataset:
     players appearing in ``records``; the halves returned by
     :func:`split_by_cutoff` share their parent's union registry, which may
     be a strict superset of their own lineups.
+
+    A dataset from :func:`parse_dataset` also holds its matches as
+    ``arrays``, which a fit reads, and builds ``records`` from its checked
+    columns when they are first read, so a command that only fits never
+    builds them.  ``arrays`` takes no part in equality; a dataset made any
+    other way has none.
     """
 
     records: tuple[MatchRecord, ...]
     registry: Mapping[str, int] = field(repr=False)
+    arrays: MatchArrays | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _parsed(
+        cls, registry: dict[str, int], arrays: MatchArrays, build: Callable[[], tuple[MatchRecord, ...]]
+    ) -> "Dataset":
+        """A dataset whose ``records`` field is left unset until ``build`` makes it (see __getattr__)."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(registry=registry, arrays=arrays, _build_records=build)
+        return ds
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that the instance lacks: a parsed
+        # dataset's records, until their first read
+        build = self.__dict__.pop("_build_records", None) if name == "records" else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        records = self.__dict__["records"] = build()
+        return records
 
     @property
     def n(self) -> int:
         """Number of matches."""
-        return len(self.records)
+        return len(self.records) if self.arrays is None else len(self.arrays.homes)
 
     @property
     def num_players(self) -> int:
@@ -274,15 +353,20 @@ def _validate_registry(registry: Mapping[str, int], records: Sequence[MatchRecor
         raise DataError(f"registry is missing player(s) {sorted(missing)[:5]}")
 
 
-def _parse_date(token: str) -> dt.date:
-    # a date is exactly what isoformat() writes, so that round trip accepts
-    # it; strptime only words the error for what it rejects
+def _iso_date(token: str) -> dt.date | None:
+    """The date that ``token`` writes in ISO form, or None: a date is exactly what isoformat() writes."""
     try:
         date = dt.date.fromisoformat(token)
-        if date.isoformat() == token:
-            return date
     except ValueError:
-        pass
+        return None
+    return date if date.isoformat() == token else None
+
+
+def _parse_date(token: str) -> dt.date:
+    # strptime only words the error for what the ISO round trip rejects
+    date = _iso_date(token)
+    if date is not None:
+        return date
     try:
         date = dt.datetime.strptime(token, "%Y-%m-%d").date()
     except ValueError:
@@ -305,17 +389,24 @@ def parse_dataset(source: str | Path | IO[str] | IO[bytes]) -> Dataset:
     outcome/home tokens, bytes that are not UTF-8 (or that a text stream's
     decoder rejects) and fields longer than ``csv.field_size_limit()``.
     """
+    newline = ""
     if isinstance(source, (str, Path)):
         text: str | bytes = Path(source).read_bytes()
     elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
-        return _parse_stream(_text_lines(source))  # type: ignore[arg-type]
+        text, newline = _read_text(source)  # type: ignore[arg-type]
     else:
         text = source.read()
     # bytes are decoded whole before parsing, so a byte that is not UTF-8 is
     # reported on its own line whatever its offset and whatever rows precede it
     if isinstance(text, bytes):
         text = _decode(text)
-    return _parse_stream(io.StringIO(text, newline=""))
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline=newline)))
+    except csv.Error:
+        rows = []
+    ds = _parse_columns(rows)
+    # the row path words the first error, as it would have alone
+    return _parse_stream(io.StringIO(text, newline=newline)) if ds is None else ds
 
 
 def _decode(raw: bytes) -> str:
@@ -326,8 +417,8 @@ def _decode(raw: bytes) -> str:
         raise _undecodable(exc) from None
 
 
-def _text_lines(fh: IO[str]) -> io.StringIO:
-    """A text stream's rest, read whole, split into lines as iterating the stream splits them.
+def _read_text(fh: IO[str]) -> tuple[str, str]:
+    """A text stream's rest, read whole, and the ``newline`` that splits it as iterating the stream does.
 
     A stream in universal newline mode ends lines at LF, CR and CR LF, any
     other at LF.  A byte that the stream's decoder rejects is a DataError
@@ -339,7 +430,7 @@ def _text_lines(fh: IO[str]) -> io.StringIO:
         text = fh.read()
     except UnicodeDecodeError as exc:
         raise _undecodable(exc) from None
-    return io.StringIO(text, newline="" if getattr(fh, "newlines", None) else "\n")
+    return text, "" if getattr(fh, "newlines", None) else "\n"
 
 
 def _undecodable(exc: UnicodeDecodeError) -> DataError:
@@ -349,6 +440,109 @@ def _undecodable(exc: UnicodeDecodeError) -> DataError:
     line = 1 + head.replace("\r\n", "\n").replace("\r", "\n").count("\n")
     byte = exc.object[exc.start]
     return DataError(f"line {line}: byte 0x{byte:02x} is not {exc.encoding.upper()} ({exc.reason})")
+
+
+def _parse_columns(rows: list[list[str]]) -> Dataset | None:
+    """The dataset of a file's rows, checked once as columns; None if any row breaks a rule.
+
+    Every rule of the row path is tested on the whole file at once, so a
+    None only sends the text through that path, which words the error.
+    """
+    body = list(filter(None, rows[1:]))  # a blank line reads as []
+    n = len(body)
+    if not n or rows[0] != list(CSV_HEADER) or set(map(len, body)) != {len(CSV_HEADER)}:
+        return None
+    # dataset order: a date token that passes the round trip sorts as its date
+    body.sort(key=itemgetter(1, 0))
+    columns = tuple(zip(*body))
+    match_ids, date_toks, competitions, team1s, team2s, home_toks, lineup1s, lineup2s, outcome_toks = columns
+    lineups = list(chain.from_iterable(zip(lineup1s, lineup2s)))
+    players = _LINEUP_SEP.join(lineups)
+    # every id in the file between separators: with 26 a row and ten ';' in
+    # each lineup, the count rules out a ';' in any other id, and an empty
+    # id leaves two separators side by side
+    framed = _LINEUP_SEP.join(("", *match_ids, *competitions, *team1s, *team2s, players, ""))
+    dates = {tok: _iso_date(tok) for tok in set(date_toks)}
+    if not (
+        set(map(str.count, lineups, repeat(_LINEUP_SEP))) == {LINEUP_SIZE - 1}
+        and framed.count(_LINEUP_SEP) == (4 + 2 * LINEUP_SIZE) * n + 1
+        and "," not in framed
+        and "\n" not in framed
+        and "\r" not in framed
+        and _LINEUP_SEP * 2 not in framed
+        and not _edge_whitespace(framed)
+        and None not in dates.values()
+        and set(home_toks) <= _HOME_BY_TOKEN.keys()
+        and set(outcome_toks) <= _OUTCOME_BY_TOKEN.keys()
+        and not any(map(str.__eq__, team1s, team2s))
+        and len(set(match_ids)) == n
+    ):
+        return None
+
+    import numpy as np
+
+    # ranks in id order: sorting a side's ranks sorts its ids
+    flat = players.split(_LINEUP_SEP)
+    ids = sorted(set(flat))
+    rank = dict(zip(ids, range(len(ids))))
+    ranks = np.fromiter(map(rank.__getitem__, flat), np.int64, len(flat))
+    sides = np.sort(ranks.reshape(2 * n, LINEUP_SIZE), axis=1)
+    both = np.sort(sides.reshape(n, 2 * LINEUP_SIZE), axis=1)
+    if (both[:, 1:] == both[:, :-1]).any():  # a player twice in one match
+        return None
+    # the registry: players by first appearance, each side in id order
+    first = np.full(len(ids), sides.size)
+    np.minimum.at(first, sides.ravel(), np.arange(sides.size))
+    by_first = np.argsort(first)
+    index = np.empty_like(by_first)
+    index[by_first] = np.arange(len(ids))
+    arrays = MatchArrays(
+        index[sides].reshape(n, 2 * LINEUP_SIZE),
+        np.fromiter(map(_SIGN_BY_TOKEN.__getitem__, home_toks), np.int64, n),
+        np.fromiter(map(_CODE_BY_TOKEN.__getitem__, outcome_toks), np.int64, n),
+    )
+    registry = dict(zip(map(ids.__getitem__, by_first.tolist()), range(len(ids))))
+    return Dataset._parsed(registry, arrays, partial(_column_records, columns, dates, ids, sides))
+
+
+def _column_records(
+    columns: tuple[tuple[str, ...], ...], dates: Mapping[str, dt.date], ids: list[str], sides: np.ndarray
+) -> tuple[MatchRecord, ...]:
+    """The records of a file's checked columns, in dataset order.
+
+    Each row of ``sides`` holds one lineup's ranks in ``ids``, sorted.
+    """
+    match_ids, date_toks, competitions, team1s, team2s, home_toks, _, _, outcome_toks = columns
+    names = iter(map(ids.__getitem__, sides.ravel().tolist()))
+    lineups = list(zip(*[names] * LINEUP_SIZE))
+    return tuple(
+        map(
+            _unchecked_record,
+            match_ids,
+            map(dates.__getitem__, date_toks),
+            competitions,
+            team1s,
+            team2s,
+            lineups[0::2],
+            lineups[1::2],
+            map(_HOME_BY_TOKEN.__getitem__, home_toks),
+            map(_OUTCOME_BY_TOKEN.__getitem__, outcome_toks),
+        )
+    )
+
+
+def _edge_whitespace(framed: str) -> bool:
+    """Whether an id in ``framed`` (ids between ';', with one before and after) has whitespace around it.
+
+    ``str.split`` and ``str.strip`` agree on what whitespace is.  With each
+    run of it marked by one LF (absent from ``framed``), an id begins or
+    ends with whitespace exactly where a mark meets a separator.
+    """
+    pieces = framed.split()
+    if len(pieces) == 1:
+        return False
+    marked = "\n".join(pieces)
+    return _LINEUP_SEP + "\n" in marked or "\n" + _LINEUP_SEP in marked
 
 
 def _parse_stream(lines: Iterable[str]) -> Dataset:

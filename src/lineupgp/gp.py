@@ -90,7 +90,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .data import Dataset, HomeSide, MatchRecord, Outcome
+from .data import Dataset, HomeSide, MatchArrays, MatchRecord, Outcome
 from .errors import DataError, NumericalError
 from .kernel import (
     PLAYERS_PER_SIDE,
@@ -339,19 +339,27 @@ def _factor_b(parts: _TrainParts, kp: KernelParams, sw: np.ndarray) -> _BFactor:
 
 
 def _dataset_parts(train: Dataset) -> _TrainParts:
+    # a parsed file brings its arrays, built with its registry
+    arrays = _record_arrays(train) if train.arrays is None else train.arrays
+    return _make_parts(*np.hsplit(arrays.lineups, 2), arrays.homes, arrays.codes, train.num_players)
+
+
+def _record_arrays(ds: Dataset) -> MatchArrays:
+    """The dataset's matches as arrays, read from its records through its registry."""
     # lineups straight from the registry: a MatchRecord already holds two
     # disjoint lineups of 11 distinct players, so a lookup is all a row needs
-    registry = train.registry
+    registry = ds.registry
     try:
-        lineups = [registry[pid] for rec in train.records for pid in rec.players]
+        lineups = [registry[pid] for rec in ds.records for pid in rec.players]
     except KeyError as exc:
         pid = exc.args[0]
-        rec = next(r for r in train.records if pid in r.players)
+        rec = next(r for r in ds.records if pid in r.players)
         raise DataError(f"match {rec.match_id!r}: player {pid!r} is not in the registry") from None
-    rows = np.array(lineups, dtype=np.int64).reshape(-1, SELF_OVERLAP)
-    homes = np.array([r.home.sign for r in train.records], dtype=np.int64)
-    codes = np.array([r.outcome.code for r in train.records], dtype=np.int64)
-    return _make_parts(*np.hsplit(rows, 2), homes, codes, train.num_players)
+    return MatchArrays(
+        np.array(lineups, dtype=np.int64).reshape(-1, SELF_OVERLAP),
+        np.array([r.home.sign for r in ds.records], dtype=np.int64),
+        np.array([r.outcome.code for r in ds.records], dtype=np.int64),
+    )
 
 
 def _make_parts(

@@ -918,6 +918,23 @@ def test_cold_start_loads_no_scipy(command):
     assert out.stdout.strip().split("\n")[-1] == "[]"
 
 
+@pytest.mark.parametrize("command", ["pass", "cli.run(['--version'])"])
+def test_cold_start_loads_no_numpy(command):
+    # the CSV layer imports NumPy inside a parse, so loading the CLI and
+    # printing its version load none
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = f"import sys; from lineupgp import cli; {command}; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert out.stdout.strip().split("\n")[-1] == "False"
+
+
 def test_every_public_name_resolves_to_its_module_object():
     # the package resolves names on first access; each must be the object
     # its defining module holds

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import _strptime
 import csv
-import dataclasses
 import datetime as dt
 import io
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from conftest import BASE_DATE, make_record, player_ids, random_dataset
 from lineupgp import data
 from lineupgp.data import (
     CSV_HEADER,
+    LINEUP_SIZE,
     Dataset,
     HomeSide,
     MatchRecord,
@@ -331,14 +333,6 @@ class TestSplit:
         assert train_players <= set(train.registry)
 
 
-def _unchecked_record(**fields) -> MatchRecord:
-    """A MatchRecord holding ``fields`` as given, with no check run."""
-    rec = object.__new__(MatchRecord)
-    for f in dataclasses.fields(MatchRecord):
-        object.__setattr__(rec, f.name, fields[f.name])
-    return rec
-
-
 def _fields_accept(rec: MatchRecord) -> bool:
     try:
         rec._check_fields()
@@ -358,9 +352,13 @@ def _strptime_date(token: str) -> dt.date:
     return date
 
 
-def _per_field_parse(text: str) -> Dataset:
-    """Parse ``text`` row by row with strptime dates, enum lookups and only the per-field checks."""
-    reader = csv.reader(io.StringIO(text))
+def _per_field_parse(text: str, newline: str = "\n") -> Dataset:
+    """Parse ``text`` row by row with strptime dates, enum lookups and only the per-field checks.
+
+    ``newline`` splits the lines as ``io.StringIO`` does: ``""`` as a path
+    or byte source is read, ``"\n"`` as a plain text stream is.
+    """
+    reader = csv.reader(io.StringIO(text, newline=newline))
     next(reader)
     records = []
     with mock.patch.object(MatchRecord, "_plainly_valid", lambda self: False):
@@ -452,6 +450,110 @@ def _rows(draw) -> list[str]:
     return row
 
 
+_TEAMS = ["alpha", "beta", "Real Madrid", "Inter Milan"]
+
+
+@st.composite
+def _valid_row(draw, i: int) -> list[str]:
+    """A row that breaks no rule, with match id ``r{i}``; team names may hold inner spaces."""
+    players = draw(st.permutations(_POOL))
+    teams = draw(st.permutations(_TEAMS))
+    return [
+        f"r{i}",
+        draw(st.sampled_from(_DATES)),
+        draw(st.sampled_from(["league", "cup"])),
+        teams[0],
+        teams[1],
+        draw(st.sampled_from(["0", "1", "2"])),
+        ";".join(players[:11]),
+        ";".join(players[11:22]),
+        draw(st.sampled_from(["W", "D", "L"])),
+    ]
+
+
+def _single_faults(row: list[str]) -> list[list[str]]:
+    """Each copy of a valid ``row`` with one fault.
+
+    The fault is an id, date, token or lineup that breaks (or nearly
+    breaks) a rule, or a field too few or too many.
+    """
+    faults = []
+
+    def put(changes: dict[int, str]) -> None:
+        faults.append([changes.get(col, field) for col, field in enumerate(row)])
+
+    odd_by_col = {1: _ODD_DATES, 5: _ODD_HOMES, 8: _ODD_OUTCOMES}
+    odd_by_col.update(dict.fromkeys((0, 2, 3, 4), _ODD_IDS))
+    for col, odds in odd_by_col.items():
+        for odd in odds:
+            put({col: odd})
+    put({4: row[3]})
+    for col in (6, 7):
+        side, other = row[col].split(";"), row[13 - col].split(";")
+        spare = min(set(_POOL) - {*side, *other})
+        lineups = [[odd, *side[1:]] for odd in _ODD_IDS] + [[*side[:-1], odd] for odd in _ODD_IDS]
+        lineups += [side[:-1], [*side, spare], [side[-1], *side[1:]], [other[0], *side[1:]]]
+        for lineup in lineups:
+            put({col: ";".join(lineup)})
+        # ten players and twelve: the file's count of ids stays right
+        put({col: ";".join(side[:-1]), 13 - col: ";".join([*other, side[-1]])})
+    return faults + [row[:-1], [*row, "x"]]
+
+
+@st.composite
+def _files(draw) -> list[list[str]]:
+    """Up to 8 rows sharing players: maybe a match id twice, one bad row at any position, blank lines.
+
+    The bad row breaks one rule of a valid row, or comes from _rows(),
+    which may break several or none.
+    """
+    n = draw(st.integers(1, 8))
+    rows = [draw(_valid_row(i)) for i in range(n)]
+    if n > 1 and draw(st.integers(0, 7)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i][0] = rows[j][0]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i] = draw(st.one_of(st.sampled_from(_single_faults(rows[i])), _rows()))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    return rows
+
+
+def _verdict(parse, *args) -> Dataset | str:
+    """What ``parse(*args)`` returns, or the message of the DataError it raises."""
+    try:
+        return parse(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_alike(got: Dataset | str, want: Dataset | str) -> None:
+    """The same message, or a dataset from the file-level check with the same records and registry order."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert got.arrays is not None
+        assert got.records == want.records
+        assert list(got.registry.items()) == list(want.registry.items())
+
+
+@contextmanager
+def _sources(text: str, path: Path):
+    """Each kind of source parse_dataset reads ``text`` from, with the ``newline`` that splits its lines."""
+    raw = text.encode("utf-8")
+    path.write_bytes(raw)
+    with path.open("rb") as binary, path.open(encoding="utf-8", newline="") as textual:
+        yield [
+            (path, ""),
+            (str(path), ""),
+            (io.BytesIO(raw), ""),
+            (binary, ""),
+            (io.StringIO(text), "\n"),
+            (textual, ""),
+        ]
+
+
 def _write_rows(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     # the default CRLF terminator makes the writer quote fields holding CR
@@ -481,7 +583,7 @@ class TestCombinedCheck:
     def test_accepts_exactly_what_the_fields_accept(self, row, date, home, outcome):
         if len(row) != len(CSV_HEADER):
             return
-        rec = _unchecked_record(
+        rec = data._unchecked_record(
             match_id=row[0],
             date=date,
             competition=row[2],
@@ -495,20 +597,29 @@ class TestCombinedCheck:
         assert rec._plainly_valid() == _fields_accept(rec)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(rows=st.lists(_rows(), min_size=1, max_size=3))
+    @given(rows=_files())
     @example(rows=[_VALID_ROW])
-    def test_parse_matches_the_per_field_path(self, rows):
+    def test_parse_matches_the_per_field_path(self, rows, tmp_path_factory):
         text = _write_rows(rows)
-        try:
-            want = _per_field_parse(text)
-        except DataError as exc:
-            with pytest.raises(DataError) as got:
-                parse_dataset(io.StringIO(text))
-            assert str(got.value) == str(exc)
-        else:
-            got = parse_dataset(io.StringIO(text))
-            assert got.records == want.records
-            assert list(got.registry.items()) == list(want.registry.items())
+        wants: dict[str, Dataset | str] = {}
+        with _sources(text, tmp_path_factory.getbasetemp() / "fuzz.csv") as sources:
+            for source, newline in sources:
+                if newline not in wants:
+                    wants[newline] = _verdict(_per_field_parse, text, newline)
+                _assert_alike(_verdict(parse_dataset, source), wants[newline])
+
+    def test_each_single_fault_in_each_row(self):
+        # five valid rows, out of date order, sharing players
+        rows = []
+        for i in range(5):
+            players = _POOL[i:] + _POOL[:i]
+            teams = [_TEAMS[i % 4], _TEAMS[(i + 1) % 4]]
+            lineups = [";".join(players[:11]), ";".join(players[11:22])]
+            rows.append([f"r{i}", _DATES[i % 4], "league", *teams, "1", *lineups, "D"])
+        for i, row in enumerate(rows):
+            for bad in _single_faults(row):
+                text = _write_rows([*rows[:i], bad, *rows[i + 1 :]])
+                _assert_alike(_verdict(parse_dataset, io.StringIO(text)), _verdict(_per_field_parse, text))
 
     def test_each_forbidden_character_in_each_kind_of_id(self):
         for ch in data._FORBIDDEN_IN_ID:
@@ -524,7 +635,7 @@ class TestCombinedCheck:
                 assert str(got.value) == str(want.value)
 
     def test_non_string_id_fails_the_combined_test(self):
-        rec = _unchecked_record(
+        rec = data._unchecked_record(
             match_id="m1",
             date=BASE_DATE,
             competition="cup",
@@ -546,31 +657,37 @@ class TestCombinedCheck:
 
 
 class TestParseFastPath:
-    """A valid file never reaches strptime or the per-name check."""
+    """A valid file is checked as columns only; any other goes through the row path."""
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = {"strptime": 0, "check_name": 0}
-        strptime, check_name = _strptime._strptime_datetime, data._check_name
+        calls = dict.fromkeys(("strptime", "check_name", "plainly_valid", "check_fields"), 0)
 
-        def counted_strptime(*args):
-            calls["strptime"] += 1
-            return strptime(*args)
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        def counted_check_name(*args):
-            calls["check_name"] += 1
-            return check_name(*args)
+            return counted
 
         # datetime.strptime looks up _strptime._strptime_datetime on every call
-        monkeypatch.setattr(_strptime, "_strptime_datetime", counted_strptime)
-        monkeypatch.setattr(data, "_check_name", counted_check_name)
+        strptime = _strptime._strptime_datetime
+        monkeypatch.setattr(_strptime, "_strptime_datetime", counting("strptime", strptime))
+        monkeypatch.setattr(data, "_check_name", counting("check_name", data._check_name))
+        for name in ("plainly_valid", "check_fields"):
+            method = f"_{name}"
+            monkeypatch.setattr(MatchRecord, method, counting(name, getattr(MatchRecord, method)))
         return calls
 
-    def test_valid_file_takes_no_slow_path(self, monkeypatch):
-        text = serialize_dataset(random_dataset(np.random.default_rng(31), 200, 60))
+    def test_valid_file_takes_no_slow_path(self, monkeypatch, tmp_path):
+        ds = random_dataset(np.random.default_rng(31), 200, 60)
+        text = serialize_dataset(ds)
         calls = self._counted(monkeypatch)
-        assert parse_dataset(io.StringIO(text)).n == 200
-        assert calls == {"strptime": 0, "check_name": 0}
+        with _sources(text, tmp_path / "valid.csv") as sources:
+            for source, _ in sources:
+                got = parse_dataset(source)
+                assert got.n == 200 and got.records == ds.records
+        assert calls == dict.fromkeys(calls, 0)
 
     def test_the_counters_see_the_slow_path(self, monkeypatch):
         calls = self._counted(monkeypatch)
@@ -578,4 +695,16 @@ class TestParseFastPath:
             parse_dataset(io.StringIO(_csv(_row(date="2022-1-01"))))
         with pytest.raises(DataError, match="whitespace"):
             parse_dataset(io.StringIO(_csv(_row(match_id="m1 "))))
-        assert calls["strptime"] == 1 and calls["check_name"] == 1
+        assert calls == {"strptime": 1, "check_name": 1, "plainly_valid": 1, "check_fields": 1}
+        # a record built by hand, as simulate builds them, runs the combined test
+        make_record("m2", P[:11], P[11:22])
+        assert calls["plainly_valid"] == 2
+
+    def test_a_bad_last_row_reaches_the_row_path(self, monkeypatch):
+        # the last row's outcome token, its last character, becomes V
+        text = serialize_dataset(random_dataset(np.random.default_rng(32), 200, 60))[:-2] + "V\n"
+        calls = self._counted(monkeypatch)
+        with pytest.raises(DataError, match="^line 201: unknown outcome token 'V' \\(expected W, D or L\\)$"):
+            parse_dataset(io.StringIO(text))
+        # every row before it became a record that passed the combined test
+        assert calls == {"strptime": 0, "check_name": 0, "plainly_valid": 199, "check_fields": 0}

@@ -36,7 +36,14 @@ from conftest import (
     version_4_payload,
 )
 from lineupgp import gp
-from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
+from lineupgp.data import (
+    Dataset,
+    HomeSide,
+    MatchRecord,
+    Outcome,
+    parse_dataset,
+    serialize_dataset,
+)
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import (
     GPModel,
@@ -292,6 +299,29 @@ class TestLowRankRoute:
         partial = Dataset(records=ds.records, registry={pid: 0 for pid in ds.records[0].lineup1})
         with pytest.raises(DataError, match="not in the registry"):
             _dataset_parts(partial)
+
+    def test_parsed_parts_are_the_record_parts(self, tmp_path):
+        # the arrays a parsed file carries make the parts that registry
+        # lookups over its records make, array for array; the rows are
+        # written out of order, so the parse sorts them
+        rng = np.random.default_rng(275)
+        for n, p in ((20, 40), (60, 30)):
+            lines = serialize_dataset(random_dataset(rng, n, p)).splitlines(keepends=True)
+            path = tmp_path / f"league{n}.csv"
+            path.write_text("".join([lines[0], *rng.permutation(lines[1:])]), encoding="utf-8")
+            parsed = parse_dataset(path)
+            by_records = Dataset.from_records(parsed.records)
+            assert by_records.arrays is None
+            got, want = _dataset_parts(parse_dataset(path)), _dataset_parts(by_records)
+            for key in ("z", "x", "pairs"):
+                a, b = getattr(got, key), getattr(want, key)
+                assert a.shape == b.shape, key
+                for attr in ("indices", "data", "indptr"):
+                    x, y = getattr(a, attr), getattr(b, attr)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), (key, attr)
+            for key in ("homes", "codes"):
+                x, y = getattr(got, key), getattr(want, key)
+                assert x.dtype == y.dtype and np.array_equal(x, y), key
 
     def test_log_marginal_is_the_search_evidence(self):
         rng = np.random.default_rng(274)
