@@ -289,8 +289,9 @@ class Dataset:
     A dataset from :func:`parse_dataset` also holds its matches as
     ``arrays``, which a fit reads, and builds ``records`` from its checked
     columns when they are first read, so a command that only fits never
-    builds them.  ``arrays`` takes no part in equality; a dataset made any
-    other way has none.
+    builds them.  The halves :func:`split_by_cutoff` makes of it hold their
+    rows of its arrays.  ``arrays`` takes no part in equality; a dataset
+    made any other way has none.
     """
 
     records: tuple[MatchRecord, ...]
@@ -628,11 +629,17 @@ def split_by_cutoff(ds: Dataset, cutoff: dt.date) -> tuple[Dataset, Dataset]:
     """Chronological split: train strictly before ``cutoff``, test on/after.
 
     Both halves share the parent's registry, so a player's dense index does
-    not depend on the cutoff and test-only players keep valid indices.
+    not depend on the cutoff and test-only players keep valid indices.  A
+    parent with ``arrays`` gives each half its rows of them.
     """
     train = tuple(r for r in ds.records if r.date < cutoff)
     test = tuple(r for r in ds.records if r.date >= cutoff)
-    return (
-        Dataset(records=train, registry=ds.registry),
-        Dataset(records=test, registry=ds.registry),
-    )
+    halves = tuple(Dataset(records=half, registry=ds.registry) for half in (train, test))
+    whole = ds.arrays
+    if whole is not None:
+        # only a parsed file, or a half of one, has arrays: its records are
+        # in date order, so the training rows come first
+        for half, rows in zip(halves, (slice(len(train)), slice(len(train), None))):
+            arrays = (whole.lineups[rows], whole.homes[rows], whole.codes[rows])
+            half.__dict__["arrays"] = MatchArrays(*arrays)
+    return halves

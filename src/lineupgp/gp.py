@@ -2,20 +2,21 @@
 
 The latent match quality ``f`` has a zero-mean GP prior with the sparse
 lineup kernel; the ternary likelihood ties it to observed outcomes.  The
-posterior mode is found by damped Newton ascent on
+kernel is K = X S X' for the sparse features X = [Z | h] (23 nonzeros per
+row) and S = diag(sigma2, ..., sigma2, sigma2_home): it is the prior of
+f = X w for Gaussian weights w ~ N(0, S), one per player plus a home
+weight (Rasmussen & Williams 2006, Section 2.1).  The fit runs in the
+whitened weights u, with w = S^{1/2} u and f = X S^{1/2} u, whose prior is
+N(0, I).  Damped Newton ascends
 
-    Psi(f) = log p(y | f) - 0.5 * f' K^{-1} f
+    Psi(u) = log p(y | f) - 0.5 |u|^2,
 
-parametrized through dual coefficients ``a`` with ``f = K a`` so no solve
-against K is ever needed.  Each Newton step, the evidence and prediction
-use the well-conditioned matrix B = I + W^{1/2} K W^{1/2} (W is the negated
-likelihood Hessian, nonnegative because the likelihood is log-concave).
-K = X S X' for the sparse features X = [Z | h] (23 nonzeros per row) and
-S = diag(sigma2, ..., sigma2, sigma2_home) is applied as X (s * X'v) and
-never held.  With U = W^{1/2} X S^{1/2}, B = I + U U' is solved by Woodbury
-through the Cholesky factor of the (P+1) x (P+1) matrix C = I + U'U (P
-players), with log|B| = log|C| (Rasmussen & Williams 2006, Section 3.4): no
-N x N array is ever built.
+whose negated Hessian is the (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2}
+(P players; W is the negated likelihood Hessian, nonnegative because the
+likelihood is log-concave).  At the mode the weights have the Laplace
+posterior mean m = S^{1/2} u and covariance S^{1/2} C^{-1} S^{1/2}, and the
+evidence is Psi - 0.5 log|C|.  S is applied as a vector and no N x N array
+is ever built.
 
 C and its Cholesky factor are held in LAPACK's rectangular full packed
 format (RFP; Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2),
@@ -30,16 +31,14 @@ singular, as when two matches field the same lineups at the same venue or
 N > P+1.  So K is exactly sigma2 Z Z' + sigma2_home h h', with no jitter on
 its diagonal.
 
-The training set's shape picks only how a Newton step solves with B.  With
-N <= P+1 matches, each step runs conjugate gradients, B applied through K's
-sparse products, and C is factored once, at the mode; with N > P+1, every
-step factors C.  The posterior is one record, :class:`LaplacePosterior`,
-that one function builds for a fit, each evaluation of the evidence search
-and load_model.
+The training set's shape picks only how a Newton step solves with C.  With
+N <= P+1 matches, C - I has rank at most N, and each step runs conjugate
+gradients, C applied through two sparse products with X; C is factored
+once, at the mode.  With N > P+1, every step factors C.  The posterior is
+one record, :class:`LaplacePosterior`, that one function builds for a fit,
+each evaluation of the evidence search and load_model.
 
-The weights w ~ N(0, S) with f = X w have the Laplace posterior mean
-m = S X' grad log p(y|f_hat) and covariance S^{1/2} C^{-1} S^{1/2}, exactly,
-so a test match x gets mean x'm and variance |L_C^{-1} S^{1/2} x|^2.
+A test match x gets the latent mean x'm and variance |L_C^{-1} S^{1/2} x|^2.
 Players unseen in training add their prior variance and nothing to the
 mean.
 
@@ -62,14 +61,14 @@ evaluations, against 14-43 from an identity start.  The gradient's traces
 come from C^{-1}, packed and scaled in place, so a gradient builds no N x N
 array.
 
-A model file (version 5) stores the training set, hyperparameters, mode and
-dual coefficients; loading rebuilds the record from them through the
-function a fit ends with, so under the same BLAS threads it is the fitted
-posterior bit for bit.  The lineups are most of a file, so each registry
-index is written in the narrowest little-endian unsigned type that holds
-P-1 (one byte up to 256 players, two up to 65,536, else four), and the home
-signs as the CSV's home tokens; the mode and dual coefficients stay 8-byte
-floats.  The same fit always writes the same bytes.
+A model file (version 6) stores the training set, hyperparameters and the
+weight mean m; loading rebuilds the record from them through the function
+a fit ends with, so under the same BLAS threads it is the fitted posterior
+bit for bit.  The lineups are most of a file, so each registry index is
+written in the narrowest little-endian unsigned type that holds P-1 (one
+byte up to 256 players, two up to 65,536, else four), and the outcomes and
+home signs as the CSV's tokens; the P+1 weights stay 8-byte floats.  The
+same fit always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ import sys
 from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -90,7 +89,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .data import Dataset, HomeSide, MatchArrays, MatchRecord, Outcome
+from .data import _CODE_BY_TOKEN, _SIGN_BY_TOKEN, Dataset, MatchArrays, MatchRecord
 from .errors import DataError, NumericalError
 from .kernel import (
     PLAYERS_PER_SIDE,
@@ -126,7 +125,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "lineupgp/model"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -269,19 +268,22 @@ def _cholesky(n: int, packed: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _BFactor:
-    """B = I + W^{1/2} K W^{1/2} factored: ``solve(v)`` is B^{-1} v.
+class _Factor:
+    """C = I + S^{1/2} X' W X S^{1/2} factored: ``solve(v)`` is C^{-1} v.
 
-    ``rfp`` is L_C, the lower Cholesky factor of the (P+1) x (P+1) matrix
-    C = I + S^{1/2} X' W X S^{1/2}, in rectangular full packed format (see
-    _rfp_slots): (P+1)(P+2)/2 doubles, half the dense square, which
+    ``rfp`` is L_C, the lower Cholesky factor of the (P+1) x (P+1) matrix C,
+    in rectangular full packed format (see _rfp_slots): (P+1)(P+2)/2
+    doubles, half the dense square, which
     ``scipy.linalg.lapack.dtfttr(P+1, rfp, uplo="L")`` unpacks.
-    ``half_logdet`` is 0.5 log|C| = 0.5 log|B|.
+    ``half_logdet`` is 0.5 log|C|.
     """
 
-    solve: Callable[[np.ndarray], np.ndarray]
-    half_logdet: float
     rfp: np.ndarray
+    half_logdet: float
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        t, _ = sla.lapack.dpftrs(len(v), self.rfp, v, transr="N", uplo="L")
+        return t
 
 
 @dataclass(frozen=True)
@@ -290,8 +292,9 @@ class _TrainParts:
 
     ``x`` is the sparse feature matrix X = [Z | h] (N x (P+1)) and ``xt`` its
     transpose, so K = X S X' is applied as X (s * X'v) and never held.
-    ``pairs`` (sparse, (P+1)(P+2)/2 x N) maps match weights u to the lower
-    triangle of X' diag(u) X packed in RFP (see _rfp_slots), and so builds C.
+    ``pairs`` (sparse, (P+1)(P+2)/2 x N) maps one value c_i per match to the
+    lower triangle of X' diag(c) X packed in RFP (see _rfp_slots), and so
+    builds C.
     """
 
     z: sp.csr_matrix
@@ -312,30 +315,18 @@ class _TrainParts:
         return self.x @ (s * (self.xt @ v))
 
 
-def _factor_b(parts: _TrainParts, kp: KernelParams, sw: np.ndarray) -> _BFactor:
-    """B = I + U U' (U = W^{1/2} X S^{1/2}) factored through C = I + U'U.
-
-    By Woodbury, B^{-1} v = v - W^{1/2} X S^{1/2} C^{-1} S^{1/2} X' W^{1/2} v,
-    and log|B| = log|C|.
-    """
-    if not np.all(np.isfinite(sw)):
+def _factor_c(parts: _TrainParts, kp: KernelParams, w: np.ndarray) -> _Factor:
+    """C = I + S^{1/2} X' W X S^{1/2} for W = diag(w), built packed in RFP and factored."""
+    if not np.all(np.isfinite(w)):
         raise NumericalError("non-finite likelihood curvature in the Laplace fit")
-    # C = I + D M D with M = X' W X and D = S^{1/2}, packed in RFP
     s = parts.variances(kp)
-    d = np.sqrt(s)
     n = len(s)
-    c = parts.pairs @ (sw * sw)
+    c = parts.pairs @ w
     _scale_rfp(c, s)
     diag = _rfp_diagonal(n)
     c[diag] += 1.0
     rfp = _cholesky(n, c)
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        rhs = d * (parts.xt @ (sw * v))
-        t, _ = sla.lapack.dpftrs(n, rfp, rhs, transr="N", uplo="L", overwrite_b=1)
-        return v - sw * (parts.x @ (d * t))
-
-    return _BFactor(solve, float(np.sum(np.log(rfp[diag]))), rfp)
+    return _Factor(rfp, float(np.sum(np.log(rfp[diag]))))
 
 
 def _dataset_parts(train: Dataset) -> _TrainParts:
@@ -387,42 +378,52 @@ def _make_parts(
     return _TrainParts(z, homes, codes, x, x.T, pairs)
 
 
-def _psi(codes: np.ndarray, f: np.ndarray, a: np.ndarray, alpha: float) -> float:
-    return float(np.sum(loglik_vector(codes, f, alpha))) - 0.5 * float(a @ f)
+def _psi(codes: np.ndarray, f: np.ndarray, u: np.ndarray, alpha: float) -> float:
+    return float(np.sum(loglik_vector(codes, f, alpha))) - 0.5 * float(u @ u)
 
 
-# the relative residual |rhs - B v| / |rhs| at which a CG solve stops
-_CG_RTOL = 1e-12
+def _whitened(weights: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """u = S^{-1/2} w for S = diag(s); a weight with no prior variance is 0 and whitens to 0."""
+    return np.divide(weights, np.sqrt(s), out=np.zeros_like(weights), where=s > 0.0)
+
+
+# the relative residual |rhs - C v| / |rhs| at which a CG solve stops.  A
+# Newton step's right-hand side is Psi's gradient, and C >= I bounds the
+# step's error by that residual, so the error shrinks with the gradient:
+# the last step of a fit leaves the weights within ~1e-14 of the mode
+_CG_RTOL = 1e-8
 
 
 def _cg_limit(n: int) -> int:
-    """CG iterations worth one factor of an N x N matrix, at most N.
+    """CG iterations a Newton step may take before it factors C, for N training matches.
 
-    An iteration costs two sparse products, about 25 + 0.045 N us on one
-    core, and a factor of the N x N matrix B about N^3 / 3 flops plus
-    building it: 2.5 ms at N = 400, 40 ms at 1300, 124 ms at 2000, where the
-    two break even at 57, 457 and 1173 iterations, near N^2 / 3300.  The
-    fallback factors the (P+1) x (P+1) matrix C, and CG runs only where
-    N <= P+1, so the fallback costs at least as much as a factor of B: the
-    limit is conservative.  Newton's steps on a well-conditioned B, as at
-    sigma2 = 0.09, sigma2_home = 1, alpha = 0.45, take 20-45 iterations at
+    CG runs only where N <= P+1, and C - I has rank at most N, so it ends
+    within N + 1 iterations in exact arithmetic; the limit is N^2 / 3300,
+    at least 64 and at most N.  On one core an iteration, two sparse
+    products with X and vector operations of length P+1, costs 26, 55 and
+    81 us at N = P = 400, 1300 and 2000, and building and factoring C
+    costs 1.1, 21 and 68 ms, the worth of 44, 375 and 835 iterations,
+    against limits of 64, 512 and 1212.  So where P+1 = N+1 a step may
+    spend up to 1.5 times a factor in CG before it falls back; the factor
+    grows as (P+1)^3, and from P of about 1.15 N on it costs more than the
+    limit's iterations.  Newton's steps on a well-conditioned C, as at
+    sigma2 = 0.09, sigma2_home = 1, alpha = 0.45, take 13-27 iterations at
     any N from 30 to 2000, so no limit falls below 64.
     """
     return min(n, max(64, n * n // 3300))
 
 
 def _cg(
-    matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, x0: np.ndarray
+    matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, limit: int
 ) -> tuple[np.ndarray | None, int]:
-    """Conjugate gradients on the positive definite system matvec(x) = rhs, from ``x0``.
+    """Conjugate gradients on the positive definite system matvec(x) = rhs, from x = 0.
 
     Returns (x, iterations) once |rhs - matvec(x)| <= _CG_RTOL |rhs|, or
-    (None, limit) if ``_cg_limit(len(rhs))`` iterations do not get there.
+    (None, limit) if ``limit`` iterations do not get there.
     """
-    limit = _cg_limit(len(rhs))
     tol2 = (_CG_RTOL * float(np.linalg.norm(rhs))) ** 2
-    x = x0.copy()
-    r = rhs - matvec(x)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     rr = float(r @ r)
     p = r.copy()
     iteration = 0
@@ -441,73 +442,78 @@ def _cg(
 
 
 def _newton_mode(
-    parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton ascent; returns (f_hat, a_hat, iterations).
+    parts: _TrainParts, hyper: Hyperparams, w0: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Damped Newton ascent on Psi(u); returns (the weight mean S^{1/2} u_hat, iterations).
 
-    Starts from ``a0`` if given and its Psi beats that of a = 0 (hence
-    f = 0), else from a = 0.  The objective is strictly concave in f, so
+    Starts from the weights ``w0`` if given and their Psi beats that of
+    u = 0 (hence f = 0), else from u = 0.  Psi is strictly concave in u, so
     every start reaches the same mode.
 
-    Each step solves B v = W^{1/2} K b.  With N <= P+1 matches that is
-    Newton-CG (Nocedal & Wright 2006, Section 7.1): conjugate gradients
-    with B applied as v + W^{1/2} K W^{1/2} v through ``k_dot``, started
-    from the previous step's v, so C is factored only at the mode.  Once a
-    step needs more iterations than ``_cg_limit``, as on an ill-conditioned
-    B at large sigma2, that step and every later one are solved through
-    ``_factor_b``.  With N > P+1, where C is smaller than B, every step is
-    solved through ``_factor_b``.  One DEBUG log line per step gives Psi,
+    Psi's gradient in u is S^{1/2} X' grad log p(y|f) - u and its negated
+    Hessian is C, so each step solves C step = gradient, the same as
+    C u_new = S^{1/2} X' (W f + grad log p(y|f)); solving for the step
+    makes its error shrink with the gradient.  With N <= P+1 matches that
+    is Newton-CG (Nocedal & Wright 2006, Section 7.1): conjugate gradients
+    with C applied as v + S^{1/2} X' W X S^{1/2} v through two sparse
+    products, so C is factored only at the mode.  Once a step needs more
+    iterations than ``_cg_limit(N)``, as on an ill-conditioned C at large
+    sigma2, that step and every later one are solved through ``_factor_c``.
+    With N > P+1, every step is.  One DEBUG log line per step gives Psi,
     the step length and the solver's work.
     """
     codes, alpha, kp = parts.codes, hyper.alpha, hyper.kernel
-    k = partial(parts.k_dot, parts.variances(kp))
+    s = parts.variances(kp)
+    d = np.sqrt(s)
+    x, xt = parts.x, parts.xt
+    k = partial(parts.k_dot, s)
     n, p = parts.z.shape
-    a = np.zeros(n)
+    u = np.zeros(p + 1)
     f = np.zeros(n)
-    psi = _psi(codes, f, a, alpha)
-    if a0 is not None:
-        a_warm = np.asarray(a0, dtype=float)
-        f_warm = k(a_warm)
-        psi_warm = _psi(codes, f_warm, a_warm, alpha)
+    psi = _psi(codes, f, u, alpha)
+    if w0 is not None:
+        u_warm = _whitened(w0, s)
+        f_warm = x @ (d * u_warm)
+        psi_warm = _psi(codes, f_warm, u_warm, alpha)
         if psi_warm > psi:
-            a, f, psi = a_warm, f_warm, psi_warm
+            u, f, psi = u_warm, f_warm, psi_warm
     d1, d2 = loglik_derivs_vector(codes, f, alpha)
     last_delta = math.inf
-    v = np.zeros(n)
     use_cg = n <= p + 1
+    limit = _cg_limit(n)
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         w = -d2
-        sw = np.sqrt(w)
-        b_vec = w * f + d1
-        rhs = sw * k(b_vec)
-        solved, cg_iters = _cg(lambda u: u + sw * k(sw * u), rhs, v) if use_cg else (None, 0)
+        # the gradient of Psi in u
+        grad_u = d * (xt @ d1) - u
+        solved, cg_iters = None, 0
+        if use_cg:
+            solved, cg_iters = _cg(lambda v: v + d * (xt @ (w * (x @ (d * v)))), grad_u, limit)
         use_cg = solved is not None
-        v = _factor_b(parts, kp, sw).solve(rhs) if solved is None else solved
-        step = b_vec - sw * v - a
-        k_step = k(step)
+        step = _factor_c(parts, kp, w).solve(grad_u) if solved is None else solved
+        f_step = x @ (d * step)
 
         # a full step whose Psi falls by no more than rounding noise is
         # taken; the stationarity test below then decides convergence
         floor = psi - _ROUNDING * max(1.0, abs(psi))
         t = 1.0
         while True:
-            a_try = a + t * step
-            f_try = f + t * k_step
-            psi_try = _psi(codes, f_try, a_try, alpha)
+            u_try = u + t * step
+            f_try = f + t * f_step
+            psi_try = _psi(codes, f_try, u_try, alpha)
             if psi_try > psi or (t == 1.0 and psi_try >= floor):
                 break
             t *= 0.5
             if t < 1e-12:
                 # ascent exhausted at floating-point resolution
                 if _stationary(f, k(d1), _STATIONARITY_BOUND):
-                    return f, a, iteration - 1
+                    return d * u, iteration - 1
                 raise NumericalError(
                     "Newton ascent stalled away from stationarity "
                     f"(|dPsi| floor reached after {iteration - 1} iterations)"
                 )
 
         last_delta = psi_try - psi
-        a, f, psi = a_try, f_try, psi_try
+        u, f, psi = u_try, f_try, psi_try
         logger.debug(
             "Newton step %d: psi %.12g, t %g, %d CG iterations%s",
             iteration,
@@ -518,20 +524,20 @@ def _newton_mode(
         )
         d1, d2 = loglik_derivs_vector(codes, f, alpha)
         if last_delta < _NEWTON_TOL and _stationary(f, k(d1), _STATIONARITY_TOL):
-            return f, a, iteration
+            return d * u, iteration
         # a full step taken under the rounding rule: Psi cannot rise further,
         # so the residual may stall between the two bounds
         if last_delta <= 0.0 and _stationary(f, k(d1), _STATIONARITY_BOUND):
-            return f, a, iteration
+            return d * u, iteration
     raise NumericalError(
         f"Laplace Newton did not converge after {_NEWTON_MAX_ITER} iterations "
         f"(final |dPsi| = {last_delta:.3e})"
     )
 
 
-def _stationary(f: np.ndarray, k_d1: np.ndarray, tol: float) -> bool:
-    """The mode's fixed point f = K d1, to ``tol`` relative to max(1, max |f|)."""
-    return float(np.max(np.abs(f - k_d1))) <= tol * max(1.0, float(np.max(np.abs(f))))
+def _stationary(v: np.ndarray, fixed: np.ndarray, tol: float) -> bool:
+    """v = fixed to ``tol`` relative to max(1, max |v|): the mode's f = K d1, or its m = S X' d1."""
+    return float(np.max(np.abs(v - fixed))) <= tol * max(1.0, float(np.max(np.abs(v))))
 
 
 @dataclass(frozen=True)
@@ -540,25 +546,26 @@ class LaplacePosterior:
 
     ``parts`` is the training set (signed incidence ``parts.z``, N x P, home
     signs ``parts.homes``, outcome codes ``parts.codes``, features
-    X = [Z | h]) and ``hyper`` gives S, so K = X S X' and
-    ``mode = K dual_coef``; no N x N Gram is held.  ``grad`` is the likelihood
-    gradient at the mode, ``sqrt_w`` the square root of its negated Hessian
-    and ``loglik`` log p(y|mode).  ``factor`` holds B = I + W^{1/2} K W^{1/2}
-    factored through the (P+1) x (P+1) matrix C = I + S^{1/2} X' W X S^{1/2},
-    which is >= I, so it needs no jitter on K, however singular K is; the
-    weights' posterior covariance is S^{1/2} C^{-1} S^{1/2}.  C's lower
-    Cholesky factor is ``factor.rfp``, packed in rectangular full packed
-    format; no dense (P+1) x (P+1) array is held.  ``_at_mode`` builds the
-    record; a model file saves no field that it derives.
+    X = [Z | h]) and ``hyper`` gives S.  ``weights`` is the posterior mean m
+    of the P player weights, then the home weight, and ``mode = X m`` the
+    latent mode; no N x N Gram is held.  ``grad`` is the likelihood gradient
+    at the mode, ``sqrt_w`` the square root of its negated Hessian and
+    ``loglik`` log p(y|mode).  ``factor`` holds the (P+1) x (P+1) matrix
+    C = I + S^{1/2} X' W X S^{1/2} factored, which is >= I, so it needs no
+    jitter on K, however singular K is; the weights' posterior covariance is
+    S^{1/2} C^{-1} S^{1/2}.  C's lower Cholesky factor is ``factor.rfp``,
+    packed in rectangular full packed format; no dense (P+1) x (P+1) array
+    is held.  ``_at_mode`` builds the record; a model file saves no field
+    that it derives.
     """
 
     parts: _TrainParts
     hyper: Hyperparams
+    weights: np.ndarray
     mode: np.ndarray
-    dual_coef: np.ndarray
     grad: np.ndarray
     sqrt_w: np.ndarray
-    factor: _BFactor
+    factor: _Factor
     loglik: float
     newton_iters: int
 
@@ -568,37 +575,33 @@ class LaplacePosterior:
 
     @property
     def evidence(self) -> float:
-        """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - 0.5 log|B|."""
-        return self.loglik - 0.5 * float(self.mode @ self.dual_coef) - self.factor.half_logdet
-
-    @cached_property
-    def weight_mean(self) -> np.ndarray:
-        """m = S X' grad: mean of the P player weights, then the home weight."""
-        s = self.parts.variances(self.hyper.kernel)
-        return s * np.append(self.parts.z.T @ self.grad, self.parts.homes @ self.grad)
+        """Laplace evidence: log p(y|f_hat) - 0.5 |u_hat|^2 - 0.5 log|C|."""
+        u = _whitened(self.weights, self.parts.variances(self.hyper.kernel))
+        return self.loglik - 0.5 * float(u @ u) - self.factor.half_logdet
 
 
 def _laplace(
-    parts: _TrainParts, hyper: Hyperparams, a0: np.ndarray | None = None
+    parts: _TrainParts, hyper: Hyperparams, w0: np.ndarray | None = None
 ) -> LaplacePosterior:
-    """Newton to the mode from ``a0`` (see _newton_mode), then everything built there."""
+    """Newton to the mode from weights ``w0`` (see _newton_mode), then everything built there."""
     with _finite_arithmetic("the Laplace fit overflowed"):
-        f_hat, a_hat, iters = _newton_mode(parts, hyper, a0)
-        return _at_mode(parts, hyper, f_hat, a_hat, iters)
+        weights, iters = _newton_mode(parts, hyper, w0)
+        return _at_mode(parts, hyper, weights, iters)
 
 
 def _at_mode(
-    parts: _TrainParts, hyper: Hyperparams, f: np.ndarray, a: np.ndarray, iters: int
+    parts: _TrainParts, hyper: Hyperparams, weights: np.ndarray, iters: int
 ) -> LaplacePosterior:
-    """The posterior at the mode ``f = K a``: grad log p, W^{1/2}, log p(y|f) and B factored.
+    """The posterior at the weight mean m: f = X m, grad log p, W^{1/2}, log p(y|f) and C factored.
 
     Fit ends here and load_model rebuilds here, so the two agree bit for bit.
     """
+    f = parts.x @ weights
     d1, d2 = loglik_derivs_vector(parts.codes, f, hyper.alpha)
-    sqrt_w = np.sqrt(-d2)
+    w = -d2
     loglik = float(np.sum(loglik_vector(parts.codes, f, hyper.alpha)))
-    factor = _factor_b(parts, hyper.kernel, sqrt_w)
-    return LaplacePosterior(parts, hyper, f, a, d1, sqrt_w, factor, loglik, iters)
+    factor = _factor_c(parts, hyper.kernel, w)
+    return LaplacePosterior(parts, hyper, weights, f, d1, np.sqrt(w), factor, loglik, iters)
 
 
 def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
@@ -609,7 +612,7 @@ def fit(train: Dataset, hyper: Hyperparams) -> LaplacePosterior:
 
 
 def log_marginal(post: LaplacePosterior) -> float:
-    """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - 0.5 log|B|."""
+    """Laplace evidence: log p(y|f_hat) - 0.5 f_hat' K^{-1} f_hat - 0.5 log|C|."""
     return post.evidence
 
 
@@ -628,7 +631,7 @@ def _latent_block(
         seen = lineup < p
         feats[np.nonzero(seen)[0], lineup[seen]] = sign
     feats[:, p] = homes
-    mu = feats @ post.weight_mean
+    mu = feats @ post.weights
     x = feats.T
     x *= np.sqrt(parts.variances(kp))[:, None]
     # the factor is finite: load_model, like fit, factors it from a finite C
@@ -722,11 +725,12 @@ def _inverse(n: int, rfp: np.ndarray) -> np.ndarray:
 
 
 def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]:
-    """The parts of the evidence gradient that need the inverse of B, from C^{-1}.
+    """The parts of the evidence gradient that need the inverse of C.
 
     Returns diag(Sigma_f) with Sigma_f = (K^{-1} + W)^{-1}, then tr(R K_z) and
-    tr(R K_h), where R = W^{1/2} B^{-1} W^{1/2} and K_z = sigma2 Z Z',
-    K_h = sigma2_home h h' are the two scaled parts of the Gram.
+    tr(R K_h), where R = (K + W^{-1})^{-1} = W - W X S^{1/2} C^{-1} S^{1/2} X' W
+    and K_z = sigma2 Z Z', K_h = sigma2_home h h' are the two scaled parts of
+    the Gram.
     """
     parts, kp = post.parts, post.hyper.kernel
     s = parts.variances(kp)
@@ -750,20 +754,22 @@ def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
 
     Rasmussen & Williams (2006), Algorithm 5.1.  For a kernel scale with
     dK = dK/d log(scale): the explicit term 0.5 d1' dK d1 - 0.5 tr(R dK), plus
-    the implicit term through the mode s2'(b - K R b) with b = dK d1 and
+    the implicit term through the mode s2'(I + K W)^{-1} b with b = dK d1 and
     s2 = -0.5 diag(Sigma_f) * dW/df.  For alpha: the explicit term
     sum d log p/d alpha - 0.5 diag(Sigma_f)' dW/d alpha, and b = K d(d1)/d alpha.
     """
     hyper, parts = post.hyper, post.parts
     kp = hyper.kernel
     s, sw, d1 = parts.variances(kp), post.sqrt_w, post.grad
+    d = np.sqrt(s)
     sigma_f, tr_z, tr_h = _posterior_traces(post)
     dlp, dd1, dw_alpha, dw_f = loglik_alpha_derivs(parts.codes, post.mode, hyper.alpha)
     s2 = -0.5 * sigma_f * dw_f
 
     def implicit(b: np.ndarray) -> float:
-        # s2' df_hat, with df_hat = (I + K W)^{-1} b = b - K R b
-        return float(s2 @ (b - parts.k_dot(s, sw * post.factor.solve(sw * b))))
+        # s2' df_hat, with df_hat = (I + K W)^{-1} b = b - X S^{1/2} C^{-1} S^{1/2} X' W b
+        t = post.factor.solve(d * (parts.xt @ (sw * (sw * b))))
+        return float(s2 @ (b - parts.x @ (d * t)))
 
     zd = parts.z.T @ d1
     hd = float(parts.homes @ d1)
@@ -809,7 +815,7 @@ def optimize_hyperparams(
     evidence evaluations, the init's and the probes' included, and the
     evaluation that spends it computes no gradient; the search may stop
     sooner on its own tests (``_SEARCH_OPTIONS``) or when a line search
-    fails.  Each evaluation's Newton starts from the mode of the one before.
+    fails.  Each evaluation's Newton starts from the weights of the one before.
     An evaluation that fails (NumericalError) ends the search.  Deterministic
     given inputs; the init is evaluated with the caller's exact object, and
     the best point evaluated is returned, so the result's evidence is never
@@ -856,8 +862,8 @@ def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
         nonlocal used, init_ev, best_ev, best, warm
         used += 1
         post = _laplace(parts, h, warm)
-        # the next evaluation's Newton starts from this mode
-        warm = post.dual_coef
+        # the next evaluation's Newton starts from this posterior's weights
+        warm = post.weights
         if h is init:
             init_ev = post.evidence
         if post.evidence > best_ev:
@@ -1119,10 +1125,18 @@ def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -
     return arr.astype(np.float64)
 
 
-_TOKENS = {o.code: o.token for o in Outcome}
-_CODES = {o.token: o.code for o in Outcome}
-_HOME_TOKENS = {h.sign: h.token for h in HomeSide}
-_SIGNS = {h.token: h.sign for h in HomeSide}
+def _encode_tokens(values: np.ndarray, table: dict[str, int]) -> str:
+    """The token of each value, under a table from tokens to values."""
+    token = dict(zip(table.values(), table))
+    return "".join(map(token.__getitem__, values.tolist()))
+
+
+def _decode_tokens(payload: dict, key: str, table: dict[str, int], what: str) -> np.ndarray:
+    """The values of the tokens in ``payload[key]``, under a table from tokens to values."""
+    try:
+        return np.array([table[t] for t in _field(payload, key, str)], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"unknown {what} token {exc.args[0]!r} in the model file") from None
 
 
 def save_model(model: GPModel, path: str | Path) -> None:
@@ -1145,19 +1159,18 @@ def save_model(model: GPModel, path: str | Path) -> None:
         "jitter_used": 0.0,
         "newton_iters": post.newton_iters,
         "registry": ids,
-        "outcomes": "".join(_TOKENS[c] for c in parts.codes.tolist()),
-        "homes": "".join(_HOME_TOKENS[h] for h in parts.homes.tolist()),
+        "outcomes": _encode_tokens(parts.codes, _CODE_BY_TOKEN),
+        "homes": _encode_tokens(parts.homes, _SIGN_BY_TOKEN),
         # rows of Z hold their 22 entries sorted by column
         "plus": _encode_array(z.indices[z.data > 0].reshape(-1, PLAYERS_PER_SIDE), index),
         "minus": _encode_array(z.indices[z.data < 0].reshape(-1, PLAYERS_PER_SIDE), index),
-        "mode": _encode_array(post.mode, "<f8"),
-        "dual_coef": _encode_array(post.dual_coef, "<f8"),
+        "weights": _encode_array(post.weights, "<f8"),
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> GPModel:
-    """Read a model file and rebuild its posterior at the stored mode; defects raise DataError."""
+    """Read a model file and rebuild its posterior at its weights; defects raise DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -1184,17 +1197,11 @@ def load_model(path: str | Path) -> GPModel:
     ids = _field(payload, "registry", list)
     if not all(isinstance(pid, str) for pid in ids) or len(set(ids)) != len(ids):
         raise DataError("model registry must list unique player ids")
-    try:
-        codes = np.array([_CODES[t] for t in _field(payload, "outcomes", str)], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"unknown outcome token {exc.args[0]!r} in the model file") from None
+    codes = _decode_tokens(payload, "outcomes", _CODE_BY_TOKEN, "outcome")
     n = len(codes)
     if n < 1:
         raise DataError("model file holds no training matches")
-    try:
-        homes = np.array([_SIGNS[t] for t in _field(payload, "homes", str)], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"unknown home token {exc.args[0]!r} in the model file") from None
+    homes = _decode_tokens(payload, "homes", _SIGN_BY_TOKEN, "home")
     if len(homes) != n:
         raise DataError(f"model 'homes' holds {len(homes)} home tokens, expected {n}")
     index = _index_dtype(len(ids))
@@ -1210,17 +1217,17 @@ def load_model(path: str | Path) -> GPModel:
     newton_iters = _field(payload, "newton_iters", int)
     if newton_iters < 0:
         raise DataError("model 'newton_iters' must be >= 0")
-    mode, dual_coef = (_decode_array(payload, key, "<f8", (n,)) for key in ("mode", "dual_coef"))
+    weights = _decode_array(payload, "weights", "<f8", (len(ids) + 1,))
 
     parts = _make_parts(plus, minus, homes, codes, len(ids))
-    s = parts.variances(hyper.kernel)
     try:
         with _finite_arithmetic("the rebuild overflowed"):
-            post = _at_mode(parts, hyper, mode, dual_coef, newton_iters)
-            # a payload that parses yet holds no fit fails f = K grad log p(y|f) = K dual_coef
-            k_grads = [parts.k_dot(s, v) for v in (post.grad, dual_coef)]
+            post = _at_mode(parts, hyper, weights, newton_iters)
+            # a payload that parses yet holds no fit fails m = S X' grad log p(y | X m),
+            # checked on m, not on f = X m, which misses any change in X's null space
+            mean = parts.variances(hyper.kernel) * (parts.xt @ post.grad)
     except NumericalError as exc:
-        raise DataError(f"the model's posterior cannot be rebuilt at its mode: {exc}") from None
-    if not all(_stationary(mode, k_v, _STATIONARITY_BOUND) for k_v in k_grads):
-        raise DataError("model 'mode' is not the posterior mode of its training set")
+        raise DataError(f"the model's posterior cannot be rebuilt at its weights: {exc}") from None
+    if not _stationary(weights, mean, _STATIONARITY_BOUND):
+        raise DataError("model 'weights' are not the posterior mean of its training set")
     return GPModel(post, {pid: i for i, pid in enumerate(ids)})

@@ -177,3 +177,11 @@ def version_4_payload(payload: dict) -> dict:
 
     v4 = {"version": 4, "homes": [signs[t] for t in payload["homes"]]}
     return dict(payload, **v4, plus=wide(payload["plus"]), minus=wide(payload["minus"]))
+
+
+def version_5_payload(payload: dict) -> dict:
+    """A model payload laid out as version 5 wrote it: the mode and dual coefficients, not weights."""
+    n = len(payload["outcomes"])
+    zeros = {"dtype": "<f8", "shape": [n], "data": base64.b64encode(np.zeros(n).tobytes()).decode()}
+    v5 = {k: v for k, v in payload.items() if k != "weights"}
+    return dict(v5, version=5, mode=zeros, dual_coef=zeros)

@@ -20,7 +20,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import version_1_payload, version_2_payload, version_3_payload, version_4_payload
+from conftest import (
+    version_1_payload,
+    version_2_payload,
+    version_3_payload,
+    version_4_payload,
+    version_5_payload,
+)
 import lineupgp
 from lineupgp import __version__, cli, gp
 from lineupgp.data import Dataset, parse_dataset, serialize_dataset
@@ -124,7 +130,7 @@ class TestTrainPredict:
     def test_model_file_shape(self, workspace):
         payload = json.loads(workspace["model"].read_text())
         assert payload["magic"] == "lineupgp/model"
-        assert payload["version"] == 5
+        assert payload["version"] == 6
         assert payload["hyper"]["sigma2"] == 1.0
         # 56 players: one byte per lineup index, one token per home
         assert payload["plus"]["dtype"] == payload["minus"]["dtype"] == "<u1"
@@ -519,7 +525,7 @@ class TestConfigFile:
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "s.csv").exists()
 
 
-_ARRAYS = ("plus", "minus", "mode", "dual_coef")
+_ARRAYS = ("plus", "minus", "weights")
 _PATHS = [
     *[(key,) for key in ("magic", "version", "hyper", "jitter_used", "newton_iters")],
     *[(key,) for key in ("registry", "outcomes", "homes", *_ARRAYS)],
@@ -668,9 +674,9 @@ class TestExitCodes:
 
     def test_corrupt_model_exits_2(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["model"].read_text())
-        no_mode = {k: v for k, v in payload.items() if k != "mode"}
-        n = payload["mode"]["shape"][0]
-        misshaped = dict(payload, mode=dict(payload["mode"], shape=[n + 1]))
+        no_mode = {k: v for k, v in payload.items() if k != "weights"}
+        n = payload["weights"]["shape"][0]
+        misshaped = dict(payload, weights=dict(payload["weights"], shape=[n + 1]))
         huge_alpha = dict(payload, hyper=dict(payload["hyper"], log_alpha=math.log(400.0)))
         wrong_width = dict(payload, plus=dict(payload["plus"], dtype="<u2"))
         bad_homes = dict(payload, homes="H" + payload["homes"][1:])
@@ -679,6 +685,7 @@ class TestExitCodes:
             version_2_payload(payload),
             version_3_payload(payload),
             version_4_payload(payload),
+            version_5_payload(payload),
         )
         for i, bad in enumerate((no_mode, misshaped, *old, huge_alpha, wrong_width, bad_homes)):
             path = tmp_path / f"bad{i}.json"

@@ -34,6 +34,7 @@ from conftest import (
     version_2_payload,
     version_3_payload,
     version_4_payload,
+    version_5_payload,
 )
 from lineupgp import gp
 from lineupgp.data import (
@@ -43,6 +44,7 @@ from lineupgp.data import (
     Outcome,
     parse_dataset,
     serialize_dataset,
+    split_by_cutoff,
 )
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import (
@@ -149,17 +151,29 @@ class TestNewtonProperties:
             k = kernel_matrix(vecs, vecs, hyper.kernel)
             resid = np.max(np.abs(post.mode - k @ post.grad))
             assert resid <= 1e-6 * max(1.0, np.max(np.abs(post.mode)))
-            # dual representation f = K a holds at the same resolution
-            assert np.max(np.abs(post.mode - k @ post.dual_coef)) <= 1e-6
+
+    def test_stationarity_at_season_size(self):
+        # season's training set: N = 1230 > P+1 = 421, where every Newton step
+        # factors C; against the dense Gram, f = K grad log p(y|f) holds to
+        # rounding, not merely to Newton's tolerance
+        sim = SimConfig(seed=0, num_teams=30, num_players=420, matches_per_team=110)
+        ds = Dataset.from_records(simulate_dataset(sim).dataset.records[:1230])
+        assert ds.n == 1230 and ds.num_players == 420
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        post = fit(ds, hyper)
+        z, h = post.parts.z.toarray(), post.parts.homes
+        k = hyper.kernel.sigma2 * (z @ z.T) + hyper.kernel.sigma2_home * np.outer(h, h)
+        resid = np.max(np.abs(post.mode - k @ post.grad))
+        assert resid <= 1e-11 * max(1.0, np.max(np.abs(post.mode))), resid
 
     def test_mode_independent_of_start(self):
         rng = np.random.default_rng(202)
         ds = random_dataset(rng, 25, 40)
         hyper = Hyperparams.create(sigma2=0.2, sigma2_home=0.5, alpha=0.5)
         parts = _dataset_parts(ds)
-        f_zero, _, _ = _newton_mode(parts, hyper)
-        f_noise, _, _ = _newton_mode(parts, hyper, a0=rng.standard_normal(ds.n))
-        assert np.max(np.abs(f_zero - f_noise)) <= 1e-6
+        m_zero, _ = _newton_mode(parts, hyper)
+        m_noise, _ = _newton_mode(parts, hyper, w0=rng.standard_normal(ds.num_players + 1))
+        assert np.max(np.abs(parts.x @ m_zero - parts.x @ m_noise)) <= 1e-6
 
     def test_converges_within_budget(self):
         ds = random_dataset(np.random.default_rng(203), 60, 60)
@@ -232,13 +246,32 @@ class TestDualPrimalEquivalence:
                 assert abs(var_d - var_p) <= 1e-6
 
 
+def _assert_same_parts(got, want):
+    """Two sets of training parts equal array for array, in dtype and value."""
+    for key in ("z", "x", "pairs"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.shape == b.shape, key
+        for attr in ("indices", "data", "indptr"):
+            x, y = getattr(a, attr), getattr(b, attr)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (key, attr)
+    for key in ("homes", "codes"):
+        x, y = getattr(got, key), getattr(want, key)
+        assert x.dtype == y.dtype and np.array_equal(x, y), key
+
+
 def _dense_evidence(ds, hyper):
-    """Mode by the package's Newton, evidence with log|B| from slogdet of the dense N x N B."""
+    """Mode by the package's Newton, evidence with log|B| from slogdet of the dense N x N B.
+
+    At the mode f = K a with the dual coefficients a = grad log p(y|f), so
+    f' K^{-1} f = f' a.
+    """
     vecs = [build_match_vector(r, ds.registry) for r in ds.records]
     k = kernel_matrix(vecs, vecs, hyper.kernel)
     codes = np.array([r.outcome.code for r in ds.records])
-    f, a, _ = _newton_mode(_dataset_parts(ds), hyper)
-    _, d2 = loglik_derivs_vector(codes, f, hyper.alpha)
+    parts = _dataset_parts(ds)
+    weights, _ = _newton_mode(parts, hyper)
+    f = parts.x @ weights
+    a, d2 = loglik_derivs_vector(codes, f, hyper.alpha)
     sw = np.sqrt(-d2)
     sign, logdet = np.linalg.slogdet(np.eye(ds.n) + sw[:, None] * k * sw[None, :])
     assert sign == 1.0
@@ -312,16 +345,28 @@ class TestLowRankRoute:
             parsed = parse_dataset(path)
             by_records = Dataset.from_records(parsed.records)
             assert by_records.arrays is None
-            got, want = _dataset_parts(parse_dataset(path)), _dataset_parts(by_records)
-            for key in ("z", "x", "pairs"):
-                a, b = getattr(got, key), getattr(want, key)
-                assert a.shape == b.shape, key
-                for attr in ("indices", "data", "indptr"):
-                    x, y = getattr(a, attr), getattr(b, attr)
-                    assert x.dtype == y.dtype and np.array_equal(x, y), (key, attr)
-            for key in ("homes", "codes"):
-                x, y = getattr(got, key), getattr(want, key)
-                assert x.dtype == y.dtype and np.array_equal(x, y), key
+            _assert_same_parts(_dataset_parts(parse_dataset(path)), _dataset_parts(by_records))
+
+    def test_split_halves_keep_their_arrays(self, tmp_path):
+        # each half of a parsed file takes its rows of the file's arrays, and
+        # they make the parts that registry lookups over its records make
+        rng = np.random.default_rng(276)
+        league = simulate_dataset(SimConfig(seed=0)).dataset
+        lines = serialize_dataset(Dataset.from_records(league.records[:200])).splitlines(keepends=True)
+        path = tmp_path / "league.csv"
+        path.write_text("".join([lines[0], *rng.permutation(lines[1:])]), encoding="utf-8")
+        ds = parse_dataset(path)
+        dates = sorted({r.date for r in ds.records})
+        for cutoff in (dates[0], dates[len(dates) // 2], dates[-1]):
+            halves = split_by_cutoff(ds, cutoff)
+            assert sum(half.n for half in halves) == ds.n and halves[0].n < ds.n
+            for half in halves:
+                assert half.arrays is not None and half.registry is ds.registry
+                by_records = Dataset.from_records(half.records, registry=ds.registry)
+                if half.n:
+                    _assert_same_parts(_dataset_parts(half), _dataset_parts(by_records))
+        # a dataset without arrays splits into halves without them
+        assert all(half.arrays is None for half in split_by_cutoff(league, dates[1]))
 
     def test_log_marginal_is_the_search_evidence(self):
         rng = np.random.default_rng(274)
@@ -470,13 +515,13 @@ class TestDefaultLeague:
     def test_warm_start(self, default_league):
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         parts = _dataset_parts(default_league)
-        cold_f, cold_a, cold_iters = _newton_mode(parts, hyper)
+        cold_m, cold_iters = _newton_mode(parts, hyper)
         # from the mode itself: at most one step
-        _, _, iters = _newton_mode(parts, hyper, a0=cold_a)
+        _, iters = _newton_mode(parts, hyper, w0=cold_m)
         assert iters <= 1
-        # a start worse than a = 0 is ignored
-        f, _, iters = _newton_mode(parts, hyper, a0=-50.0 * cold_a)
-        assert iters == cold_iters and np.array_equal(f, cold_f)
+        # a start worse than u = 0 is ignored
+        m, iters = _newton_mode(parts, hyper, w0=-50.0 * cold_m)
+        assert iters == cold_iters and np.array_equal(m, cold_m)
 
     def test_search_evaluations_all_succeed(self, default_league, monkeypatch):
         failures = []
@@ -901,7 +946,7 @@ class TestNewtonCG:
             cases.append((dense, Hyperparams.create(sigma2=s2, sigma2_home=home, alpha=alpha)))
         cg_posts = [fit(ds, hyper) for ds, hyper in cases]
         # CG that never converges: every step falls back to the factor of C
-        monkeypatch.setattr(gp, "_cg", lambda matvec, rhs, x0: (None, len(rhs)))
+        monkeypatch.setattr(gp, "_cg", lambda matvec, rhs, limit: (None, limit))
         calls = _counting_cholesky(monkeypatch)
         for (ds, hyper), post in zip(cases, cg_posts):
             calls[0] = 0
@@ -1246,7 +1291,7 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(fresh, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 5
+        assert payload["version"] == 6
         lineups = [
             np.frombuffer(base64.b64decode(payload[key]["data"]), payload[key]["dtype"])
             for key in ("plus", "minus")
@@ -1255,7 +1300,7 @@ class TestModelPersistence:
         assert max(int(arr.max()) for arr in lineups) == players - 1
         back = load_model(path)
         assert back.registry == fresh.registry
-        for field in ("mode", "dual_coef"):
+        for field in ("weights", "mode"):
             assert np.array_equal(getattr(back.posterior, field), getattr(fresh.posterior, field))
         assert np.array_equal(back.posterior.factor.rfp, fresh.posterior.factor.rfp)
         # any width but the registry's is a data error
@@ -1295,13 +1340,20 @@ class TestModelPersistence:
         bad.write_text(json.dumps(version_4_payload(json.loads(path.read_text()))))
         with pytest.raises(DataError, match="version 4.*retrain"):
             load_model(bad)
+        # a version 5 file holds the mode and dual coefficients in place of the weights
+        bad.write_text(json.dumps(version_5_payload(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="version 5.*retrain"):
+            load_model(bad)
 
     def test_rejects_corrupt_payloads(self, tmp_path):
         _, model = self._trained(seed=255)
         path = tmp_path / "model.json"
         save_model(model, path)
         good = json.loads(path.read_text())
-        n = len(good["outcomes"])
+        width = len(good["registry"]) + 1
+        # 18 matches over 40 players: X has a null space, along which the
+        # weights move and the mode does not
+        null = sla.null_space(model.posterior.parts.x.toarray())[:, 0]
 
         def decoded(key):
             obj = good[key]
@@ -1322,14 +1374,14 @@ class TestModelPersistence:
         # for a negative one, outside the registry either way
         top = np.iinfo(plus.dtype).max
         bad_payloads = [
-            {k: v for k, v in good.items() if k != "mode"},
+            {k: v for k, v in good.items() if k != "weights"},
             {k: v for k, v in good.items() if k != "hyper"},
             dict(good, hyper=dict(good["hyper"], sigma2=-1.0)),
             # an integer past the float range
             dict(good, hyper=dict(good["hyper"], sigma2=10**400)),
-            dict(good, mode=dict(good["mode"], shape=[n + 1])),
-            dict(good, mode=dict(good["mode"], dtype="<f4")),
-            with_array("mode", decoded("mode")[:-1]),
+            dict(good, weights=dict(good["weights"], shape=[width + 1])),
+            dict(good, weights=dict(good["weights"], dtype="<f4")),
+            with_array("weights", decoded("weights")[:-1]),
             dict(good, outcomes=good["outcomes"][:-1]),
             dict(good, outcomes="X" + good["outcomes"][1:]),
             dict(good, homes=good["homes"][:-1]),
@@ -1345,10 +1397,10 @@ class TestModelPersistence:
             with_array("plus", plus.astype("<u2"), "<u2"),
             with_array("plus", plus.astype("<i4"), "<i4"),
             with_entry("minus", 0, plus[0]),
-            with_entry("mode", 0, np.nan),
+            with_entry("weights", 0, np.nan),
             # finite and well formed, but not the stationary point of the fit
-            with_array("mode", 1.01 * decoded("mode")),
-            with_array("dual_coef", 1.01 * decoded("dual_coef")),
+            with_array("weights", 1.01 * decoded("weights")),
+            with_array("weights", decoded("weights") + 0.1 * null),
         ]
         for i, bad in enumerate(bad_payloads):
             path = tmp_path / f"bad{i}.json"
@@ -1357,15 +1409,16 @@ class TestModelPersistence:
                 load_model(path)
 
     def test_rejects_non_finite_mode(self, tmp_path):
-        # the factor is rebuilt from the mode, and prediction skips its finiteness scan
+        # the mode and the factor are rebuilt from the weights, and prediction
+        # skips their finiteness scan
         _, model = self._trained(seed=256)
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        obj = payload["mode"]
-        mode = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).copy()
-        mode[1] = np.nan
-        payload["mode"] = dict(obj, data=base64.b64encode(mode.tobytes()).decode())
+        obj = payload["weights"]
+        weights = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).copy()
+        weights[1] = np.nan
+        payload["weights"] = dict(obj, data=base64.b64encode(weights.tobytes()).decode())
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="non-finite"):
             load_model(path)
@@ -1383,7 +1436,7 @@ class TestModelPersistence:
             path = tmp_path / f"model{i}.json"
             save_model(fresh, path)
             back, post = load_model(path).posterior, fresh.posterior
-            for field in ("mode", "grad", "sqrt_w", "dual_coef"):
+            for field in ("weights", "mode", "grad", "sqrt_w"):
                 assert np.array_equal(getattr(back, field), getattr(post, field)), field
             assert np.array_equal(back.factor.rfp, post.factor.rfp)
             for field in ("loglik", "newton_iters"):
@@ -1471,7 +1524,7 @@ class TestTrainModel:
         got = train_model(default_league, init, optimize=True, budget=8).posterior
         assert len(builds) == 1
         assert got.hyper == want.hyper
-        for field in ("mode", "dual_coef"):
+        for field in ("weights", "mode"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         assert np.array_equal(got.factor.rfp, want.factor.rfp)
         assert got.newton_iters == want.newton_iters

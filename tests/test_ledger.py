@@ -13,13 +13,14 @@ when it was written:
     evidence-searched hyperparameters, scored on the next 40.
 
 The test recomputes each one and compares with a tolerance, not bytes,
-because the BLAS thread count alone moves the answers.  On the cup fold it
-moves the probabilities by up to ~5e-16 relative.  Where N > P+1 it moves
-them by up to ~1.3e-10 between one and two threads: the weight mean
-S X' grad log p(y|f) sums up to N likelihood gradients, and Newton leaves
-each of them known only to its stationarity tolerance.  A change that
-means to move an answer rewrites the ledger and says by how much;
-``python tests/test_ledger.py`` (with ``src`` on ``PYTHONPATH``) writes it.
+because the BLAS thread count alone moves the answers: between one and two
+threads, by up to ~2e-16 relative on the cup fold and ~9e-16 on the
+searched one, and the searched hyperparameters by ~8e-15.  The weight mean
+is the Newton iterate itself, solved to rounding at the mode, not a sum of
+N likelihood gradients each known only to Newton's tolerance, so no case
+needs more than 1e-12.  A change that means to move an answer rewrites the
+ledger and says by how much; ``python tests/test_ledger.py`` (with ``src``
+on ``PYTHONPATH``) writes it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from lineupgp.gp import Hyperparams, optimize_hyperparams, train_model
 from lineupgp.simulate import SimConfig, simulate_dataset
 
 LEDGER = Path(__file__).with_name("ledger.json")
-# relative tolerances: evidence, searched hyperparameters, and each case's
-# probabilities (see the module docstring)
+# relative tolerances: evidence and probabilities, and searched
+# hyperparameters (see the module docstring)
 RTOL = 1e-12
 THETA_RTOL = 1e-9
-PROBS_RTOL = {"league": 1e-9, "cup": RTOL, "searched": 1e-9}
 INIT = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
 
 
@@ -102,7 +102,7 @@ def test_answers_match_the_ledger(pinned_and_now, name):
     assert (now["n"], now["players"]) == (pinned["n"], pinned["players"])
     assert _close(now["theta"], pinned["theta"], THETA_RTOL if name == "searched" else 0.0)
     assert _close(now["evidence"], pinned["evidence"], RTOL), (now["evidence"], pinned["evidence"])
-    assert _close(now["probs"], pinned["probs"], PROBS_RTOL[name])
+    assert _close(now["probs"], pinned["probs"], RTOL)
 
 
 def test_ledger_covers_both_shapes(pinned_and_now):
