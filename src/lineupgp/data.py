@@ -7,11 +7,12 @@ records are walked in (date, match_id) order and each record's players are
 registered in sorted order, lineup1 before lineup2.  Re-parsing a
 serialized dataset therefore reproduces the exact same indices.
 
-A valid file costs a few C-level operations per row.  ``parse_dataset``
-reads all rows with ``csv.reader`` and checks them once, as columns: field
-counts, date tokens (memoized: a token is valid when ``date.fromisoformat``
-reads it and ``isoformat`` writes it back unchanged), venue and outcome
-tokens, one join of every id in the file (scanned for separators,
+Each rule on a match lives in two places: the columns accept a file, and
+``MatchRecord``'s per-field checks word the error for one that fails.
+``parse_dataset`` reads all rows with ``csv.reader`` and checks them once,
+as columns: field counts, date tokens (one ``date.fromisoformat`` per
+distinct token, which ``isoformat`` must write back unchanged), venue and
+outcome tokens, one join of every id in the file (scanned for separators,
 forbidden characters, empty ids and whitespace), ten ``;`` per lineup,
 team1 != team2, unique match ids and 22 distinct players per row.  When
 all pass, the same step orders the rows, sorts each lineup, and builds
@@ -19,10 +20,10 @@ the registry and the arrays a fit reads (``Dataset.arrays``); the
 ``MatchRecord``s are made from the same columns, without rerunning their
 checks, when a caller first reads ``Dataset.records``.  On any failure
 the same text is parsed again row by row, where each ``MatchRecord`` runs
-one combined test (``_plainly_valid``) and, when that fails, the
-per-field checks (``_check_fields``), which raise the first rule broken.
-So every error names its line and reads as it would from the row path
-alone, and a record built by hand is checked as before.
+its per-field checks (``_check_fields``), which raise the first rule
+broken.  So every error names its line and reads as it would from the row
+path alone.  A record built by hand runs the same checks; only the column
+path and ``simulate``, whose fields hold by construction, skip them.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class HomeSide(enum.Enum):
 # looked up once per match by Elo, the GP's training parts and its scoring
 _CODE_BY_OUTCOME = {Outcome.TEAM1_WIN: 1, Outcome.DRAW: 0, Outcome.TEAM2_WIN: -1}
 _SIGN_BY_HOME = {HomeSide.TEAM1: 1, HomeSide.TEAM2: -1, HomeSide.NEUTRAL: 0}
-# the parser's token tables; a miss goes to from_token, which words the error
+# the column path's token tables; the row path's from_token words a miss
 _HOME_BY_TOKEN = {h.token: h for h in HomeSide}
 _OUTCOME_BY_TOKEN = {o.token: o for o in Outcome}
 _SIGN_BY_TOKEN = {h.token: h.sign for h in HomeSide}
@@ -134,8 +135,10 @@ def _check_name(name: str, what: str) -> None:
 class MatchRecord:
     """One match: two lineups of 11, venue side, and the observed outcome.
 
-    Lineups are stored as sorted tuples; they are sets semantically and the
-    constructor rejects duplicates within or across the two lineups.
+    Lineups are stored as sorted tuples; they are sets semantically.  The
+    constructor runs ``_check_fields``, which raises a DataError naming the
+    first rule broken: among others, a duplicate within or across the two
+    lineups.
     """
 
     match_id: str
@@ -149,48 +152,9 @@ class MatchRecord:
     outcome: Outcome
 
     def __post_init__(self) -> None:
-        if not self._plainly_valid():
-            self._check_fields()
+        self._check_fields()
         object.__setattr__(self, "lineup1", tuple(sorted(self.lineup1)))
         object.__setattr__(self, "lineup2", tuple(sorted(self.lineup2)))
-
-    def _plainly_valid(self) -> bool:
-        """One combined test that passes only when ``_check_fields`` raises nothing.
-
-        The 26 names are joined once with ``;``: exactly 25 separators and
-        no ``,``, LF or CR rule out every forbidden character.  A join that
-        ``str.split()`` leaves whole holds no whitespace at all (split and
-        strip agree on what whitespace is); only one that it splits, as
-        inner spaces in ``"Real Madrid"`` do, has each name compared with
-        its strip.  One set of the 22 players covers duplicates and
-        overlap.  A False only sends the record through ``_check_fields``,
-        which words the error, or accepts a date whose type is a subclass
-        of ``date``.
-        """
-        lineup1, lineup2 = self.lineup1, self.lineup2
-        try:
-            if (
-                type(self.date) is not dt.date
-                or type(self.home) is not HomeSide
-                or type(self.outcome) is not Outcome
-                or len(lineup1) != LINEUP_SIZE
-                or len(lineup2) != LINEUP_SIZE
-                or self.team1 == self.team2
-            ):
-                return False
-            names = (self.match_id, self.competition, self.team1, self.team2, *lineup1, *lineup2)
-            joined = _LINEUP_SEP.join(names)
-        except TypeError:
-            return False
-        return (
-            joined.count(_LINEUP_SEP) == len(names) - 1
-            and "," not in joined
-            and "\n" not in joined
-            and "\r" not in joined
-            and all(names)
-            and (joined.split() == [joined] or all(n == n.strip() for n in names))
-            and len({*lineup1, *lineup2}) == 2 * LINEUP_SIZE
-        )
 
     def _check_fields(self) -> None:
         """Each field's rule in turn; raises DataError naming the first that fails."""
@@ -237,7 +201,7 @@ def _unchecked_record(
     home: HomeSide,
     outcome: Outcome,
 ) -> MatchRecord:
-    """A MatchRecord of fields that already passed every rule, lineups sorted; runs no check."""
+    """A MatchRecord of fields that break no rule, lineups sorted; runs no check."""
     rec = object.__new__(MatchRecord)
     rec.__dict__.update(
         match_id=match_id,
@@ -355,7 +319,11 @@ def _validate_registry(registry: Mapping[str, int], records: Sequence[MatchRecor
 
 
 def _iso_date(token: str) -> dt.date | None:
-    """The date that ``token`` writes in ISO form, or None: a date is exactly what isoformat() writes."""
+    """The date that ``token`` writes in ISO form, or None: the column path's date rule.
+
+    A date is exactly what isoformat() writes, so this accepts what
+    ``_parse_date`` accepts.
+    """
     try:
         date = dt.date.fromisoformat(token)
     except ValueError:
@@ -364,10 +332,6 @@ def _iso_date(token: str) -> dt.date | None:
 
 
 def _parse_date(token: str) -> dt.date:
-    # strptime only words the error for what the ISO round trip rejects
-    date = _iso_date(token)
-    if date is not None:
-        return date
     try:
         date = dt.datetime.strptime(token, "%Y-%m-%d").date()
     except ValueError:
@@ -563,8 +527,6 @@ def _parse_rows(reader: csv._reader) -> Dataset:
         raise DataError(
             f"line 1: bad header {header!r}, expected {','.join(CSV_HEADER)}"
         )
-    # per parse: a season shares a few hundred dates between its matches
-    dates: dict[str, dt.date] = {}
     records: list[MatchRecord] = []
     for row in reader:
         line = reader.line_num
@@ -574,21 +536,16 @@ def _parse_rows(reader: csv._reader) -> Dataset:
             raise DataError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         (match_id, date_tok, competition, team1, team2, home_tok, lineup1_tok, lineup2_tok, outcome_tok) = row
         try:
-            date = dates.get(date_tok)
-            if date is None:
-                date = dates[date_tok] = _parse_date(date_tok)
-            home = _HOME_BY_TOKEN.get(home_tok)
-            outcome = _OUTCOME_BY_TOKEN.get(outcome_tok)
             rec = MatchRecord(
                 match_id=match_id,
-                date=date,
+                date=_parse_date(date_tok),
                 competition=competition,
                 team1=team1,
                 team2=team2,
                 lineup1=_parse_lineup(lineup1_tok),
                 lineup2=_parse_lineup(lineup2_tok),
-                home=HomeSide.from_token(home_tok) if home is None else home,
-                outcome=Outcome.from_token(outcome_tok) if outcome is None else outcome,
+                home=HomeSide.from_token(home_tok),
+                outcome=Outcome.from_token(outcome_tok),
             )
         except DataError as exc:
             raise DataError(f"line {line}: {exc}") from None

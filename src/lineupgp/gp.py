@@ -258,8 +258,10 @@ def _scale_rfp(packed: np.ndarray, s: np.ndarray) -> None:
 def _cholesky(n: int, packed: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor, in RFP, of the n x n matrix packed in RFP, factored in place.
 
-    The caller checks finiteness.  Every matrix factored here is >= I, so a
-    failure means an entry overflowed.
+    The caller checks finiteness: dpftrf reports success on a NaN or an
+    inf, and either one in the lower triangle reaches the factor's
+    diagonal.  Every matrix factored here is >= I, so a failure means an
+    entry overflowed.
     """
     factor, info = sla.lapack.dpftrf(n, packed, transr="N", uplo="L", overwrite_a=1)
     if info != 0:
@@ -326,7 +328,11 @@ def _factor_c(parts: _TrainParts, kp: KernelParams, w: np.ndarray) -> _Factor:
     diag = _rfp_diagonal(n)
     c[diag] += 1.0
     rfp = _cholesky(n, c)
-    return _Factor(rfp, float(np.sum(np.log(rfp[diag]))))
+    half_logdet = float(np.sum(np.log(rfp[diag])))
+    # finite only if the whole diagonal is (see _cholesky)
+    if not math.isfinite(half_logdet):
+        raise NumericalError("non-finite entry in the Cholesky factor of C")
+    return _Factor(rfp, half_logdet)
 
 
 def _dataset_parts(train: Dataset) -> _TrainParts:
@@ -394,23 +400,23 @@ def _whitened(weights: np.ndarray, s: np.ndarray) -> np.ndarray:
 _CG_RTOL = 1e-8
 
 
-def _cg_limit(n: int) -> int:
-    """CG iterations a Newton step may take before it factors C, for N training matches.
+def _cg_limit(n: int, m: int) -> int:
+    """CG iterations a Newton step may take before it factors C, for N matches and C of size m = P+1.
 
-    CG runs only where N <= P+1, and C - I has rank at most N, so it ends
-    within N + 1 iterations in exact arithmetic; the limit is N^2 / 3300,
-    at least 64 and at most N.  On one core an iteration, two sparse
-    products with X and vector operations of length P+1, costs 26, 55 and
-    81 us at N = P = 400, 1300 and 2000, and building and factoring C
-    costs 1.1, 21 and 68 ms, the worth of 44, 375 and 835 iterations,
-    against limits of 64, 512 and 1212.  So where P+1 = N+1 a step may
-    spend up to 1.5 times a factor in CG before it falls back; the factor
-    grows as (P+1)^3, and from P of about 1.15 N on it costs more than the
-    limit's iterations.  Newton's steps on a well-conditioned C, as at
-    sigma2 = 0.09, sigma2_home = 1, alpha = 0.45, take 13-27 iterations at
-    any N from 30 to 2000, so no limit falls below 64.
+    The break-even: as many iterations as cost one build and factor of the
+    packed C, at most N + 1, where CG ends in exact arithmetic (C - I has
+    rank at most N).  On one core an iteration, two sparse products with X
+    and vector operations of length P+1, costs about 11 + 0.062 N us, and
+    building and factoring C about 64 + 0.0036 m^2 + 9.5e-6 m^3 us (a
+    relative least-squares fit to 36 shapes, N from 25 to 1600 and m from
+    N+1 to 2.5 N, each the best of 4-9 runs).  At N = 150 and
+    m = 225 that is 17 iterations; on the three cup folds, (N, m) = (398,
+    850), (844, 1118) and (1290, 1377), it is 238, 281 and 348, while
+    their steps at sigma2 = 0.09, sigma2_home = 1, alpha = 0.45 take 23-33.
     """
-    return min(n, max(64, n * n // 3300))
+    factor_us = 64.0 + m * m * (3.6e-3 + 9.5e-6 * m)
+    iteration_us = 11.0 + 0.062 * n
+    return min(n + 1, int(factor_us / iteration_us))
 
 
 def _cg(
@@ -457,7 +463,7 @@ def _newton_mode(
     is Newton-CG (Nocedal & Wright 2006, Section 7.1): conjugate gradients
     with C applied as v + S^{1/2} X' W X S^{1/2} v through two sparse
     products, so C is factored only at the mode.  Once a step needs more
-    iterations than ``_cg_limit(N)``, as on an ill-conditioned C at large
+    iterations than ``_cg_limit(N, P+1)``, as on an ill-conditioned C at large
     sigma2, that step and every later one are solved through ``_factor_c``.
     With N > P+1, every step is.  One DEBUG log line per step gives Psi,
     the step length and the solver's work.
@@ -480,7 +486,7 @@ def _newton_mode(
     d1, d2 = loglik_derivs_vector(codes, f, alpha)
     last_delta = math.inf
     use_cg = n <= p + 1
-    limit = _cg_limit(n)
+    limit = _cg_limit(n, p + 1)
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         w = -d2
         # the gradient of Psi in u

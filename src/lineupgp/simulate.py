@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, HomeSide, MatchRecord, Outcome
+from .data import Dataset, HomeSide, MatchRecord, Outcome, _unchecked_record
 from .likelihood import DrawParam, outcome_probs
 
 __all__ = ["SimConfig", "SimResult", "simulate_dataset", "bayes_log_loss"]
@@ -155,17 +155,18 @@ def simulate_dataset(cfg: SimConfig) -> SimResult:
                 else:
                     outcome = Outcome.TEAM2_WIN
                 match_id = f"m{match_idx:05d}"
+                # ids from format strings and disjoint pools: valid by construction
                 records.append(
-                    MatchRecord(
-                        match_id=match_id,
-                        date=date,
-                        competition="league",
-                        team1=team_names[t1],
-                        team2=team_names[t2],
-                        lineup1=lineup1,
-                        lineup2=lineup2,
-                        home=home,
-                        outcome=outcome,
+                    _unchecked_record(
+                        match_id,
+                        date,
+                        "league",
+                        team_names[t1],
+                        team_names[t2],
+                        tuple(sorted(lineup1)),
+                        tuple(sorted(lineup2)),
+                        home,
+                        outcome,
                     )
                 )
                 latents[match_id] = f

@@ -114,11 +114,19 @@ class TestSimulate:
         assert out.startswith("match_id,")
 
     def test_default_league_bytes_are_pinned(self, capsys):
-        # the digest of the league drawn through scipy.special.expit: the
-        # scalar sigmoid must draw exactly the same outcomes
-        assert cli.run(["simulate", "--seed", "0"]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-        assert digest == "5222e84bc6abc2932539cb7468cb61a9aea2370b547ca31ffb09605b2fe2b759"
+        # the digests of the default league drawn through scipy.special.expit
+        # (the scalar sigmoid must draw exactly the same outcomes) and of the
+        # season benchmark's league, whose records simulate builds unchecked
+        pinned = {
+            (): "5222e84bc6abc2932539cb7468cb61a9aea2370b547ca31ffb09605b2fe2b759",
+            ("--teams", "30", "--players", "420", "--matches-per-team", "110"): (
+                "c7ad890939c83618ef65e00f7b0322dd399e494d2cbfb248d28f5668a28fe997"
+            ),
+        }
+        for flags, want in pinned.items():
+            assert cli.run(["simulate", "--seed", "0", *flags]) == 0
+            digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+            assert digest == want, flags
 
     def test_infeasible_config_is_usage_error(self, capsys):
         rc = cli.run(["simulate", "--players", "100", "--teams", "10"])

@@ -9,7 +9,6 @@ import io
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,14 +332,6 @@ class TestSplit:
         assert train_players <= set(train.registry)
 
 
-def _fields_accept(rec: MatchRecord) -> bool:
-    try:
-        rec._check_fields()
-    except DataError:
-        return False
-    return True
-
-
 def _strptime_date(token: str) -> dt.date:
     """The date rule, by strptime alone."""
     try:
@@ -361,30 +352,29 @@ def _per_field_parse(text: str, newline: str = "\n") -> Dataset:
     reader = csv.reader(io.StringIO(text, newline=newline))
     next(reader)
     records = []
-    with mock.patch.object(MatchRecord, "_plainly_valid", lambda self: False):
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise DataError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-            match_id, date, competition, team1, team2, home, lineup1, lineup2, outcome = row
-            try:
-                records.append(
-                    MatchRecord(
-                        match_id=match_id,
-                        date=_strptime_date(date),
-                        competition=competition,
-                        team1=team1,
-                        team2=team2,
-                        lineup1=tuple(lineup1.split(";")),
-                        lineup2=tuple(lineup2.split(";")),
-                        home=HomeSide.from_token(home),
-                        outcome=Outcome.from_token(outcome),
-                    )
+    for row in reader:
+        line = reader.line_num
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise DataError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+        match_id, date, competition, team1, team2, home, lineup1, lineup2, outcome = row
+        try:
+            records.append(
+                MatchRecord(
+                    match_id=match_id,
+                    date=_strptime_date(date),
+                    competition=competition,
+                    team1=team1,
+                    team2=team2,
+                    lineup1=tuple(lineup1.split(";")),
+                    lineup2=tuple(lineup2.split(";")),
+                    home=HomeSide.from_token(home),
+                    outcome=Outcome.from_token(outcome),
                 )
-            except DataError as exc:
-                raise DataError(f"line {line}: {exc}") from None
+            )
+        except DataError as exc:
+            raise DataError(f"line {line}: {exc}") from None
     return Dataset.from_records(records)
 
 
@@ -564,37 +554,7 @@ def _write_rows(rows: list[list[str]]) -> str:
 
 
 class TestCombinedCheck:
-    """The combined test and parse_dataset's fast paths change no verdict or message."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        row=_rows(),
-        date=st.sampled_from([dt.date(2022, 1, 1), dt.datetime(2022, 1, 1), "2022-01-01"]),
-        home=st.sampled_from([*HomeSide, "1", None]),
-        outcome=st.sampled_from([*Outcome, "W", None]),
-    )
-    # twelve players with one twice still make 22 distinct
-    @example(
-        row=_VALID_ROW[:7] + [";".join(_POOL[11:22] + _POOL[11:12]), "W"],
-        date=dt.date(2022, 1, 1),
-        home=HomeSide.NEUTRAL,
-        outcome=Outcome.DRAW,
-    )
-    def test_accepts_exactly_what_the_fields_accept(self, row, date, home, outcome):
-        if len(row) != len(CSV_HEADER):
-            return
-        rec = data._unchecked_record(
-            match_id=row[0],
-            date=date,
-            competition=row[2],
-            team1=row[3],
-            team2=row[4],
-            lineup1=tuple(row[6].split(";")),
-            lineup2=tuple(row[7].split(";")),
-            home=home,
-            outcome=outcome,
-        )
-        assert rec._plainly_valid() == _fields_accept(rec)
+    """parse_dataset's check of a file as columns changes no verdict or message."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rows=_files())
@@ -634,23 +594,9 @@ class TestCombinedCheck:
                     parse_dataset(io.StringIO(text))
                 assert str(got.value) == str(want.value)
 
-    def test_non_string_id_fails_the_combined_test(self):
-        rec = data._unchecked_record(
-            match_id="m1",
-            date=BASE_DATE,
-            competition="cup",
-            team1="alpha",
-            team2="beta",
-            lineup1=tuple(P[:10]) + (7,),
-            lineup2=tuple(P[11:22]),
-            home=HomeSide.NEUTRAL,
-            outcome=Outcome.DRAW,
-        )
-        assert not rec._plainly_valid()
-
     def test_split_and_strip_agree_on_whitespace(self):
-        # the combined test takes a join that str.split() leaves whole to
-        # have no name with whitespace around it
+        # _edge_whitespace takes the runs that str.split() cuts out of the
+        # file's joined ids to be the whitespace that str.strip() removes
         for code in range(sys.maxunicode + 1):
             ch = chr(code)
             assert (ch.strip() == "") == (ch.split() == []), hex(code)
@@ -661,7 +607,7 @@ class TestParseFastPath:
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = dict.fromkeys(("strptime", "check_name", "plainly_valid", "check_fields"), 0)
+        calls = dict.fromkeys(("strptime", "check_name", "check_fields"), 0)
 
         def counting(name, fn):
             def counted(*args):
@@ -674,9 +620,7 @@ class TestParseFastPath:
         strptime = _strptime._strptime_datetime
         monkeypatch.setattr(_strptime, "_strptime_datetime", counting("strptime", strptime))
         monkeypatch.setattr(data, "_check_name", counting("check_name", data._check_name))
-        for name in ("plainly_valid", "check_fields"):
-            method = f"_{name}"
-            monkeypatch.setattr(MatchRecord, method, counting(name, getattr(MatchRecord, method)))
+        monkeypatch.setattr(MatchRecord, "_check_fields", counting("check_fields", MatchRecord._check_fields))
         return calls
 
     def test_valid_file_takes_no_slow_path(self, monkeypatch, tmp_path):
@@ -695,10 +639,11 @@ class TestParseFastPath:
             parse_dataset(io.StringIO(_csv(_row(date="2022-1-01"))))
         with pytest.raises(DataError, match="whitespace"):
             parse_dataset(io.StringIO(_csv(_row(match_id="m1 "))))
-        assert calls == {"strptime": 1, "check_name": 1, "plainly_valid": 1, "check_fields": 1}
-        # a record built by hand, as simulate builds them, runs the combined test
+        # the second file's valid date is read by strptime too
+        assert calls == {"strptime": 2, "check_name": 1, "check_fields": 1}
+        # a record built by hand runs the per-field checks
         make_record("m2", P[:11], P[11:22])
-        assert calls["plainly_valid"] == 2
+        assert calls["check_fields"] == 2
 
     def test_a_bad_last_row_reaches_the_row_path(self, monkeypatch):
         # the last row's outcome token, its last character, becomes V
@@ -706,5 +651,6 @@ class TestParseFastPath:
         calls = self._counted(monkeypatch)
         with pytest.raises(DataError, match="^line 201: unknown outcome token 'V' \\(expected W, D or L\\)$"):
             parse_dataset(io.StringIO(text))
-        # every row before it became a record that passed the combined test
-        assert calls == {"strptime": 0, "check_name": 0, "plainly_valid": 199, "check_fields": 0}
+        # every row's date was read, and every row before it became a record
+        # that passed the per-field checks: 26 ids each
+        assert calls == {"strptime": 200, "check_name": 199 * 26, "check_fields": 199}

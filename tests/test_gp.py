@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -902,6 +903,20 @@ class TestPackedFactor:
         with pytest.raises(NumericalError, match=r"^dpftri failed \(info 3\)"):
             gp._inverse(n, factor)
 
+    def test_non_finite_entries_raise_numerical_error(self):
+        # dpftrf reports success on these: a 6 x 6 identity C with a NaN or
+        # an inf on the diagonal or below it, built by a one-match pair map
+        n = 6
+        diag = gp._rfp_diagonal(n)
+        below = gp._rfp_slots(np.array([4]), np.array([1]), n)[0]
+        for slot in (diag[2], below):
+            for bad in (np.nan, np.inf):
+                pairs = np.zeros((n * (n + 1) // 2, 1))
+                pairs[slot] = bad
+                parts = SimpleNamespace(pairs=pairs, variances=lambda kp: np.ones(n))
+                with pytest.raises(NumericalError, match="^non-finite entry in the Cholesky factor of C$"):
+                    gp._factor_c(parts, None, np.ones(1))
+
 
 def _counting_cholesky(monkeypatch):
     """Count the calls to gp._cholesky from here on; returns the one-element counter."""
@@ -976,11 +991,33 @@ class TestNewtonCG:
         assert ds.n <= ds.num_players + 1 and len(steps) == post.newton_iters
         first = next(i for i, m in enumerate(steps) if m.endswith(", factored"))
         assert first >= 1
-        assert steps[first].endswith(f", {gp._cg_limit(ds.n)} CG iterations, factored")
+        assert steps[first].endswith(f", {gp._cg_limit(ds.n, ds.num_players + 1)} CG iterations, factored")
         assert all(m.endswith(", 0 CG iterations, factored") for m in steps[first + 1 :])
         assert calls[0] == len(steps) - first + 1
         k_grad = post.parts.k_dot(post.parts.variances(hyper.kernel), post.grad)
         assert gp._stationary(post.mode, k_grad, gp._STATIONARITY_BOUND)
+
+
+    def test_cg_gives_way_where_the_factor_is_cheaper(self, monkeypatch, caplog):
+        # the first 150 matches of the default league at a large sigma2: each
+        # step needs about 60 CG iterations, more than one factor of C
+        # (P+1 = 225) costs, so the fit factors from its first step on
+        ds = Dataset.from_records(simulate_dataset(SimConfig(seed=0)).dataset.records[:150])
+        hyper = Hyperparams.create(sigma2=3.0, sigma2_home=5.0, alpha=0.3)
+        assert (ds.n, ds.num_players) == (150, 224)
+        limit = gp._cg_limit(ds.n, ds.num_players + 1)
+        with caplog.at_level(logging.DEBUG, logger=gp.__name__):
+            post = fit(ds, hyper)
+        steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+        assert len(steps) == post.newton_iters >= 2
+        assert steps[0].endswith(f", {limit} CG iterations, factored")
+        assert all(m.endswith(", 0 CG iterations, factored") for m in steps[1:])
+        # so it is the fit that factors at every step, mode and all
+        monkeypatch.setattr(gp, "_cg", lambda matvec, rhs, limit: (None, limit))
+        exact = fit(ds, hyper)
+        assert exact.newton_iters == post.newton_iters
+        assert np.array_equal(exact.weights, post.weights)
+        assert exact.evidence == post.evidence
 
 
 class TestEvidence:

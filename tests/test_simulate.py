@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from lineupgp.data import HomeSide, Outcome, serialize_dataset
+from lineupgp.data import HomeSide, MatchRecord, Outcome, serialize_dataset
 from lineupgp.likelihood import DrawParam, outcome_probs
 from lineupgp.simulate import SimConfig, SimResult, bayes_log_loss, simulate_dataset
 
@@ -142,6 +142,27 @@ class TestLineups:
         lineups = {rec.lineup1 for rec in result.dataset.records}
         lineups |= {rec.lineup2 for rec in result.dataset.records}
         assert len(lineups) == 4
+
+
+class TestRecordsAreValid:
+    """simulate builds its records unchecked: each must pass the checks MatchRecord runs."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(seed=0),
+            SimConfig(seed=0, num_teams=30, num_players=420, matches_per_team=110),
+            SimConfig(seed=9, num_teams=5, matches_per_team=4, num_players=55),
+        ],
+        ids=["default", "season", "odd-teams"],
+    )
+    def test_every_record_passes_the_per_field_checks(self, cfg):
+        records = simulate_dataset(cfg).dataset.records
+        assert len(records) == cfg.num_teams * cfg.matches_per_team // 2
+        for rec in records:
+            rec._check_fields()
+            # lineups sorted: the record the checked constructor makes of it
+            assert MatchRecord(**vars(rec)) == rec
 
 
 class TestSchedule:
