@@ -6,7 +6,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -228,8 +228,8 @@ class EloModel:
             self.home_advantage,
         )
 
-    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution]:
-        return [self.predict(rec) for rec in records]
+    def predict_many(self, test: Dataset) -> list[PredictiveDistribution]:
+        return [self.predict(rec) for rec in test.records]
 
 
 def odds_to_probs(odds_w: float, odds_d: float, odds_l: float) -> PredictiveDistribution:
@@ -295,8 +295,8 @@ class OddsModel:
             return None
         return odds_to_probs(*quotes)
 
-    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution | None]:
-        return [self.predict(rec) for rec in records]
+    def predict_many(self, test: Dataset) -> list[PredictiveDistribution | None]:
+        return [self.predict(rec) for rec in test.records]
 
 
 def uniform_probs() -> PredictiveDistribution:
@@ -311,5 +311,5 @@ class UniformModel:
     def predict(self, rec: MatchRecord) -> PredictiveDistribution:
         return uniform_probs()
 
-    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution]:
-        return [self.predict(rec) for rec in records]
+    def predict_many(self, test: Dataset) -> list[PredictiveDistribution]:
+        return [self.predict(rec) for rec in test.records]

@@ -330,7 +330,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     ds = parse_dataset(args.test)
     lines = ["match_id,p_w,p_d,p_l"]
-    for rec, p in zip(ds.records, model.predict_many(ds.records)):
+    for rec, p in zip(ds.records, model.predict_many(ds)):
         lines.append(f"{rec.match_id},{p.p_w!r},{p.p_d!r},{p.p_l!r}")
     _emit(args.out, "\n".join(lines) + "\n")
     logger.info("scored %d matches", ds.n)
@@ -384,15 +384,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             models.append(UniformModel())
     reports = evaluate(models, test, clip=args.clip)
     _log_unseen(train.registry, test.records)
-    players = set(train.registry)
-    for rec in test.records:
-        players.update(rec.players)
-    sys.stdout.write(format_summary_table(reports, train.n, len(players)))
+    # each registry covers exactly its file's lineups
+    players = len(train.registry.keys() | test.registry.keys())
+    sys.stdout.write(format_summary_table(reports, train.n, players))
     for rep in reports:
         if rep.skipped:
             logger.info("model %s skipped %d matches without data", rep.model, rep.skipped)
     if args.summary_out:
-        write_summary_csv(reports, train.n, len(players), args.summary_out)
+        write_summary_csv(reports, train.n, players, args.summary_out)
     if args.per_match_out:
         write_per_match_csv(reports, args.per_match_out)
     return 0

@@ -16,9 +16,11 @@ outcome tokens, one join of every id in the file (scanned for separators,
 forbidden characters, empty ids and whitespace), ten ``;`` per lineup,
 team1 != team2, unique match ids and 22 distinct players per row.  When
 all pass, the same step orders the rows, sorts each lineup, and builds
-the registry and the arrays a fit reads (``Dataset.arrays``); the
+the registry and the arrays the GP reads (``Dataset.arrays``); the
 ``MatchRecord``s are made from the same columns, without rerunning their
-checks, when a caller first reads ``Dataset.records``.  On any failure
+checks, when a caller first reads ``Dataset.records``.  A dataset built
+any other way looks its records' players up in its registry once, when it
+is made, so every dataset carries its arrays.  On any failure
 the same text is parsed again row by row, where each ``MatchRecord`` runs
 its per-field checks (``_check_fields``), which raise the first rule
 broken.  So every error names its line and reads as it would from the row
@@ -34,7 +36,7 @@ import enum
 import io
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -240,6 +242,28 @@ class MatchArrays:
     codes: np.ndarray
 
 
+def match_arrays(records: Sequence[MatchRecord], registry: Mapping[str, int]) -> MatchArrays:
+    """The records' arrays under ``registry``; a player not in it is a DataError."""
+    import numpy as np
+
+    n = len(records)
+    try:
+        flat = np.fromiter(
+            map(registry.__getitem__, chain.from_iterable(rec.players for rec in records)),
+            np.int64,
+            2 * LINEUP_SIZE * n,
+        )
+    except KeyError as exc:
+        pid = exc.args[0]
+        rec = next(r for r in records if pid in r.players)
+        raise DataError(f"match {rec.match_id!r}: player {pid!r} is not in the registry") from None
+    return MatchArrays(
+        flat.reshape(n, 2 * LINEUP_SIZE),
+        np.fromiter((rec.home.sign for rec in records), np.int64, n),
+        np.fromiter((rec.outcome.code for rec in records), np.int64, n),
+    )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Sorted match records plus the player registry covering them.
@@ -250,21 +274,26 @@ class Dataset:
     :func:`split_by_cutoff` share their parent's union registry, which may
     be a strict superset of their own lineups.
 
-    A dataset from :func:`parse_dataset` also holds its matches as
-    ``arrays``, which a fit reads, and builds ``records`` from its checked
-    columns when they are first read, so a command that only fits never
-    builds them.  The halves :func:`split_by_cutoff` makes of it hold their
-    rows of its arrays.  ``arrays`` takes no part in equality; a dataset
-    made any other way has none.
+    Every dataset holds its matches as ``arrays``, which the GP reads.  A
+    dataset built from records checks its registry's indices and looks its
+    players up when it is made.  One from :func:`parse_dataset` gets its
+    arrays from the column check and builds ``records`` when they are first
+    read, so a command that only fits never builds them; the halves
+    :func:`split_by_cutoff` makes hold their rows of the parent's arrays.
+    ``arrays`` takes no part in equality.
     """
 
     records: tuple[MatchRecord, ...]
     registry: Mapping[str, int] = field(repr=False)
-    arrays: MatchArrays | None = field(default=None, init=False, repr=False, compare=False)
+    arrays: MatchArrays = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_indices(self.registry)
+        object.__setattr__(self, "arrays", match_arrays(self.records, self.registry))
 
     @classmethod
     def _parsed(
-        cls, registry: dict[str, int], arrays: MatchArrays, build: Callable[[], tuple[MatchRecord, ...]]
+        cls, registry: Mapping[str, int], arrays: MatchArrays, build: Callable[[], tuple[MatchRecord, ...]]
     ) -> "Dataset":
         """A dataset whose ``records`` field is left unset until ``build`` makes it (see __getattr__)."""
         ds = object.__new__(cls)
@@ -283,7 +312,7 @@ class Dataset:
     @property
     def n(self) -> int:
         """Number of matches."""
-        return len(self.records) if self.arrays is None else len(self.arrays.homes)
+        return len(self.arrays.homes)
 
     @property
     def num_players(self) -> int:
@@ -309,10 +338,13 @@ class Dataset:
         return cls(records=tuple(recs), registry=dict(registry))
 
 
-def _validate_registry(registry: Mapping[str, int], records: Sequence[MatchRecord]) -> None:
-    indices = sorted(registry.values())
-    if indices != list(range(len(registry))):
+def _check_indices(registry: Mapping[str, int]) -> None:
+    if sorted(registry.values()) != list(range(len(registry))):
         raise DataError("registry indices must be exactly 0..P-1 with no gaps or repeats")
+
+
+def _validate_registry(registry: Mapping[str, int], records: Sequence[MatchRecord]) -> None:
+    _check_indices(registry)
     missing = {pid for rec in records for pid in rec.players if pid not in registry}
     if missing:
         raise DataError(f"registry is missing player(s) {sorted(missing)[:5]}")
@@ -586,17 +618,19 @@ def split_by_cutoff(ds: Dataset, cutoff: dt.date) -> tuple[Dataset, Dataset]:
     """Chronological split: train strictly before ``cutoff``, test on/after.
 
     Both halves share the parent's registry, so a player's dense index does
-    not depend on the cutoff and test-only players keep valid indices.  A
-    parent with ``arrays`` gives each half its rows of them.
+    not depend on the cutoff and test-only players keep valid indices.
+    Each half holds its rows of the parent's arrays and builds its records
+    when they are first read.
     """
-    train = tuple(r for r in ds.records if r.date < cutoff)
-    test = tuple(r for r in ds.records if r.date >= cutoff)
-    halves = tuple(Dataset(records=half, registry=ds.registry) for half in (train, test))
+    import numpy as np
+
+    before = np.fromiter((rec.date < cutoff for rec in ds.records), bool, ds.n)
     whole = ds.arrays
-    if whole is not None:
-        # only a parsed file, or a half of one, has arrays: its records are
-        # in date order, so the training rows come first
-        for half, rows in zip(halves, (slice(len(train)), slice(len(train), None))):
-            arrays = (whole.lineups[rows], whole.homes[rows], whole.codes[rows])
-            half.__dict__["arrays"] = MatchArrays(*arrays)
-    return halves
+    return tuple(
+        Dataset._parsed(
+            ds.registry,
+            MatchArrays(whole.lineups[rows], whole.homes[rows], whole.codes[rows]),
+            partial(tuple, compress(ds.records, rows)),
+        )
+        for rows in (before, ~before)
+    )

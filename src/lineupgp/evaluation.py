@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Protocol, Sequence
 
-from .data import Dataset, MatchRecord, Outcome
+from .data import Dataset, Outcome
 from .errors import NumericalError
 from .likelihood import PredictiveDistribution
 
@@ -31,17 +31,16 @@ CLIP_FLOOR = 1e-15
 
 
 class Predictor(Protocol):
-    """Anything that can score a batch of matches.
+    """Anything that can score a test dataset in one batch.
 
-    ``predict_many`` returns one entry per record, in order; ``None`` means
-    skip that match (the odds model has no quote for it).
+    ``predict_many`` returns one entry per match, in dataset order; ``None``
+    means skip that match (the odds model has no quote for it).  The GP
+    reads the dataset's arrays, the baselines its records.
     """
 
     name: str
 
-    def predict_many(
-        self, records: Sequence[MatchRecord]
-    ) -> list[PredictiveDistribution | None]: ...
+    def predict_many(self, test: Dataset) -> list[PredictiveDistribution | None]: ...
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def evaluate(
     for model in models:
         rows: list[MatchScore] = []
         skipped = 0
-        for rec, probs in zip(test.records, model.predict_many(test.records), strict=True):
+        for rec, probs in zip(test.records, model.predict_many(test), strict=True):
             if probs is None:
                 skipped += 1
                 continue

@@ -83,13 +83,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .data import _CODE_BY_TOKEN, _SIGN_BY_TOKEN, Dataset, MatchArrays, MatchRecord
+from .data import _CODE_BY_TOKEN, _SIGN_BY_TOKEN, Dataset, MatchRecord
 from .errors import DataError, NumericalError
 from .kernel import (
     PLAYERS_PER_SIDE,
@@ -336,27 +336,8 @@ def _factor_c(parts: _TrainParts, kp: KernelParams, w: np.ndarray) -> _Factor:
 
 
 def _dataset_parts(train: Dataset) -> _TrainParts:
-    # a parsed file brings its arrays, built with its registry
-    arrays = _record_arrays(train) if train.arrays is None else train.arrays
+    arrays = train.arrays
     return _make_parts(*np.hsplit(arrays.lineups, 2), arrays.homes, arrays.codes, train.num_players)
-
-
-def _record_arrays(ds: Dataset) -> MatchArrays:
-    """The dataset's matches as arrays, read from its records through its registry."""
-    # lineups straight from the registry: a MatchRecord already holds two
-    # disjoint lineups of 11 distinct players, so a lookup is all a row needs
-    registry = ds.registry
-    try:
-        lineups = [registry[pid] for rec in ds.records for pid in rec.players]
-    except KeyError as exc:
-        pid = exc.args[0]
-        rec = next(r for r in ds.records if pid in r.players)
-        raise DataError(f"match {rec.match_id!r}: player {pid!r} is not in the registry") from None
-    return MatchArrays(
-        np.array(lineups, dtype=np.int64).reshape(-1, SELF_OVERLAP),
-        np.array([r.home.sign for r in ds.records], dtype=np.int64),
-        np.array([r.outcome.code for r in ds.records], dtype=np.int64),
-    )
 
 
 def _make_parts(
@@ -1018,11 +999,12 @@ def _projected_bfgs(
 
 @dataclass
 class GPModel:
-    """Fitted posterior plus the registry needed to score new records.
+    """Fitted posterior plus the registry needed to score new matches.
 
-    A player unseen in training carries zero covariance with every training
-    match, so scoring here matches scoring under the train/test union
-    registry.
+    ``predict_many`` scores a test :class:`Dataset` from its arrays, each of
+    its players mapped to the model's index once.  A player unseen in
+    training carries zero covariance with every training match, so scoring
+    here matches scoring under the train/test union registry.
     """
 
     posterior: LaplacePosterior
@@ -1035,26 +1017,26 @@ class GPModel:
         extra = {pid: len(self.registry) + i for i, pid in enumerate(fresh)}
         return build_match_vector(rec, ChainMap(self.registry, extra))
 
-    def _rows(self, records: Sequence[MatchRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(plus, minus, homes) of the records, an unseen player at index P."""
-        get, p = self.registry.get, self.posterior.parts.z.shape[1]
-        lineups = np.array(
-            [get(pid, p) for rec in records for pid in rec.players], dtype=np.int64
-        ).reshape(-1, SELF_OVERLAP)
-        homes = np.array([rec.home.sign for rec in records], dtype=np.int64)
-        return lineups[:, :PLAYERS_PER_SIDE], lineups[:, PLAYERS_PER_SIDE:], homes
+    def _latent(self, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, var) of every test match, its players mapped to model indices, an unseen one at P."""
+        p = self.posterior.parts.z.shape[1]
+        get = self.registry.get
+        index = np.empty(test.num_players, dtype=np.int64)
+        index[list(test.registry.values())] = [get(pid, p) for pid in test.registry]
+        lineups = index[test.arrays.lineups]
+        return predict_latent_many(self.posterior, *np.hsplit(lineups, 2), test.arrays.homes)
 
-    def predict_many(self, records: Sequence[MatchRecord]) -> list[PredictiveDistribution]:
-        """One predictive distribution per record, scored in one batch."""
-        mu, var = predict_latent_many(self.posterior, *self._rows(records))
+    def predict_many(self, test: Dataset) -> list[PredictiveDistribution]:
+        """One predictive distribution per test match, in dataset order, scored in one batch."""
+        mu, var = self._latent(test)
         return _distributions(_quadrature(mu, var, self.posterior.hyper.alpha))
 
     def predict_latent(self, rec: MatchRecord) -> tuple[float, float]:
-        mu, var = predict_latent_many(self.posterior, *self._rows([rec]))
+        mu, var = self._latent(Dataset.from_records([rec]))
         return float(mu[0]), float(var[0])
 
     def predict(self, rec: MatchRecord) -> PredictiveDistribution:
-        return self.predict_many([rec])[0]
+        return self.predict_many(Dataset.from_records([rec]))[0]
 
 
 def train_model(

@@ -13,8 +13,9 @@ assembled by :func:`gram` from the integer products Z_r Z_c'.
 No jitter is ever added to a Gram, and the fit builds none: it factors
 only the weight-space matrix C = I + S^{1/2} X' W X S^{1/2}, which has every
 eigenvalue >= 1 for any positive semidefinite K, singular ones included.
-A Gram from :func:`kernel_matrix` serves ``heatmap`` and callers that want
-K itself.
+``heatmap`` builds its Gram from a dataset's arrays, through
+:func:`incidence` and :func:`gram`; :func:`kernel_matrix` serves callers
+that hold match vectors and want K itself.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Dataset, MatchRecord
-from .errors import DataError
+from .data import Dataset, MatchRecord, match_arrays
 
 __all__ = [
     "KernelParams",
@@ -90,18 +90,8 @@ class MatchVector:
 
 def build_match_vector(rec: MatchRecord, registry: Mapping[str, int]) -> MatchVector:
     """Map a record's lineups through the registry; errors on unknown ids."""
-    try:
-        plus = sorted(registry[p] for p in rec.lineup1)
-        minus = sorted(registry[p] for p in rec.lineup2)
-    except KeyError as exc:
-        raise DataError(
-            f"match {rec.match_id!r}: player {exc.args[0]!r} is not in the registry"
-        ) from None
-    return MatchVector(
-        plus_indices=np.array(plus, dtype=np.int32),
-        minus_indices=np.array(minus, dtype=np.int32),
-        home=rec.home.sign,
-    )
+    plus, minus = np.sort(match_arrays([rec], registry).lineups.reshape(2, PLAYERS_PER_SIDE), axis=1)
+    return MatchVector(plus_indices=plus, minus_indices=minus, home=rec.home.sign)
 
 
 def incidence(plus: np.ndarray, minus: np.ndarray, width: int) -> sp.csr_matrix:
@@ -182,12 +172,12 @@ def export_heatmap(
     competition block (start inclusive, end exclusive, 0-based data rows).
     Values carry 6 significant digits.
     """
-    order = sorted(ds.records, key=lambda r: (r.competition, r.date, r.match_id))
-    vectors = [build_match_vector(r, ds.registry) for r in order]
-    if vectors:
-        k = np.abs(kernel_matrix(vectors, vectors, p))
-    else:
-        k = np.zeros((0, 0))
+    records = ds.records
+    rows = sorted(range(ds.n), key=lambda i: (records[i].competition, records[i].date, records[i].match_id))
+    order = [records[i] for i in rows]
+    lineups, homes = ds.arrays.lineups[rows], ds.arrays.homes[rows]
+    z = incidence(*np.hsplit(lineups, 2), ds.num_players)
+    k = np.abs(gram((z @ z.T).toarray(), homes, homes, p))
 
     grid_buf = io.StringIO()
     writer = csv.writer(grid_buf, lineterminator="\n")

@@ -166,6 +166,22 @@ class TestDataset:
         with pytest.raises(DataError, match="0..P-1"):
             Dataset.from_records([rec], registry=gappy)
 
+    def test_hand_built_registry_checked(self):
+        # a registry with an index past P (so a gap), or with two players on
+        # one index, fails when the dataset is made, not in a later fit
+        ds = random_dataset(np.random.default_rng(11), 12, 40)
+        ids = sorted(ds.registry, key=ds.registry.__getitem__)
+        past_p = {**ds.registry, ids[-1]: ds.num_players}
+        shared = {**ds.registry, ids[-1]: 0}
+        for registry in (past_p, shared):
+            with pytest.raises(DataError) as err:
+                Dataset(records=ds.records, registry=registry)
+            assert str(err.value) == "registry indices must be exactly 0..P-1 with no gaps or repeats"
+        # a registry in any order of its keys, indices 0..P-1, is valid
+        reordered = dict(reversed(ds.registry.items()))
+        again = Dataset(records=ds.records, registry=reordered)
+        assert np.array_equal(again.arrays.lineups, ds.arrays.lineups)
+
     def test_explicit_superset_registry_allowed(self):
         rec = make_record("m1", P[:11], P[11:22])
         reg = {pid: i for i, pid in enumerate(P[:30])}

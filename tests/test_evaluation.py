@@ -83,8 +83,8 @@ class _EveryOther:
             return _p(1 / 3, 1 / 3, 1 / 3)
         return None
 
-    def predict_many(self, records):
-        return [self.predict(rec) for rec in records]
+    def predict_many(self, test):
+        return [self.predict(rec) for rec in test.records]
 
 
 class TestEvaluate:
@@ -124,8 +124,8 @@ class TestEvaluate:
                     )
                 return _p(1 / 3, 1 / 3, 1 / 3)
 
-            def predict_many(self, records):
-                return [self.predict(rec) for rec in records]
+            def predict_many(self, test):
+                return [self.predict(rec) for rec in test.records]
 
         with pytest.raises(NumericalError, match=f"{target.match_id}.*spiky"):
             evaluate([Spiky()], ds)
@@ -143,7 +143,7 @@ class TestEvaluate:
         quoted = ds.records[2].match_id
         gp_report, odds_report = evaluate([gp_model, OddsModel({quoted: (2.0, 3.0, 4.0)})], ds)
         assert (gp_report.t, gp_report.skipped) == (6, 0)
-        assert [row.probs for row in gp_report.rows] == gp_model.predict_many(ds.records)
+        assert [row.probs for row in gp_report.rows] == gp_model.predict_many(ds)
         assert (odds_report.t, odds_report.skipped) == (1, 5)
         assert odds_report.rows[0].match_id == quoted
 

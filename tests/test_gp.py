@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import datetime as dt
 import itertools
 import json
 import logging
@@ -247,6 +248,13 @@ class TestDualPrimalEquivalence:
                 assert abs(var_d - var_p) <= 1e-6
 
 
+def _assert_same_arrays(got, want):
+    """Two datasets' match arrays equal in dtype, shape and value."""
+    for key in ("lineups", "homes", "codes"):
+        x, y = getattr(got, key), getattr(want, key)
+        assert x.dtype == y.dtype and np.array_equal(x, y), key
+
+
 def _assert_same_parts(got, want):
     """Two sets of training parts equal array for array, in dtype and value."""
     for key in ("z", "x", "pairs"):
@@ -330,9 +338,9 @@ class TestLowRankRoute:
                 assert np.array_equal(getattr(parts.z, key), getattr(want, key)), key
             assert parts.z.shape == want.shape and np.array_equal(parts.homes, homes)
         ds = random_dataset(rng, 5, 30)
-        partial = Dataset(records=ds.records, registry={pid: 0 for pid in ds.records[0].lineup1})
+        partial = {pid: i for i, pid in enumerate(ds.records[0].lineup1)}
         with pytest.raises(DataError, match="not in the registry"):
-            _dataset_parts(partial)
+            Dataset(records=ds.records, registry=partial)
 
     def test_parsed_parts_are_the_record_parts(self, tmp_path):
         # the arrays a parsed file carries make the parts that registry
@@ -345,7 +353,7 @@ class TestLowRankRoute:
             path.write_text("".join([lines[0], *rng.permutation(lines[1:])]), encoding="utf-8")
             parsed = parse_dataset(path)
             by_records = Dataset.from_records(parsed.records)
-            assert by_records.arrays is None
+            _assert_same_arrays(parsed.arrays, by_records.arrays)
             _assert_same_parts(_dataset_parts(parse_dataset(path)), _dataset_parts(by_records))
 
     def test_split_halves_keep_their_arrays(self, tmp_path):
@@ -362,12 +370,15 @@ class TestLowRankRoute:
             halves = split_by_cutoff(ds, cutoff)
             assert sum(half.n for half in halves) == ds.n and halves[0].n < ds.n
             for half in halves:
-                assert half.arrays is not None and half.registry is ds.registry
+                assert half.registry is ds.registry
                 by_records = Dataset.from_records(half.records, registry=ds.registry)
+                _assert_same_arrays(half.arrays, by_records.arrays)
                 if half.n:
                     _assert_same_parts(_dataset_parts(half), _dataset_parts(by_records))
-        # a dataset without arrays splits into halves without them
-        assert all(half.arrays is None for half in split_by_cutoff(league, dates[1]))
+        # so do the halves of a dataset built from records
+        for half in split_by_cutoff(league, dates[1]):
+            by_records = Dataset.from_records(half.records, registry=league.registry)
+            _assert_same_arrays(half.arrays, by_records.arrays)
 
     def test_log_marginal_is_the_search_evidence(self):
         rng = np.random.default_rng(274)
@@ -453,12 +464,12 @@ class TestBatchServing:
             lineup = old + new
             records.append(make_record(f"t{i:04d}", lineup[::2], lineup[1::2], home=homes[i % 3]))
         records.append(make_record("t0009", fresh[:11], fresh[11:22], home=HomeSide.NEUTRAL))
-        return records
+        return Dataset.from_records(records)
 
-    def _assert_matches_one_row(self, model, records):
-        got = model.predict_many(records)
-        assert len(got) == len(records)
-        for rec, p in zip(records, got):
+    def _assert_matches_one_row(self, model, test):
+        got = model.predict_many(test)
+        assert len(got) == test.n
+        for rec, p in zip(test.records, got):
             q = model.predict(rec)
             assert np.max(np.abs(p.as_array() - q.as_array())) <= 1e-12
             mu, var = model.predict_latent(rec)
@@ -471,27 +482,67 @@ class TestBatchServing:
     def test_equals_one_row_calls(self):
         rng, models = self._models()
         for model in models:
-            records = self._records(rng, model)
-            self._assert_matches_one_row(model, records)
+            test = self._records(rng, model)
+            self._assert_matches_one_row(model, test)
             # all 22 unseen at a neutral venue: the prior, exactly
-            mu, var = model.predict_latent(records[-1])
+            mu, var = model.predict_latent(test.records[-1])
             assert mu == 0.0 and var == SELF_OVERLAP * 0.09
 
     def test_empty_test_set(self):
         _, models = self._models()
         for model in models:
-            assert model.predict_many([]) == []
+            assert model.predict_many(Dataset.from_records([])) == []
             empty = np.zeros((0, 11), dtype=np.int64)
             mu, var = gp.predict_latent_many(model.posterior, empty, empty, np.zeros(0))
             assert mu.shape == var.shape == (0,)
 
+    @staticmethod
+    def _assert_scored_by_lookup(model, test):
+        # the batch maps the test registry to the model's once; a lookup of
+        # every player of every record must give the same bits
+        p = model.posterior.parts.z.shape[1]
+        lineups = np.array([[model.registry.get(pid, p) for pid in rec.players] for rec in test.records])
+        homes = np.array([rec.home.sign for rec in test.records])
+        mu, var = gp.predict_latent_many(model.posterior, lineups[:, :11], lineups[:, 11:], homes)
+        got_mu, got_var = model._latent(test)
+        assert np.array_equal(got_mu, mu) and np.array_equal(got_var, var)
+        want = gp._distributions(gp._quadrature(mu, var, model.posterior.hyper.alpha))
+        assert model.predict_many(test) == want
+
+    def test_registry_remap(self, tmp_path):
+        rng, models = self._models()
+        for model in models:
+            # a hand-built test set with unseen players, its registry listing
+            # players in an order apart from their shuffled indices
+            records = self._records(rng, model).records
+            ids = sorted(Dataset.from_records(records).registry)
+            shuffled = rng.permutation(len(ids)).tolist()
+            registry = {pid: shuffled[i] for i, pid in reversed(list(enumerate(ids)))}
+            assert list(registry.values()) != sorted(registry.values())
+            self._assert_scored_by_lookup(model, Dataset(records=records, registry=registry))
+        # the test half of a parsed file: its registry is the file's union,
+        # wider than its own lineups, and some of its players are unseen
+        early = random_dataset(rng, 40, 30).records
+        cutoff = early[-1].date + dt.timedelta(days=1)
+        later = [
+            random_record(rng, player_ids(60)[10:], f"n{i:04d}", date=cutoff + dt.timedelta(days=i))
+            for i in range(20)
+        ]
+        path = tmp_path / "league.csv"
+        path.write_text(serialize_dataset(Dataset.from_records(early + tuple(later))), encoding="utf-8")
+        train, test = split_by_cutoff(parse_dataset(path), cutoff)
+        model = train_model(Dataset.from_records(train.records), Hyperparams.create(sigma2=0.09, alpha=0.45))
+        fielded = set().union(*(rec.players for rec in test.records))
+        assert fielded < set(test.registry) and fielded - set(model.registry)
+        self._assert_scored_by_lookup(model, test)
+
     def test_block_boundary(self, monkeypatch):
         rng, models = self._models()
         for model in models:
-            records = self._records(rng, model)
-            whole = model.predict_many(records)
+            test = self._records(rng, model)
+            whole = model.predict_many(test)
             monkeypatch.setattr(gp, "_BLOCK", 3)
-            blocked = self._assert_matches_one_row(model, records)
+            blocked = self._assert_matches_one_row(model, test)
             monkeypatch.undo()
             for p, q in zip(whole, blocked):
                 assert np.max(np.abs(p.as_array() - q.as_array())) <= 1e-12

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import (
     player_ids,
     random_dataset,
 )
-from lineupgp.data import Dataset, HomeSide
+from lineupgp.data import CSV_HEADER, Dataset, HomeSide, parse_dataset
 from lineupgp.errors import DataError
 from lineupgp.kernel import (
     SELF_OVERLAP,
@@ -260,6 +261,42 @@ class TestHeatmapExport:
         grid = io.StringIO()
         export_heatmap(ds, KernelParams(sigma2=1.0, sigma2_home=0.0), grid, None)
         assert grid.getvalue() == "match_id\n"
+
+    @staticmethod
+    def _hand_built_file(path):
+        """12 matches, rows written newest first, in three competitions and all three venues."""
+        ids = [f"p{i:02d}" for i in range(30)]
+        rows = []
+        for i in range(12):
+            lineup1 = ";".join(ids[(3 * i + k) % 30] for k in range(11))
+            lineup2 = ";".join(ids[(3 * i + 11 + k) % 30] for k in range(11))
+            competition = ("league-b", "cup", "league-a")[i % 3]
+            date = f"2022-01-{1 + i // 4:02d}"
+            rows.append(f"m{i},{date},{competition},alpha,beta,{'120'[i % 3]},{lineup1},{lineup2},{'WDL'[i % 3]}")
+        path.write_text("\n".join([",".join(CSV_HEADER), *reversed(rows)]) + "\n", encoding="utf-8")
+        return path
+
+    def test_pinned_bytes(self, tmp_path):
+        # pinned digests of the grid and blocks; equal dates sort by
+        # match_id as strings
+        ds = parse_dataset(self._hand_built_file(tmp_path / "league.csv"))
+        grid, blocks = tmp_path / "grid.csv", tmp_path / "grid.blocks.csv"
+        export_heatmap(ds, KernelParams(sigma2=0.09, sigma2_home=0.7), grid, blocks)
+        assert grid.read_text().splitlines()[0] == "match_id,m1,m4,m7,m10,m2,m5,m11,m8,m0,m3,m6,m9"
+        assert hashlib.sha256(grid.read_bytes()).hexdigest() == (
+            "455c78a9012d144720a62734c47bde929480559f3701ecf15b33521cc945b903"
+        )
+        assert hashlib.sha256(blocks.read_bytes()).hexdigest() == (
+            "dbb6937b8f058788baa3e9557381c5a3f1b856eb29befd06cf37dd3ea28f1c91"
+        )
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
+        grid, blocks = io.StringIO(), io.StringIO()
+        export_heatmap(parse_dataset(path), KernelParams(sigma2=0.09, sigma2_home=0.7), grid, blocks)
+        assert grid.getvalue() == "match_id\n"
+        assert blocks.getvalue() == "competition,start_row,end_row\n"
 
     def test_file_output(self, tmp_path):
         ds = random_dataset(np.random.default_rng(71), 5, 30)

@@ -70,7 +70,7 @@ def _case(train: Dataset, tests: list, hyper: Hyperparams) -> dict:
         "players": train.num_players,
         "theta": [kp.sigma2, kp.sigma2_home, model.posterior.hyper.alpha],
         "evidence": model.posterior.evidence,
-        "probs": [p.as_array().tolist() for p in model.predict_many(tests)],
+        "probs": [p.as_array().tolist() for p in model.predict_many(Dataset.from_records(tests))],
     }
 
 
