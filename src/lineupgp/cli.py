@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__
-from .data import MatchRecord, parse_dataset, serialize_dataset
+from .data import Dataset, parse_dataset, serialize_dataset
 from .errors import DataError, NumericalError, UsageError
 
 if TYPE_CHECKING:
@@ -313,14 +313,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _log_unseen(registry: Mapping[str, int], records: Sequence[MatchRecord]) -> None:
+def _log_unseen(registry: Mapping[str, int], test: Dataset) -> None:
     """One INFO line: how many test matches field players unseen in training, and how many."""
-    unseen = [set(rec.players).difference(registry) for rec in records]
+    import numpy as np
+
+    unseen = np.zeros(test.num_players, dtype=bool)
+    unseen[list(test.registry.values())] = [pid not in registry for pid in test.registry]
+    lineups = test.arrays.lineups
+    hit = unseen[lineups]
     logger.info(
         "%d of %d test matches field a player unseen in training; %d such players in all",
-        sum(1 for players in unseen if players),
-        len(records),
-        len(set().union(*unseen)),
+        np.count_nonzero(hit.any(axis=1)),
+        test.n,
+        len(np.unique(lineups[hit])),
     )
 
 
@@ -330,11 +335,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     ds = parse_dataset(args.test)
     lines = ["match_id,p_w,p_d,p_l"]
-    for rec, p in zip(ds.records, model.predict_many(ds)):
-        lines.append(f"{rec.match_id},{p.p_w!r},{p.p_d!r},{p.p_l!r}")
+    for match_id, p in zip(ds.arrays.match_ids, model.predict_many(ds)):
+        lines.append(f"{match_id},{p.p_w!r},{p.p_d!r},{p.p_l!r}")
     _emit(args.out, "\n".join(lines) + "\n")
     logger.info("scored %d matches", ds.n)
-    _log_unseen(model.registry, ds.records)
+    _log_unseen(model.registry, ds)
     return 0
 
 
@@ -383,7 +388,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             models.append(UniformModel())
     reports = evaluate(models, test, clip=args.clip)
-    _log_unseen(train.registry, test.records)
+    _log_unseen(train.registry, test)
     # each registry covers exactly its file's lineups
     players = len(train.registry.keys() | test.registry.keys())
     sys.stdout.write(format_summary_table(reports, train.n, players))

@@ -219,49 +219,47 @@ def _unchecked_record(
     return rec
 
 
-def build_registry(records: Sequence[MatchRecord]) -> dict[str, int]:
-    """Dense first-appearance indices over records already in dataset order."""
-    registry: dict[str, int] = {}
-    for rec in records:
-        for pid in rec.players:
-            if pid not in registry:
-                registry[pid] = len(registry)
-    return registry
-
-
 @dataclass(frozen=True, eq=False)
 class MatchArrays:
     """A dataset's matches as arrays, one row per record in dataset order.
 
     ``lineups`` (N, 22) holds the registry indices of each record's
-    ``players``; ``homes`` the home signs and ``codes`` the outcome codes.
+    ``players``; ``homes`` the home signs, ``codes`` the outcome codes and
+    ``match_ids`` the match ids (an object array of str).
     """
 
     lineups: np.ndarray
     homes: np.ndarray
     codes: np.ndarray
+    match_ids: np.ndarray
+
+    def __getitem__(self, rows: np.ndarray) -> "MatchArrays":
+        """The arrays of the rows that a boolean mask or an index array picks."""
+        return MatchArrays(self.lineups[rows], self.homes[rows], self.codes[rows], self.match_ids[rows])
+
+
+def _record_arrays(records: Sequence[MatchRecord], index: Iterable[int]) -> MatchArrays:
+    """The records' arrays, with ``index`` the registry index of every entry of their ``players``."""
+    import numpy as np
+
+    n = len(records)
+    return MatchArrays(
+        np.fromiter(index, np.int64, 2 * LINEUP_SIZE * n).reshape(n, 2 * LINEUP_SIZE),
+        np.fromiter((rec.home.sign for rec in records), np.int64, n),
+        np.fromiter((rec.outcome.code for rec in records), np.int64, n),
+        np.fromiter((rec.match_id for rec in records), object, n),
+    )
 
 
 def match_arrays(records: Sequence[MatchRecord], registry: Mapping[str, int]) -> MatchArrays:
     """The records' arrays under ``registry``; a player not in it is a DataError."""
-    import numpy as np
-
-    n = len(records)
+    players = chain.from_iterable(rec.players for rec in records)
     try:
-        flat = np.fromiter(
-            map(registry.__getitem__, chain.from_iterable(rec.players for rec in records)),
-            np.int64,
-            2 * LINEUP_SIZE * n,
-        )
+        return _record_arrays(records, map(registry.__getitem__, players))
     except KeyError as exc:
         pid = exc.args[0]
         rec = next(r for r in records if pid in r.players)
         raise DataError(f"match {rec.match_id!r}: player {pid!r} is not in the registry") from None
-    return MatchArrays(
-        flat.reshape(n, 2 * LINEUP_SIZE),
-        np.fromiter((rec.home.sign for rec in records), np.int64, n),
-        np.fromiter((rec.outcome.code for rec in records), np.int64, n),
-    )
 
 
 @dataclass(frozen=True)
@@ -276,9 +274,11 @@ class Dataset:
 
     Every dataset holds its matches as ``arrays``, which the GP reads.  A
     dataset built from records checks its registry's indices and looks its
-    players up when it is made.  One from :func:`parse_dataset` gets its
-    arrays from the column check and builds ``records`` when they are first
-    read, so a command that only fits never builds them; the halves
+    players up when it is made; :meth:`from_records` without a registry
+    builds the registry in the same walk.  One from :func:`parse_dataset`
+    gets its arrays from the column check and builds ``records`` when they
+    are first read, so a command that only fits or predicts never builds
+    them; the halves
     :func:`split_by_cutoff` makes hold their rows of the parent's arrays.
     ``arrays`` takes no part in equality.
     """
@@ -332,9 +332,19 @@ class Dataset:
                 raise DataError(f"duplicate match_id {rec.match_id!r}")
             seen.add(rec.match_id)
         if registry is None:
-            registry = build_registry(recs)
-        else:
-            _validate_registry(registry, recs)
+            # dense first-appearance indices, and every player's index, in
+            # one walk over the players
+            registry = {}
+            get = registry.get
+            index: list[int] = []
+            for rec in recs:
+                for pid in rec.players:
+                    i = get(pid)
+                    if i is None:
+                        i = registry[pid] = len(registry)
+                    index.append(i)
+            return cls._parsed(registry, _record_arrays(recs, index), partial(tuple, recs))
+        _validate_registry(registry, recs)
         return cls(records=tuple(recs), registry=dict(registry))
 
 
@@ -497,6 +507,7 @@ def _parse_columns(rows: list[list[str]]) -> Dataset | None:
         index[sides].reshape(n, 2 * LINEUP_SIZE),
         np.fromiter(map(_SIGN_BY_TOKEN.__getitem__, home_toks), np.int64, n),
         np.fromiter(map(_CODE_BY_TOKEN.__getitem__, outcome_toks), np.int64, n),
+        np.fromiter(match_ids, object, n),
     )
     registry = dict(zip(map(ids.__getitem__, by_first.tolist()), range(len(ids))))
     return Dataset._parsed(registry, arrays, partial(_column_records, columns, dates, ids, sides))
@@ -625,12 +636,7 @@ def split_by_cutoff(ds: Dataset, cutoff: dt.date) -> tuple[Dataset, Dataset]:
     import numpy as np
 
     before = np.fromiter((rec.date < cutoff for rec in ds.records), bool, ds.n)
-    whole = ds.arrays
     return tuple(
-        Dataset._parsed(
-            ds.registry,
-            MatchArrays(whole.lineups[rows], whole.homes[rows], whole.codes[rows]),
-            partial(tuple, compress(ds.records, rows)),
-        )
+        Dataset._parsed(ds.registry, ds.arrays[rows], partial(tuple, compress(ds.records, rows)))
         for rows in (before, ~before)
     )

@@ -31,11 +31,14 @@ singular, as when two matches field the same lineups at the same venue or
 N > P+1.  So K is exactly sigma2 Z Z' + sigma2_home h h', with no jitter on
 its diagonal.
 
-The training set's shape picks only how a Newton step solves with C.  With
-N <= P+1 matches, C - I has rank at most N, and each step runs conjugate
-gradients, C applied through two sparse products with X; C is factored
-once, at the mode.  With N > P+1, every step factors C.  The posterior is
-one record, :class:`LaplacePosterior`, that one function builds for a fit,
+Every Newton step, whatever the training set's shape, solves with C by
+conjugate gradients, C applied through two sparse products with X and
+preconditioned by the latest factor of C at hand.  A step factors C only
+where CG would cost more than that factor, and the factor then
+preconditions the later steps; each evaluation of the evidence search
+hands its factor at the mode to the next.  So a fit whose steps stay
+within that break-even factors C once, at the mode.  The posterior is one
+record, :class:`LaplacePosterior`, that one function builds for a fit,
 each evaluation of the evidence search and load_model.
 
 A test match x gets the latent mean x'm and variance |L_C^{-1} S^{1/2} x|^2.
@@ -81,7 +84,7 @@ import sys
 from collections import ChainMap
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -209,9 +212,22 @@ def _rfp_slots(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return np.where(j < (n + 1) // 2, i + _rfp_offsets(j, n), j + _rfp_offsets(i, n))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the slot maps below depend on the size alone; each is built once per size
+@lru_cache(maxsize=16)
 def _rfp_diagonal(n: int) -> np.ndarray:
     """The RFP slots of an n x n matrix's diagonal, in order."""
-    return _rfp_slots(np.arange(n), np.arange(n), n)
+    return _read_only(_rfp_slots(np.arange(n), np.arange(n), n))
+
+
+@lru_cache(maxsize=16)
+def _rfp_last_row(n: int) -> np.ndarray:
+    """The RFP slots of an n x n lower triangle's last row, in order."""
+    return _read_only(_rfp_slots(np.full(n, n - 1), np.arange(n), n))
 
 
 def _pair_slots(cols: np.ndarray, vals: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +263,7 @@ def _scale_rfp(packed: np.ndarray, s: np.ndarray) -> None:
     Every entry but the last row's takes the player variance s[0]; the last
     row, the home weight's, takes sqrt(s_home s_j).
     """
-    n = len(s)
-    home = _rfp_slots(np.full(n, n - 1), np.arange(n), n)
+    home = _rfp_last_row(len(s))
     row = packed[home] * math.sqrt(s[-1])
     row *= np.sqrt(s)
     packed *= s[0]
@@ -296,7 +311,8 @@ class _TrainParts:
     transpose, so K = X S X' is applied as X (s * X'v) and never held.
     ``pairs`` (sparse, (P+1)(P+2)/2 x N) maps one value c_i per match to the
     lower triangle of X' diag(c) X packed in RFP (see _rfp_slots), and so
-    builds C.
+    builds C.  The evidence gradient's transposes of Z and of ``pairs`` are
+    built on first use, so a fit without a gradient and a load skip them.
     """
 
     z: sp.csr_matrix
@@ -305,6 +321,14 @@ class _TrainParts:
     x: sp.csr_matrix
     xt: sp.csc_matrix
     pairs: sp.csc_matrix
+
+    @cached_property
+    def zt(self) -> sp.csr_matrix:
+        return self.z.T.tocsr()
+
+    @cached_property
+    def pairs_t(self) -> sp.csr_matrix:
+        return self.pairs.T
 
     def variances(self, kp: KernelParams) -> np.ndarray:
         """diag(S): the prior variances of the P player weights, then the home weight's."""
@@ -381,55 +405,72 @@ def _whitened(weights: np.ndarray, s: np.ndarray) -> np.ndarray:
 _CG_RTOL = 1e-8
 
 
-def _cg_limit(n: int, m: int) -> int:
+def _cg_limit(n: int, m: int, preconditioned: bool = False) -> int:
     """CG iterations a Newton step may take before it factors C, for N matches and C of size m = P+1.
 
     The break-even: as many iterations as cost one build and factor of the
-    packed C, at most N + 1, where CG ends in exact arithmetic (C - I has
-    rank at most N).  On one core an iteration, two sparse products with X
-    and vector operations of length P+1, costs about 11 + 0.062 N us, and
+    packed C, at most N + 1, where plain CG ends in exact arithmetic (C - I
+    has rank at most N).  On one core an iteration, two sparse products with
+    X and vector operations of length P+1, costs about 11 + 0.062 N us, and
     building and factoring C about 64 + 0.0036 m^2 + 9.5e-6 m^3 us (a
     relative least-squares fit to 36 shapes, N from 25 to 1600 and m from
-    N+1 to 2.5 N, each the best of 4-9 runs).  At N = 150 and
-    m = 225 that is 17 iterations; on the three cup folds, (N, m) = (398,
-    850), (844, 1118) and (1290, 1377), it is 238, 281 and 348, while
-    their steps at sigma2 = 0.09, sigma2_home = 1, alpha = 0.45 take 23-33.
+    N+1 to 2.5 N, each the best of 4-9 runs).  A ``preconditioned``
+    iteration adds one dpftrs against a factor of C, about 4.8e-4 m^2 us
+    (20 us at m = 225, 72 us at 421, 0.88 ms at 1377, 12 ms at 4532).  At
+    N = 150 and m = 225 that is 17 plain iterations and 7 preconditioned;
+    on the three cup folds, (N, m) = (398, 850), (844, 1118) and
+    (1290, 1377), it is 238, 281 and 348 plain, while their steps at
+    sigma2 = 0.09, sigma2_home = 1, alpha = 0.45 take 23-33; on a league of
+    N = 1230 and m = 421 it is 16 plain and 8 preconditioned.
     """
     factor_us = 64.0 + m * m * (3.6e-3 + 9.5e-6 * m)
-    iteration_us = 11.0 + 0.062 * n
+    iteration_us = 11.0 + 0.062 * n + (4.8e-4 * m * m if preconditioned else 0.0)
     return min(n + 1, int(factor_us / iteration_us))
 
 
 def _cg(
-    matvec: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, limit: int
+    matvec: Callable[[np.ndarray], np.ndarray],
+    rhs: np.ndarray,
+    limit: int,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, int]:
     """Conjugate gradients on the positive definite system matvec(x) = rhs, from x = 0.
 
-    Returns (x, iterations) once |rhs - matvec(x)| <= _CG_RTOL |rhs|, or
+    ``precondition(r)``, if given, solves with an approximation of the
+    system's matrix (Nocedal & Wright 2006, Algorithm 5.3).  Returns
+    (x, iterations) once |rhs - matvec(x)| <= _CG_RTOL |rhs|, or
     (None, limit) if ``limit`` iterations do not get there.
     """
     tol2 = (_CG_RTOL * float(np.linalg.norm(rhs))) ** 2
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    rr = float(r @ r)
-    p = r.copy()
+    z = r if precondition is None else precondition(r)
+    rz = float(r @ z)
+    rr = rz if precondition is None else float(r @ r)
+    p = z.copy()
     iteration = 0
     while rr > tol2:
         if iteration == limit:
             return None, iteration
         iteration += 1
         q = matvec(p)
-        step = rr / float(p @ q)
+        step = rz / float(p @ q)
         x += step * p
         r -= step * q
-        rr, rr_old = float(r @ r), rr
-        p *= rr / rr_old
-        p += r
+        if precondition is not None:
+            z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        rr = rz if precondition is None else float(r @ r)
+        p *= rz / rz_old
+        p += z
     return x, iteration
 
 
 def _newton_mode(
-    parts: _TrainParts, hyper: Hyperparams, w0: np.ndarray | None = None
+    parts: _TrainParts,
+    hyper: Hyperparams,
+    w0: np.ndarray | None = None,
+    factor: _Factor | None = None,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton ascent on Psi(u); returns (the weight mean S^{1/2} u_hat, iterations).
 
@@ -440,14 +481,17 @@ def _newton_mode(
     Psi's gradient in u is S^{1/2} X' grad log p(y|f) - u and its negated
     Hessian is C, so each step solves C step = gradient, the same as
     C u_new = S^{1/2} X' (W f + grad log p(y|f)); solving for the step
-    makes its error shrink with the gradient.  With N <= P+1 matches that
-    is Newton-CG (Nocedal & Wright 2006, Section 7.1): conjugate gradients
-    with C applied as v + S^{1/2} X' W X S^{1/2} v through two sparse
-    products, so C is factored only at the mode.  Once a step needs more
-    iterations than ``_cg_limit(N, P+1)``, as on an ill-conditioned C at large
-    sigma2, that step and every later one are solved through ``_factor_c``.
-    With N > P+1, every step is.  One DEBUG log line per step gives Psi,
-    the step length and the solver's work.
+    makes its error shrink with the gradient.  Every step is Newton-CG
+    (Nocedal & Wright 2006, Section 7.1): conjugate gradients with C applied
+    as v + S^{1/2} X' W X S^{1/2} v through two sparse products,
+    preconditioned by dpftrs against the latest factor of C at hand, which
+    is ``factor`` (a factor of C at other weights or hyperparameters, as
+    the search hands on) until the fit builds its own, and plain without
+    one.  A step whose CG needs more iterations than ``_cg_limit`` allows
+    factors C through ``_factor_c`` and solves with it; that factor
+    preconditions the later steps.  So a cold fit whose steps stay within
+    the limit factors C only at the mode, whatever its shape.  One DEBUG
+    log line per step gives Psi, the step length and the solver's work.
     """
     codes, alpha, kp = parts.codes, hyper.alpha, hyper.kernel
     s = parts.variances(kp)
@@ -466,17 +510,21 @@ def _newton_mode(
             u, f, psi = u_warm, f_warm, psi_warm
     d1, d2 = loglik_derivs_vector(codes, f, alpha)
     last_delta = math.inf
-    use_cg = n <= p + 1
-    limit = _cg_limit(n, p + 1)
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         w = -d2
         # the gradient of Psi in u
         grad_u = d * (xt @ d1) - u
-        solved, cg_iters = None, 0
-        if use_cg:
-            solved, cg_iters = _cg(lambda v: v + d * (xt @ (w * (x @ (d * v)))), grad_u, limit)
-        use_cg = solved is not None
-        step = _factor_c(parts, kp, w).solve(grad_u) if solved is None else solved
+        preconditioned = factor is not None
+        step, cg_iters = _cg(
+            lambda v: v + d * (xt @ (w * (x @ (d * v)))),
+            grad_u,
+            _cg_limit(n, p + 1, preconditioned),
+            factor.solve if preconditioned else None,
+        )
+        factored = step is None
+        if factored:
+            factor = _factor_c(parts, kp, w)
+            step = factor.solve(grad_u)
         f_step = x @ (d * step)
 
         # a full step whose Psi falls by no more than rounding noise is
@@ -502,12 +550,13 @@ def _newton_mode(
         last_delta = psi_try - psi
         u, f, psi = u_try, f_try, psi_try
         logger.debug(
-            "Newton step %d: psi %.12g, t %g, %d CG iterations%s",
+            "Newton step %d: psi %.12g, t %g, %d CG iterations%s%s",
             iteration,
             psi,
             t,
             cg_iters,
-            ", factored" if solved is None else "",
+            ", preconditioned" if preconditioned else "",
+            ", factored" if factored else "",
         )
         d1, d2 = loglik_derivs_vector(codes, f, alpha)
         if last_delta < _NEWTON_TOL and _stationary(f, k(d1), _STATIONARITY_TOL):
@@ -568,11 +617,18 @@ class LaplacePosterior:
 
 
 def _laplace(
-    parts: _TrainParts, hyper: Hyperparams, w0: np.ndarray | None = None
+    parts: _TrainParts,
+    hyper: Hyperparams,
+    w0: np.ndarray | None = None,
+    factor: _Factor | None = None,
 ) -> LaplacePosterior:
-    """Newton to the mode from weights ``w0`` (see _newton_mode), then everything built there."""
+    """Newton to the mode from weights ``w0``, then everything built there.
+
+    ``factor`` preconditions Newton's CG until the fit factors C itself (see
+    _newton_mode).
+    """
     with _finite_arithmetic("the Laplace fit overflowed"):
-        weights, iters = _newton_mode(parts, hyper, w0)
+        weights, iters = _newton_mode(parts, hyper, w0, factor)
         return _at_mode(parts, hyper, weights, iters)
 
 
@@ -733,7 +789,7 @@ def _posterior_traces(post: LaplacePosterior) -> tuple[np.ndarray, float, float]
     _scale_rfp(inv, s)
     inv *= 2.0
     inv[diag] *= 0.5
-    return parts.pairs.T @ inv, float(np.sum(explained[:-1])), float(explained[-1])
+    return parts.pairs_t @ inv, float(np.sum(explained[:-1])), float(explained[-1])
 
 
 def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
@@ -758,7 +814,7 @@ def _evidence_gradient(post: LaplacePosterior) -> np.ndarray:
         t = post.factor.solve(d * (parts.xt @ (sw * (sw * b))))
         return float(s2 @ (b - parts.x @ (d * t)))
 
-    zd = parts.z.T @ d1
+    zd = parts.zt @ d1
     hd = float(parts.homes @ d1)
     g_sigma2 = 0.5 * kp.sigma2 * float(zd @ zd) - 0.5 * tr_z + implicit(kp.sigma2 * (parts.z @ zd))
     g_home = 0.5 * kp.sigma2_home * hd * hd - 0.5 * tr_h + implicit(kp.sigma2_home * hd * parts.homes)
@@ -802,7 +858,8 @@ def optimize_hyperparams(
     evidence evaluations, the init's and the probes' included, and the
     evaluation that spends it computes no gradient; the search may stop
     sooner on its own tests (``_SEARCH_OPTIONS``) or when a line search
-    fails.  Each evaluation's Newton starts from the weights of the one before.
+    fails.  Each evaluation's Newton starts from the weights of the one before
+    and its CG is preconditioned by that one's factor of C at the mode.
     An evaluation that fails (NumericalError) ends the search.  Deterministic
     given inputs; the init is evaluated with the caller's exact object, and
     the best point evaluated is returned, so the result's evidence is never
@@ -843,14 +900,15 @@ def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
     used = 0
     init_ev = best_ev = -math.inf
     best = init
-    warm: np.ndarray | None = None
+    last: LaplacePosterior | None = None
 
     def evaluate(h: Hyperparams) -> LaplacePosterior:
-        nonlocal used, init_ev, best_ev, best, warm
+        nonlocal used, init_ev, best_ev, best, last
         used += 1
-        post = _laplace(parts, h, warm)
-        # the next evaluation's Newton starts from this posterior's weights
-        warm = post.weights
+        post = _laplace(parts, h) if last is None else _laplace(parts, h, last.weights, last.factor)
+        # the next evaluation's Newton starts from this posterior's weights,
+        # preconditioned by its factor of C at the mode
+        last = post
         if h is init:
             init_ev = post.evidence
         if post.evidence > best_ev:

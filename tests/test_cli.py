@@ -168,6 +168,26 @@ class TestTrainPredict:
         assert cli.run(args) == 0
         assert capsys.readouterr().out == out.read_text()
 
+    def test_predict_builds_no_records(self, workspace, tmp_path, monkeypatch, caplog):
+        # the match ids, the scores and the unseen-player line all come from
+        # the test file's arrays and registry
+        parsed = []
+
+        def recording(source):
+            parsed.append(parse_dataset(source))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_dataset", recording)
+        out = tmp_path / "preds.csv"
+        with caplog.at_level(logging.INFO):
+            argv = ["predict", "--model", str(workspace["model"]), "--test", str(workspace["test"]), "--out", str(out)]
+            assert cli.run(argv) == 0
+        (ds,) = parsed
+        assert "records" not in vars(ds)
+        ids = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert ids == [rec.match_id for rec in ds.records]
+        assert any(r.getMessage().endswith("such players in all") for r in caplog.records)
+
     def test_train_optimize_smoke(self, workspace, tmp_path):
         out = tmp_path / "opt.json"
         rc = cli.run(

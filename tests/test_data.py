@@ -24,7 +24,6 @@ from lineupgp.data import (
     HomeSide,
     MatchRecord,
     Outcome,
-    build_registry,
     parse_dataset,
     serialize_dataset,
     split_by_cutoff,
@@ -122,7 +121,7 @@ class TestRegistry:
     def test_first_appearance_order(self):
         r1 = make_record("m1", P[22:33], P[33:44], date=BASE_DATE)
         r2 = make_record("m2", P[:11], P[11:22], date=BASE_DATE + dt.timedelta(days=1))
-        reg = build_registry([r1, r2])
+        reg = Dataset.from_records([r1, r2]).registry
         # r1's players come first; within a record lineup1 before lineup2,
         # each sorted
         assert [pid for pid, _ in sorted(reg.items(), key=lambda kv: kv[1])] == (

@@ -982,23 +982,41 @@ def _counting_cholesky(monkeypatch):
     return calls
 
 
-class TestNewtonCG:
-    """With N <= P+1, Newton steps by conjugate gradients; C is factored once, at the mode."""
+def _never_converging_cg(matvec, rhs, limit, precondition=None):
+    """A CG that never converges: every Newton step falls back to the factor of C."""
+    return None, limit
 
-    def test_dense_fit_factors_once(self, monkeypatch):
-        rng = np.random.default_rng(286)
+
+def _newton_steps(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+
+
+def _assert_same_fit(post, exact, hyper):
+    """``post`` within 1e-9 of ``exact``'s mode (relative to max(1, max |mode|)) and 1e-10 of its evidence."""
+    scale = max(1.0, float(np.max(np.abs(exact.mode))))
+    assert np.max(np.abs(post.mode - exact.mode)) <= 1e-9 * scale, hyper
+    assert abs(post.evidence - exact.evidence) <= 1e-10 * abs(exact.evidence), hyper
+
+
+class TestNewtonCG:
+    """Every Newton step runs CG, preconditioned by the latest factor of C at hand.
+
+    A step whose CG runs past _cg_limit factors C, and that factor
+    preconditions the later steps; C is factored again at the mode.
+    """
+
+    def test_dense_fit_factors_once(self, monkeypatch, caplog):
+        # a cold fit with N <= P+1 at the init: plain CG at every step, one
+        # factor of C, at the mode
         hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         calls = _counting_cholesky(monkeypatch)
-        ds = random_dataset(rng, 150, 300)
-        post = fit(ds, hyper)
-        assert ds.n <= ds.num_players + 1 and post.newton_iters >= 2
+        ds = random_dataset(np.random.default_rng(286), 150, 300)
+        with caplog.at_level(logging.DEBUG, logger=gp.__name__):
+            post = fit(ds, hyper)
+        steps = _newton_steps(caplog)
+        assert ds.n <= ds.num_players + 1 and len(steps) == post.newton_iters >= 2
         assert calls[0] == 1
-        # with N > P+1, C is factored at every step and at the mode
-        calls[0] = 0
-        ds = random_dataset(rng, 60, 30)
-        post = fit(ds, hyper)
-        assert ds.n > ds.num_players + 1
-        assert calls[0] == post.newton_iters + 1
+        assert all(m.endswith(" CG iterations") for m in steps)
 
     def test_agrees_with_the_factored_step(self, monkeypatch, caplog):
         cup_sized = simulate_dataset(
@@ -1011,8 +1029,7 @@ class TestNewtonCG:
             s2, home, alpha = np.exp(theta)
             cases.append((dense, Hyperparams.create(sigma2=s2, sigma2_home=home, alpha=alpha)))
         cg_posts = [fit(ds, hyper) for ds, hyper in cases]
-        # CG that never converges: every step falls back to the factor of C
-        monkeypatch.setattr(gp, "_cg", lambda matvec, rhs, limit: (None, limit))
+        monkeypatch.setattr(gp, "_cg", _never_converging_cg)
         calls = _counting_cholesky(monkeypatch)
         for (ds, hyper), post in zip(cases, cg_posts):
             calls[0] = 0
@@ -1020,55 +1037,110 @@ class TestNewtonCG:
                 caplog.clear()
                 exact = fit(ds, hyper)
             assert calls[0] == exact.newton_iters + 1
-            steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+            steps = _newton_steps(caplog)
             assert len(steps) == exact.newton_iters
-            assert all(m.endswith(", factored") for m in steps)
+            # the first step has no factor to precondition with; each later
+            # one has the step before's
+            assert steps[0].endswith(" CG iterations, factored")
+            assert all(m.endswith(" CG iterations, preconditioned, factored") for m in steps[1:])
             k_grad = exact.parts.k_dot(exact.parts.variances(hyper.kernel), exact.grad)
             assert gp._stationary(exact.mode, k_grad, gp._STATIONARITY_BOUND)
-            scale = max(1.0, float(np.max(np.abs(exact.mode))))
-            assert np.max(np.abs(post.mode - exact.mode)) <= 1e-9 * scale, hyper
-            assert abs(post.evidence - exact.evidence) <= 1e-10 * abs(exact.evidence), hyper
+            _assert_same_fit(post, exact, hyper)
 
     def test_past_its_limit_the_fit_factors(self, monkeypatch, caplog):
-        # at the search box's large-sigma2 corner B is ill-conditioned: the
-        # step whose CG runs past _cg_limit goes through the factor of C, and
-        # so does every later step
+        # at the search box's large-sigma2 corner C is ill-conditioned: a
+        # step whose plain CG runs past _cg_limit factors C, and each later
+        # step's CG is preconditioned by the latest factor built
         ds = random_dataset(np.random.default_rng(287), 150, 300)
         hyper = Hyperparams.create(sigma2=np.exp(3.0), sigma2_home=np.exp(3.0), alpha=np.exp(2.0))
         calls = _counting_cholesky(monkeypatch)
+        built, used = [], []
+        factor_c, cg = gp._factor_c, gp._cg
+
+        def recording_factor_c(*args):
+            built.append(factor_c(*args))
+            return built[-1]
+
+        def recording_cg(matvec, rhs, limit, precondition=None):
+            used.append(None if precondition is None else precondition.__self__)
+            return cg(matvec, rhs, limit, precondition)
+
+        monkeypatch.setattr(gp, "_factor_c", recording_factor_c)
+        monkeypatch.setattr(gp, "_cg", recording_cg)
         with caplog.at_level(logging.DEBUG, logger=gp.__name__):
             post = fit(ds, hyper)
-        steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
-        assert ds.n <= ds.num_players + 1 and len(steps) == post.newton_iters
-        first = next(i for i, m in enumerate(steps) if m.endswith(", factored"))
-        assert first >= 1
+        steps = _newton_steps(caplog)
+        assert ds.n <= ds.num_players + 1 and len(steps) == post.newton_iters == len(used)
+        factored = [i for i, m in enumerate(steps) if m.endswith(", factored")]
+        first = factored[0]
+        assert 1 <= first < len(steps) - 1
         assert steps[first].endswith(f", {gp._cg_limit(ds.n, ds.num_players + 1)} CG iterations, factored")
-        assert all(m.endswith(", 0 CG iterations, factored") for m in steps[first + 1 :])
-        assert calls[0] == len(steps) - first + 1
+        assert used[: first + 1] == [None] * (first + 1)
+        for i in range(first + 1, len(steps)):
+            assert ", preconditioned" in steps[i]
+            assert used[i] is built[sum(j < i for j in factored) - 1]
+        # the factors of the steps, then the one at the mode
+        assert calls[0] == len(built) == len(factored) + 1
+        assert post.factor is built[-1]
         k_grad = post.parts.k_dot(post.parts.variances(hyper.kernel), post.grad)
         assert gp._stationary(post.mode, k_grad, gp._STATIONARITY_BOUND)
 
-
     def test_cg_gives_way_where_the_factor_is_cheaper(self, monkeypatch, caplog):
-        # the first 150 matches of the default league at a large sigma2: each
-        # step needs about 60 CG iterations, more than one factor of C
-        # (P+1 = 225) costs, so the fit factors from its first step on
+        # the first 150 matches of the default league at a large sigma2: the
+        # first step needs more plain CG iterations than one factor of C
+        # (P+1 = 225) costs, so it factors; every later step runs CG
+        # preconditioned by a factor
         ds = Dataset.from_records(simulate_dataset(SimConfig(seed=0)).dataset.records[:150])
         hyper = Hyperparams.create(sigma2=3.0, sigma2_home=5.0, alpha=0.3)
         assert (ds.n, ds.num_players) == (150, 224)
         limit = gp._cg_limit(ds.n, ds.num_players + 1)
         with caplog.at_level(logging.DEBUG, logger=gp.__name__):
             post = fit(ds, hyper)
-        steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+        steps = _newton_steps(caplog)
         assert len(steps) == post.newton_iters >= 2
         assert steps[0].endswith(f", {limit} CG iterations, factored")
-        assert all(m.endswith(", 0 CG iterations, factored") for m in steps[1:])
-        # so it is the fit that factors at every step, mode and all
-        monkeypatch.setattr(gp, "_cg", lambda matvec, rhs, limit: (None, limit))
+        assert all(", preconditioned" in m for m in steps[1:])
+        monkeypatch.setattr(gp, "_cg", _never_converging_cg)
+        _assert_same_fit(post, fit(ds, hyper), hyper)
+
+    def test_league_past_p_plus_one_needs_no_factor_before_the_mode(self, monkeypatch, caplog):
+        # N > P+1, yet each step's plain CG stays within the limit: the shape
+        # of the training set picks no solver
+        ds = random_dataset(np.random.default_rng(288), 500, 400)
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
+        calls = _counting_cholesky(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger=gp.__name__):
+            post = fit(ds, hyper)
+        steps = _newton_steps(caplog)
+        assert ds.n > ds.num_players + 1 and len(steps) == post.newton_iters >= 2
+        assert calls[0] == 1
+        assert all(m.endswith(" CG iterations") for m in steps)
+        monkeypatch.setattr(gp, "_cg", _never_converging_cg)
+        calls[0] = 0
         exact = fit(ds, hyper)
-        assert exact.newton_iters == post.newton_iters
-        assert np.array_equal(exact.weights, post.weights)
-        assert exact.evidence == post.evidence
+        assert calls[0] == exact.newton_iters + 1
+        _assert_same_fit(post, exact, hyper)
+
+    def test_search_factors_fewer_than_twice_per_evaluation(self, monkeypatch):
+        # the ledger's searched league: each evaluation's Newton starts from
+        # the weights before and is preconditioned by the factor at their mode
+        from test_ledger import INIT, LEDGER, THETA_RTOL
+
+        ds = Dataset.from_records(simulate_dataset(SimConfig(seed=0)).dataset.records[:600])
+        calls = _counting_cholesky(monkeypatch)
+        evaluations = [0]
+        laplace = gp._laplace
+
+        def counted(*args):
+            evaluations[0] += 1
+            return laplace(*args)
+
+        monkeypatch.setattr(gp, "_laplace", counted)
+        found = optimize_hyperparams(ds, INIT, budget=200)
+        assert 0 < calls[0] < 2 * evaluations[0]
+        theta = [found.kernel.sigma2, found.kernel.sigma2_home, found.alpha]
+        pinned = json.loads(LEDGER.read_text(encoding="utf-8"))["searched"]["theta"]
+        assert np.allclose(theta, pinned, rtol=THETA_RTOL, atol=0.0)
 
 
 class TestEvidence:
