@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -982,7 +983,7 @@ def _counting_cholesky(monkeypatch):
     return calls
 
 
-def _never_converging_cg(matvec, rhs, limit, precondition=None):
+def _never_converging_cg(matvec, rhs, rtol, limit, precondition=None):
     """A CG that never converges: every Newton step falls back to the factor of C."""
     return None, limit
 
@@ -1061,9 +1062,9 @@ class TestNewtonCG:
             built.append(factor_c(*args))
             return built[-1]
 
-        def recording_cg(matvec, rhs, limit, precondition=None):
+        def recording_cg(matvec, rhs, rtol, limit, precondition=None):
             used.append(None if precondition is None else precondition.__self__)
-            return cg(matvec, rhs, limit, precondition)
+            return cg(matvec, rhs, rtol, limit, precondition)
 
         monkeypatch.setattr(gp, "_factor_c", recording_factor_c)
         monkeypatch.setattr(gp, "_cg", recording_cg)
@@ -1086,20 +1087,34 @@ class TestNewtonCG:
         assert gp._stationary(post.mode, k_grad, gp._STATIONARITY_BOUND)
 
     def test_cg_gives_way_where_the_factor_is_cheaper(self, monkeypatch, caplog):
-        # the first 150 matches of the default league at a large sigma2: the
-        # first step needs more plain CG iterations than one factor of C
-        # (P+1 = 225) costs, so it factors; every later step runs CG
-        # preconditioned by a factor
-        ds = Dataset.from_records(simulate_dataset(SimConfig(seed=0)).dataset.records[:150])
-        hyper = Hyperparams.create(sigma2=3.0, sigma2_home=5.0, alpha=0.3)
-        assert (ds.n, ds.num_players) == (150, 224)
+        # season's training set at the init (N = 1230, P+1 = 421, a plain limit
+        # of 16): the cold first step, far from the mode, is solved loosely and
+        # ends within that limit; a later step, solved tightly, runs past it and
+        # factors C, and that factor preconditions the steps after it.  Solved
+        # to _CG_RTOL, the first step would run its whole limit and factor
+        sim = SimConfig(seed=0, num_teams=30, num_players=420, matches_per_team=110)
+        ds = Dataset.from_records(simulate_dataset(sim).dataset.records[:1230])
+        hyper = Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45)
         limit = gp._cg_limit(ds.n, ds.num_players + 1)
+        calls = _counting_cholesky(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger=gp.__name__):
             post = fit(ds, hyper)
-        steps = _newton_steps(caplog)
+            forced_factors = calls[0]
+            steps = _newton_steps(caplog)
+            caplog.clear()
+            monkeypatch.setattr(gp, "_FORCING_CAP", gp._CG_RTOL)
+            calls[0] = 0
+            tight = fit(ds, hyper)
+            tight_steps = _newton_steps(caplog)
+        assert (ds.n, ds.num_players) == (1230, 420)
         assert len(steps) == post.newton_iters >= 2
-        assert steps[0].endswith(f", {limit} CG iterations, factored")
-        assert all(", preconditioned" in m for m in steps[1:])
+        first = re.search(r", (\d+) CG iterations$", steps[0])
+        assert first is not None and int(first.group(1)) < limit
+        factored = [i for i, m in enumerate(steps) if m.endswith(f", {limit} CG iterations, factored")]
+        assert factored and all(", preconditioned" in m for m in steps[factored[0] + 1 :])
+        assert len(tight_steps) == tight.newton_iters
+        assert tight_steps[0].endswith(f", {limit} CG iterations, factored")
+        assert forced_factors < calls[0]
         monkeypatch.setattr(gp, "_cg", _never_converging_cg)
         _assert_same_fit(post, fit(ds, hyper), hyper)
 
@@ -1141,6 +1156,86 @@ class TestNewtonCG:
         theta = [found.kernel.sigma2, found.kernel.sigma2_home, found.alpha]
         pinned = json.loads(LEDGER.read_text(encoding="utf-8"))["searched"]["theta"]
         assert np.allclose(theta, pinned, rtol=THETA_RTOL, atol=0.0)
+
+
+def _fit_counting_cg(monkeypatch, train, tests, hyper):
+    """Train on ``train`` and score ``tests``: (posterior, W/D/L rows, CG iterations in all)."""
+    iterations = [0]
+    cg = gp._cg
+
+    def counted(*args):
+        step, done = cg(*args)
+        iterations[0] += done
+        return step, done
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "_cg", counted)
+        model = train_model(train, hyper)
+    probs = np.array([p.as_array() for p in model.predict_many(Dataset.from_records(tests))])
+    return model.posterior, probs, iterations[0]
+
+
+def _forcing_cases() -> dict[str, tuple[Dataset, list, Hyperparams]]:
+    """The ledger's league and cup folds at the init, and a cup-shaped fold at a large-sigma2 corner.
+
+    The corner, sigma2 = sigma2_home = e^3 and alpha = e^2, is where an
+    all-tight fit of the cup-sized fold spends the most: ~200 plain CG
+    iterations in each of ~20 steps, none of which factors.
+    """
+    from test_ledger import INIT, _cup_fold
+
+    league = simulate_dataset(SimConfig(seed=0)).dataset.records
+    cup_sized = simulate_dataset(
+        SimConfig(seed=0, num_players=1400, num_teams=100, matches_per_team=26)
+    ).dataset.records
+    neutral = [dataclasses.replace(rec, home=HomeSide.NEUTRAL) for rec in cup_sized[-40:]]
+    corner = Hyperparams.create(sigma2=math.exp(3.0), sigma2_home=math.exp(3.0), alpha=math.exp(2.0))
+    return {
+        "league": (Dataset.from_records(league[:300]), league[300:340], INIT),
+        "cup": (*_cup_fold(), INIT),
+        "corner": (Dataset.from_records(cup_sized[:-40]), neutral, corner),
+    }
+
+
+class TestForcing:
+    """Each Newton step's CG stops at |r| <= eta_k |grad Psi(u_k)|.
+
+    eta_k = max(_CG_RTOL, min(_FORCING_CAP, |grad Psi(u_k)|^2)): loose far
+    from the mode, _CG_RTOL near it (Dembo, Eisenstat & Steihaug 1982).
+    Patching _FORCING_CAP to _CG_RTOL gives the all-tight fit.
+    """
+
+    @pytest.fixture(scope="class")
+    def forced_and_tight(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            cases = _forcing_cases()
+            forced = {name: _fit_counting_cg(monkeypatch, *case) for name, case in cases.items()}
+            monkeypatch.setattr(gp, "_FORCING_CAP", gp._CG_RTOL)
+            tight = {name: _fit_counting_cg(monkeypatch, *case) for name, case in cases.items()}
+        return forced, tight
+
+    @pytest.mark.parametrize("name", ["league", "cup", "corner"])
+    def test_agrees_with_the_all_tight_fit(self, forced_and_tight, name):
+        (post, probs, _), (exact, exact_probs, _) = (fits[name] for fits in forced_and_tight)
+        assert np.max(np.abs(post.weights - exact.weights)) <= 1e-12 * np.max(np.abs(exact.weights))
+        assert abs(post.evidence - exact.evidence) <= 1e-12 * abs(exact.evidence)
+        assert np.all(np.abs(probs - exact_probs) <= 1e-12 * exact_probs)
+
+    def test_halves_cg_at_a_large_sigma2_corner(self, forced_and_tight):
+        (_, _, forced), (_, _, tight) = (fits["corner"] for fits in forced_and_tight)
+        assert 0 < 2 * forced <= tight, (forced, tight)
+
+    def test_step_lines_give_the_gradient_and_its_forcing(self, caplog):
+        from test_ledger import INIT, _cup_fold
+
+        with caplog.at_level(logging.DEBUG, logger=gp.__name__):
+            post = fit(_cup_fold()[0], INIT)
+        steps = [re.search(r"\|grad\| (\S+), eta (\S+), ", m) for m in _newton_steps(caplog)]
+        assert len(steps) == post.newton_iters >= 2 and all(steps)
+        grads, etas = ([float(m.group(i)) for m in steps] for i in (1, 2))
+        assert etas[0] == gp._FORCING_CAP and etas[-1] == gp._CG_RTOL
+        want = [max(gp._CG_RTOL, min(gp._FORCING_CAP, g * g)) for g in grads]
+        assert np.allclose(etas, want, rtol=1e-2, atol=0.0)
 
 
 class TestEvidence:
