@@ -6,7 +6,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -15,8 +15,8 @@ from .errors import DataError, NumericalError
 from .likelihood import (
     DrawParam,
     PredictiveDistribution,
-    loglik_alpha_curvature,
-    loglik_alpha_derivs,
+    _probs_arrays,
+    loglik_alpha_slope_curvature,
     loglik_vector,
     outcome_probs,
     sigmoid,
@@ -76,27 +76,36 @@ def elo_expected(
 _SCORE_BY_CODE = {1: 1.0, 0: 0.5, -1: 0.0}
 
 
-def _elo_step(
+def _elo_fold(
     ratings: dict[str, float],
-    rec: MatchRecord,
+    matches: Iterable[tuple[str, str, int, int]],
     k_factor: float,
     home_advantage: float,
     initial_rating: float,
-) -> float:
-    """Update ``ratings`` in place for one match; return its pre-match latent."""
-    r1 = ratings.get(rec.team1, initial_rating)
-    r2 = ratings.get(rec.team2, initial_rating)
-    latent = rating_delta_to_latent(r1 - r2 + home_advantage * rec.home.sign)
-    shift = k_factor * (_SCORE_BY_CODE[rec.outcome.code] - sigmoid(latent))
-    ratings[rec.team1] = r1 + shift
-    ratings[rec.team2] = r2 - shift
-    return latent
+) -> list[float]:
+    """Update ``ratings`` in place over (team1, team2, home sign, outcome code) in turn.
+
+    Returns each match's pre-match latent.  Every step is scalar float
+    arithmetic, so the fold does not depend on where its matches come from.
+    """
+    get = ratings.get
+    latents = []
+    for team1, team2, sign, code in matches:
+        r1 = get(team1, initial_rating)
+        r2 = get(team2, initial_rating)
+        latent = rating_delta_to_latent(r1 - r2 + home_advantage * sign)
+        shift = k_factor * (_SCORE_BY_CODE[code] - sigmoid(latent))
+        ratings[team1] = r1 + shift
+        ratings[team2] = r2 - shift
+        latents.append(latent)
+    return latents
 
 
 def elo_update(state: EloState, rec: MatchRecord) -> EloState:
     """One functional rating update; total rating mass is conserved."""
     ratings = dict(state.ratings)
-    _elo_step(ratings, rec, state.k_factor, state.home_advantage, state.initial_rating)
+    match = (rec.team1, rec.team2, rec.home.sign, rec.outcome.code)
+    _elo_fold(ratings, [match], state.k_factor, state.home_advantage, state.initial_rating)
     return EloState(
         ratings=ratings,
         k_factor=state.k_factor,
@@ -140,12 +149,13 @@ def fit_elo_alpha(
     if len(latents) != len(codes):
         raise ValueError("latents and outcome codes must have equal length")
 
-    def slope(alpha: float) -> float:
-        return float(np.sum(loglik_alpha_derivs(codes, latents, alpha)[0]))
+    def derivs(alpha: float) -> tuple[float, float]:
+        d1, d2 = loglik_alpha_slope_curvature(codes, latents, alpha)
+        return float(np.sum(d1)), float(np.sum(d2))
 
-    if slope(lo) <= 0.0:
+    if derivs(lo)[0] <= 0.0:
         alpha = lo
-    elif slope(hi) >= 0.0:
+    elif derivs(hi)[0] >= 0.0:
         alpha = hi
     else:
         # here some matches are draws and some are not: no draws would give
@@ -155,8 +165,7 @@ def fit_elo_alpha(
         if not a < alpha < b:
             alpha = 0.5 * (a + b)
         for _ in range(_ELO_ALPHA_MAX_ITER):
-            d1 = slope(alpha)
-            d2 = float(np.sum(loglik_alpha_curvature(codes, latents, alpha)))
+            d1, d2 = derivs(alpha)
             if d1 > 0.0:
                 a = alpha
             else:
@@ -201,11 +210,10 @@ class EloModel:
         # one dict updated in place, where elo_update copies it per match
         ratings: dict[str, float] = {}
         k, home_advantage, initial = self.k_factor, self.home_advantage, self.initial_rating
-        latents = np.empty(train.n)
-        codes = np.empty(train.n, dtype=np.int64)
-        for i, rec in enumerate(train.records):
-            latents[i] = _elo_step(ratings, rec, k, home_advantage, initial)
-            codes[i] = rec.outcome.code
+        arrays = train.arrays
+        team1s, team2s = arrays.teams.T.tolist()
+        matches = zip(team1s, team2s, arrays.homes.tolist(), arrays.codes.tolist())
+        latents = _elo_fold(ratings, matches, k, home_advantage, initial)
         if not all(math.isfinite(r) for r in ratings.values()):
             raise NumericalError(
                 f"Elo ratings overflowed (k_factor {self.k_factor!r}, "
@@ -214,7 +222,7 @@ class EloModel:
         self.state = EloState(
             ratings=ratings, k_factor=k, home_advantage=home_advantage, initial_rating=initial
         )
-        self.draw = fit_elo_alpha(latents, codes)
+        self.draw = fit_elo_alpha(np.array(latents, float), arrays.codes)
         return self
 
     def predict(self, rec: MatchRecord) -> PredictiveDistribution:
@@ -229,7 +237,19 @@ class EloModel:
         )
 
     def predict_many(self, test: Dataset) -> list[PredictiveDistribution]:
-        return [self.predict(rec) for rec in test.records]
+        """One distribution per test match from its arrays, equal bit for bit to :meth:`predict`."""
+        if self.state is None or self.draw is None:
+            raise NumericalError("EloModel.predict called before fit")
+        rating, arrays = self.state.rating, test.arrays
+        team1s, team2s = arrays.teams.T.tolist()
+        r1 = np.fromiter(map(rating, team1s), float, test.n)
+        r2 = np.fromiter(map(rating, team2s), float, test.n)
+        # a rating gap past the largest double is inf, as in predict's float arithmetic
+        with np.errstate(over="ignore"):
+            latents = rating_delta_to_latent(r1 - r2 + self.home_advantage * arrays.homes)
+        p_w, p_d, p_l = _probs_arrays(latents, self.draw.alpha)
+        rows = zip(p_w.tolist(), np.minimum(p_d, 1.0).tolist(), p_l.tolist())
+        return [PredictiveDistribution(p_w=w, p_d=d, p_l=l) for w, d, l in rows]
 
 
 def odds_to_probs(odds_w: float, odds_d: float, odds_l: float) -> PredictiveDistribution:
@@ -296,7 +316,8 @@ class OddsModel:
         return odds_to_probs(*quotes)
 
     def predict_many(self, test: Dataset) -> list[PredictiveDistribution | None]:
-        return [self.predict(rec) for rec in test.records]
+        quotes = map(self.table.get, test.arrays.match_ids.tolist())
+        return [None if q is None else odds_to_probs(*q) for q in quotes]
 
 
 def uniform_probs() -> PredictiveDistribution:
@@ -312,4 +333,4 @@ class UniformModel:
         return uniform_probs()
 
     def predict_many(self, test: Dataset) -> list[PredictiveDistribution]:
-        return [self.predict(rec) for rec in test.records]
+        return [uniform_probs()] * test.n

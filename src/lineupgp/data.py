@@ -16,9 +16,9 @@ outcome tokens, one join of every id in the file (scanned for separators,
 forbidden characters, empty ids and whitespace), ten ``;`` per lineup,
 team1 != team2, unique match ids and 22 distinct players per row.  When
 all pass, the same step orders the rows, sorts each lineup, and builds
-the registry and the arrays the GP reads (``Dataset.arrays``); the
-``MatchRecord``s are made from the same columns, without rerunning their
-checks, when a caller first reads ``Dataset.records``.  A dataset built
+the registry and the arrays that every model reads (``Dataset.arrays``);
+the ``MatchRecord``s are made from the same columns, without rerunning
+their checks, when a caller first reads ``Dataset.records``.  A dataset built
 any other way looks its records' players up in its registry once, when it
 is made, so every dataset carries its arrays.  On any failure
 the same text is parsed again row by row, where each ``MatchRecord`` runs
@@ -224,18 +224,32 @@ class MatchArrays:
     """A dataset's matches as arrays, one row per record in dataset order.
 
     ``lineups`` (N, 22) holds the registry indices of each record's
-    ``players``; ``homes`` the home signs, ``codes`` the outcome codes and
-    ``match_ids`` the match ids (an object array of str).
+    ``players``; ``homes`` the home signs, ``codes`` the outcome codes,
+    ``match_ids`` the match ids (an object array of str) and ``teams`` (N, 2)
+    each record's ``team1`` and ``team2`` (an object array of str).
     """
 
     lineups: np.ndarray
     homes: np.ndarray
     codes: np.ndarray
     match_ids: np.ndarray
+    teams: np.ndarray
 
     def __getitem__(self, rows: np.ndarray) -> "MatchArrays":
         """The arrays of the rows that a boolean mask or an index array picks."""
-        return MatchArrays(self.lineups[rows], self.homes[rows], self.codes[rows], self.match_ids[rows])
+        return MatchArrays(
+            self.lineups[rows], self.homes[rows], self.codes[rows], self.match_ids[rows], self.teams[rows]
+        )
+
+
+def _team_array(team1s: Sequence[str], team2s: Sequence[str]) -> np.ndarray:
+    """The (N, 2) object array of each match's two team ids."""
+    import numpy as np
+
+    teams = np.empty((len(team1s), 2), object)
+    teams[:, 0] = team1s
+    teams[:, 1] = team2s
+    return teams
 
 
 def _record_arrays(records: Sequence[MatchRecord], index: Iterable[int]) -> MatchArrays:
@@ -248,6 +262,7 @@ def _record_arrays(records: Sequence[MatchRecord], index: Iterable[int]) -> Matc
         np.fromiter((rec.home.sign for rec in records), np.int64, n),
         np.fromiter((rec.outcome.code for rec in records), np.int64, n),
         np.fromiter((rec.match_id for rec in records), object, n),
+        _team_array([rec.team1 for rec in records], [rec.team2 for rec in records]),
     )
 
 
@@ -272,13 +287,13 @@ class Dataset:
     :func:`split_by_cutoff` share their parent's union registry, which may
     be a strict superset of their own lineups.
 
-    Every dataset holds its matches as ``arrays``, which the GP reads.  A
-    dataset built from records checks its registry's indices and looks its
-    players up when it is made; :meth:`from_records` without a registry
-    builds the registry in the same walk.  One from :func:`parse_dataset`
-    gets its arrays from the column check and builds ``records`` when they
-    are first read, so a command that only fits or predicts never builds
-    them; the halves
+    Every dataset holds its matches as ``arrays``, which the GP, the
+    baselines and the scorer read.  A dataset built from records checks its
+    registry's indices and looks its players up when it is made;
+    :meth:`from_records` without a registry builds the registry in the same
+    walk.  One from :func:`parse_dataset` gets its arrays from the column
+    check and builds ``records`` when they are first read, so no command
+    that trains, predicts or scores builds them; the halves
     :func:`split_by_cutoff` makes hold their rows of the parent's arrays.
     ``arrays`` takes no part in equality.
     """
@@ -508,6 +523,7 @@ def _parse_columns(rows: list[list[str]]) -> Dataset | None:
         np.fromiter(map(_SIGN_BY_TOKEN.__getitem__, home_toks), np.int64, n),
         np.fromiter(map(_CODE_BY_TOKEN.__getitem__, outcome_toks), np.int64, n),
         np.fromiter(match_ids, object, n),
+        _team_array(team1s, team2s),
     )
     registry = dict(zip(map(ids.__getitem__, by_first.tolist()), range(len(ids))))
     return Dataset._parsed(registry, arrays, partial(_column_records, columns, dates, ids, sides))

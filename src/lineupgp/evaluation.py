@@ -29,13 +29,15 @@ __all__ = [
 
 CLIP_FLOOR = 1e-15
 
+_OUTCOME_BY_CODE = {o.code: o for o in Outcome}
+
 
 class Predictor(Protocol):
     """Anything that can score a test dataset in one batch.
 
     ``predict_many`` returns one entry per match, in dataset order; ``None``
-    means skip that match (the odds model has no quote for it).  The GP
-    reads the dataset's arrays, the baselines its records.
+    means skip that match (the odds model has no quote for it).  Every
+    model here reads the dataset's arrays, and so does :func:`evaluate`.
     """
 
     name: str
@@ -97,20 +99,23 @@ def evaluate(
     clip: bool = False,
 ) -> list[EvalReport]:
     """Score every model on every test match it can predict, one batch per model."""
+    match_ids = test.arrays.match_ids.tolist()
+    outcomes = list(map(_OUTCOME_BY_CODE.__getitem__, test.arrays.codes.tolist()))
     reports: list[EvalReport] = []
     for model in models:
         rows: list[MatchScore] = []
         skipped = 0
-        for rec, probs in zip(test.records, model.predict_many(test), strict=True):
+        for match_id, outcome, probs in zip(match_ids, outcomes, model.predict_many(test), strict=True):
             if probs is None:
                 skipped += 1
                 continue
-            loss = _one_loss(
-                probs.prob(rec.outcome),
-                f"match {rec.match_id!r} under model {model.name!r}",
-                clip,
-            )
-            rows.append(MatchScore(rec.match_id, probs, rec.outcome, loss))
+            p = probs.prob(outcome)
+            # the label is worded only for a probability that is floored or fails
+            if p >= CLIP_FLOOR:
+                loss = -math.log(p)
+            else:
+                loss = _one_loss(p, f"match {match_id!r} under model {model.name!r}", clip)
+            rows.append(MatchScore(match_id, probs, outcome, loss))
         avg = sum(r.loss for r in rows) / len(rows) if rows else math.nan
         reports.append(
             EvalReport(

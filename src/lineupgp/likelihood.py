@@ -207,17 +207,27 @@ def loglik_alpha_derivs(
     return dlp, dd1, dw_alpha, dw_f
 
 
-def loglik_alpha_curvature(codes: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
-    """d^2 log p/d alpha^2 per match: -p_w q_w for a win, -p_l q_l for a loss,
-    and -4 exp(-2 alpha) / (1 - exp(-2 alpha))^2 - p_w q_w - p_l q_l for a draw.
+def loglik_alpha_slope_curvature(
+    codes: np.ndarray, f: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """d log p/d alpha and d^2 log p/d alpha^2 per match, from one set of sigmoids.
 
-    With p and q as in :func:`loglik_alpha_derivs`.  Every term is negative, so
-    the log-likelihood is strictly concave in alpha; far from f = alpha a win's
+    The slope is the first array of :func:`loglik_alpha_derivs`, term for
+    term.  The curvature is -p_w q_w for a win, -p_l q_l for a loss, and
+    -4 exp(-2 alpha) / (1 - exp(-2 alpha))^2 - p_w q_w - p_l q_l for a draw,
+    with p and q as there.  Every curvature term is negative, so the
+    log-likelihood is strictly concave in alpha; far from f = alpha a win's
     or a loss's term underflows to 0.
     """
     from scipy.special import expit
 
-    g_w = expit(f - alpha) * expit(alpha - f)
-    g_l = expit(-f - alpha) * expit(alpha + f)
+    p_w = expit(f - alpha)
+    p_l = expit(-f - alpha)
+    q_w = expit(alpha - f)
+    q_l = expit(alpha + f)
+    g_w = p_w * q_w
+    g_l = p_l * q_l
+    win, loss = codes > 0, codes < 0
+    slope = np.where(win, -q_w, np.where(loss, -q_l, 2.0 / -math.expm1(-2.0 * alpha) - q_w - q_l))
     draw = -4.0 * math.exp(-2.0 * alpha) / math.expm1(-2.0 * alpha) ** 2
-    return np.where(codes > 0, -g_w, np.where(codes < 0, -g_l, draw - g_w - g_l))
+    return slope, np.where(win, -g_w, np.where(loss, -g_l, draw - g_w - g_l))

@@ -8,15 +8,26 @@ integration) so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import datetime as dt
+import io
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from lineupgp.data import Dataset, HomeSide, MatchRecord, Outcome
+from lineupgp.data import (
+    Dataset,
+    HomeSide,
+    MatchRecord,
+    Outcome,
+    parse_dataset,
+    serialize_dataset,
+    split_by_cutoff,
+)
 from lineupgp.kernel import MatchVector
 from lineupgp.likelihood import loglik_vector
+from lineupgp.simulate import SimConfig, simulate_dataset
 
 BASE_DATE = dt.date(2022, 1, 1)
 
@@ -99,6 +110,39 @@ def random_dataset(
         for i in range(n_matches)
     ]
     return Dataset.from_records(records)
+
+
+ARRAY_ROUTES = ("parsed", "split", "neutral")
+
+
+def array_route_case(route: str) -> tuple[Dataset, Dataset]:
+    """A (train, test) pair whose arrays were built by one route of ``ARRAY_ROUTES``.
+
+    ``parsed``: each half of a league parsed from its own CSV (the column
+    path).  ``split``: the halves of :func:`split_by_cutoff` of the parsed
+    league, which share its registry.  ``neutral``: a random training set
+    (``from_records``) and a test set on neutral ground built as
+    ``Dataset(records, registry)``, where one team plays that training never
+    saw, once on each side.
+    """
+    if route == "neutral":
+        rng = np.random.default_rng(409)
+        train = random_dataset(rng, 150, 60)
+        universe = player_ids(60)
+        start = BASE_DATE + dt.timedelta(days=150)
+        records = []
+        for i in range(24):
+            rec = random_record(rng, universe, f"n{i:03d}", date=start + dt.timedelta(days=i))
+            teams = {0: {"team1": "newcomer"}, 1: {"team2": "newcomer"}}.get(i, {})
+            records.append(dataclasses.replace(rec, home=HomeSide.NEUTRAL, **teams))
+        return train, Dataset(tuple(records), {pid: i for i, pid in enumerate(universe)})
+    league = simulate_dataset(SimConfig(seed=2, num_teams=8, matches_per_team=30, num_players=112)).dataset
+    records = league.records
+    cut = 3 * len(records) // 4
+    if route == "split":
+        return split_by_cutoff(parse_dataset(io.StringIO(serialize_dataset(league))), records[cut].date)
+    halves = (records[:cut], records[cut:])
+    return tuple(parse_dataset(io.StringIO(serialize_dataset(Dataset.from_records(h)))) for h in halves)
 
 
 def dense_embedding(vec: MatchVector, num_players: int) -> np.ndarray:

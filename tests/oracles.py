@@ -8,8 +8,11 @@ kernel route (Rasmussen & Williams 2006, Sections 2.1 and 3.4), which is
 what the equivalence tests pin down.  The pairwise kernel intersects two
 matches' sorted index lists, where the served Gram comes from sparse
 incidence products.  ``dense_c`` builds as a plain square the matrix C,
-which the package only ever holds packed.  The one-match helpers at the
-end are one-row calls of the batch functions the package serves.
+which the package only ever holds packed.  The one-match helpers are
+one-row calls of the batch functions the package serves.  The Elo fold
+and the scorer at the end walk ``Dataset.records`` one match at a time,
+where the package reads ``Dataset.arrays``; with the same float arithmetic
+in the same order, the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.special import expit
 
+from lineupgp.baselines import rating_delta_to_latent
 from lineupgp.data import Dataset, Outcome
 from lineupgp.errors import DataError, NumericalError
+from lineupgp.evaluation import EvalReport, MatchScore
 from lineupgp.gp import (
     Hyperparams,
     LaplacePosterior,
@@ -35,6 +41,7 @@ from lineupgp.likelihood import (
     PredictiveDistribution,
     loglik_derivs_vector,
     loglik_vector,
+    sigmoid,
 )
 
 _NEWTON_TOL = 1e-10
@@ -254,3 +261,52 @@ def log_likelihood_derivs(y: Outcome, f: float, d: DrawParam) -> tuple[float, fl
     """(d/df, d^2/df^2) of log p(y | f, alpha)."""
     d1, d2 = loglik_derivs_vector(np.array([y.code]), np.array([float(f)]), d.alpha)
     return float(d1[0]), float(d2[0])
+
+
+def elo_fold_records(
+    train: Dataset, k_factor: float, home_advantage: float, initial_rating: float
+) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
+    """(ratings, pre-match latents, outcome codes) of an Elo fold over ``train.records`` in order."""
+    ratings: dict[str, float] = {}
+    latents = np.empty(train.n)
+    codes = np.empty(train.n, dtype=np.int64)
+    score = {1: 1.0, 0: 0.5, -1: 0.0}
+    for i, rec in enumerate(train.records):
+        r1 = ratings.get(rec.team1, initial_rating)
+        r2 = ratings.get(rec.team2, initial_rating)
+        latent = rating_delta_to_latent(r1 - r2 + home_advantage * rec.home.sign)
+        shift = k_factor * (score[rec.outcome.code] - sigmoid(latent))
+        ratings[rec.team1] = r1 + shift
+        ratings[rec.team2] = r2 - shift
+        latents[i], codes[i] = latent, rec.outcome.code
+    return ratings, latents, codes
+
+
+def loglik_alpha_curvature(codes: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
+    """d^2 log p/d alpha^2 per match, from its own four sigmoids."""
+    g_w = expit(f - alpha) * expit(alpha - f)
+    g_l = expit(-f - alpha) * expit(alpha + f)
+    draw = -4.0 * math.exp(-2.0 * alpha) / math.expm1(-2.0 * alpha) ** 2
+    return np.where(codes > 0, -g_w, np.where(codes < 0, -g_l, draw - g_w - g_l))
+
+
+def score_records(
+    name: str, test: Dataset, preds: Sequence[PredictiveDistribution | None], clip_floor: float | None = None
+) -> EvalReport:
+    """The report of one model's predictions, one per record of ``test``; ``None`` skips a match.
+
+    ``clip_floor`` floors each probability, as ``evaluate(..., clip=True)``
+    does; without it a zero probability is a NumericalError.
+    """
+    rows = []
+    for rec, probs in zip(test.records, preds, strict=True):
+        if probs is None:
+            continue
+        p = probs.prob(rec.outcome)
+        if clip_floor is not None:
+            p = max(p, clip_floor)
+        elif p <= 0.0:
+            raise NumericalError(f"zero probability for match {rec.match_id!r}")
+        rows.append(MatchScore(rec.match_id, probs, rec.outcome, -math.log(p)))
+    avg = sum(r.loss for r in rows) / len(rows) if rows else math.nan
+    return EvalReport(model=name, t=len(rows), avg_log_loss=avg, rows=tuple(rows), skipped=test.n - len(rows))

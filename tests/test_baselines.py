@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import make_record, player_ids, random_dataset
+from conftest import ARRAY_ROUTES, array_route_case, make_record, player_ids, random_dataset
+from lineupgp import baselines
 from lineupgp.baselines import (
     ELO_LATENT_SCALE,
     EloModel,
@@ -25,12 +27,17 @@ from lineupgp.baselines import (
     rating_delta_to_latent,
     uniform_probs,
 )
-from lineupgp.data import HomeSide, Outcome
+from lineupgp.data import Dataset, HomeSide, Outcome
 from lineupgp.errors import DataError, NumericalError
 from lineupgp.gp import Hyperparams
 from lineupgp.kernel import SELF_OVERLAP, MatchVector
-from lineupgp.likelihood import DrawParam, loglik_vector, outcome_probs
-from oracles import primal_laplace_fit, primal_laplace_fit_vectors
+from lineupgp.likelihood import DrawParam, loglik_alpha_derivs, loglik_vector, outcome_probs
+from oracles import (
+    elo_fold_records,
+    loglik_alpha_curvature,
+    primal_laplace_fit,
+    primal_laplace_fit_vectors,
+)
 from lineupgp.simulate import SimConfig, simulate_dataset
 
 P = player_ids(60)
@@ -281,6 +288,71 @@ class TestEloModel:
             home_advantage=60.0,
         )
         assert got.as_array().tolist() == want.as_array().tolist()
+
+
+def _bits(preds) -> list[tuple[str, str, str] | None]:
+    return [None if p is None else (p.p_w.hex(), p.p_d.hex(), p.p_l.hex()) for p in preds]
+
+
+class TestArrayPath:
+    """The baselines read Dataset.arrays and agree bit for bit with the record-walking oracles."""
+
+    CONSTANTS = {"k_factor": 24.0, "home_advantage": 70.0, "initial_rating": 1400.0}
+
+    @pytest.mark.parametrize("route", ARRAY_ROUTES)
+    def test_fit_matches_the_record_fold(self, route, monkeypatch):
+        train, _ = array_route_case(route)
+        seen = []
+
+        def recording(latents, codes):
+            seen.append((latents, codes))
+            return fit_elo_alpha(latents, codes)
+
+        monkeypatch.setattr(baselines, "fit_elo_alpha", recording)
+        model = EloModel(**self.CONSTANTS).fit(train)
+        assert "records" not in vars(train)
+        ratings, latents, codes = elo_fold_records(train, *self.CONSTANTS.values())
+        ((got_latents, got_codes),) = seen
+        assert list(model.state.ratings.items()) == list(ratings.items())
+        assert [x.hex() for x in got_latents.tolist()] == [x.hex() for x in latents.tolist()]
+        assert got_codes.tolist() == codes.tolist()
+        assert model.draw == fit_elo_alpha(latents, codes)
+        # and from a slope and a curvature that each compute their own sigmoids
+        monkeypatch.setattr(
+            baselines,
+            "loglik_alpha_slope_curvature",
+            lambda c, f, a: (loglik_alpha_derivs(c, f, a)[0], loglik_alpha_curvature(c, f, a)),
+        )
+        assert model.draw == fit_elo_alpha(latents, codes)
+
+    @pytest.mark.parametrize("route", ARRAY_ROUTES)
+    def test_predict_many_matches_predict(self, route):
+        train, test = array_route_case(route)
+        built = "records" in vars(test)
+        models = [EloModel(**self.CONSTANTS).fit(train), UniformModel()]
+        models.append(OddsModel({match_id: (2.0, 3.0, 4.5) for match_id in test.arrays.match_ids[1::2]}))
+        got = [_bits(model.predict_many(test)) for model in models]
+        assert ("records" in vars(test)) == built
+        assert got == [_bits(map(model.predict, test.records)) for model in models]
+        if route == "neutral":
+            assert {"newcomer"} <= set(test.arrays.teams.ravel()) - set(models[0].state.ratings)
+
+    def test_an_overflowing_rating_gap_warns_of_nothing(self):
+        # the gap is inf in the batch as in predict's float arithmetic, with no NumPy warning
+        ds = Dataset.from_records(
+            [make_record(f"m{i}", P[:11], P[11:22], team1=t1, team2=t2) for i, (t1, t2) in enumerate(["ab", "ba"])]
+        )
+        state = EloState(ratings={"a": 1e308, "b": -1e308})
+        model = EloModel(state=state, draw=DrawParam.from_alpha(0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.predict_many(ds)
+        assert _bits(got) == _bits(map(model.predict, ds.records))
+        assert [p.p_w for p in got] == [1.0, 0.0]
+
+    def test_predict_many_before_fit_raises(self):
+        with pytest.raises(NumericalError, match="before fit"):
+            EloModel().predict_many(random_dataset(np.random.default_rng(408), 3, 30))
 
 
 class TestOdds:

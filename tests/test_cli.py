@@ -313,6 +313,29 @@ class TestEvaluate:
         odds_row = next(line for line in table.split("\n") if line.startswith("odds"))
         assert odds_row.split()[3] == "2"  # scored only the quoted matches
 
+    @pytest.mark.parametrize("odds", [False, True], ids=["gp,elo,random", "odds"])
+    def test_evaluate_builds_no_records(self, workspace, tmp_path, monkeypatch, capsys, odds):
+        # the models, the scorer and the unseen-player line all read the arrays
+        parsed = []
+
+        def recording(source):
+            parsed.append(parse_dataset(source))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_dataset", recording)
+        argv = ["evaluate", "--train", str(workspace["train"]), "--test", str(workspace["test"])]
+        if odds:
+            # a sidecar that quotes every test match but the first
+            ids = parse_dataset(workspace["test"]).arrays.match_ids[1:]
+            sidecar = tmp_path / "odds.csv"
+            sidecar.write_text("match_id,odds_w,odds_d,odds_l\n" + "".join(f"{i},2.0,3.0,4.0\n" for i in ids))
+            argv += ["--models", "gp,elo,random,odds", "--odds", str(sidecar)]
+        assert cli.run(argv) == 0
+        assert len(parsed) == 2
+        assert all("records" not in vars(ds) for ds in parsed)
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[0], row[3]) for row in rows][3:] == ([("odds", "19")] if odds else [])
+
     def test_odds_without_file_is_usage_error(self, workspace):
         rc = cli.run(
             [
@@ -405,6 +428,19 @@ class TestEloFit:
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert values == sorted(values, reverse=True)
         assert sum(values) == pytest.approx(4 * 1500.0, abs=1e-6)
+
+    def test_builds_no_records(self, workspace, monkeypatch, capsys):
+        parsed = []
+
+        def recording(source):
+            parsed.append(parse_dataset(source))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_dataset", recording)
+        assert cli.run(["elo-fit", "--train", str(workspace["train"])]) == 0
+        (ds,) = parsed
+        assert "records" not in vars(ds)
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
 
 
 class TestConfigFile:

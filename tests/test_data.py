@@ -181,6 +181,27 @@ class TestDataset:
         again = Dataset(records=ds.records, registry=reordered)
         assert np.array_equal(again.arrays.lineups, ds.arrays.lineups)
 
+    def test_team_column_whichever_way_built(self):
+        # team1 and team2 of every record, in dataset order, on each route to the arrays
+        ds = random_dataset(np.random.default_rng(12), 40, 50, num_teams=12)
+        union = dict(reversed(ds.registry.items()))
+        parsed = parse_dataset(io.StringIO(serialize_dataset(ds)))
+        built = [
+            parsed,
+            ds,
+            Dataset.from_records(reversed(ds.records), registry=union),
+            Dataset(records=ds.records, registry=union),
+            Dataset(records=(), registry={}),
+            *split_by_cutoff(parsed, ds.records[15].date),
+            *split_by_cutoff(ds, ds.records[15].date),
+        ]
+        for each in built:
+            teams = each.arrays.teams
+            assert teams.dtype == object and teams.shape == (each.n, 2)
+            assert teams.tolist() == [[rec.team1, rec.team2] for rec in each.records]
+            assert all(type(team) is str for team in teams.ravel())
+        assert parsed.arrays.teams.tolist() == ds.arrays.teams.tolist()
+
     def test_explicit_superset_registry_allowed(self):
         rec = make_record("m1", P[:11], P[11:22])
         reg = {pid: i for i, pid in enumerate(P[:30])}
@@ -538,8 +559,9 @@ def _assert_alike(got: Dataset | str, want: Dataset | str) -> None:
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
     else:
-        assert got.arrays is not None
         assert got.records == want.records
+        for name in ("lineups", "homes", "codes", "match_ids", "teams"):
+            assert getattr(got.arrays, name).tolist() == getattr(want.arrays, name).tolist()
         assert list(got.registry.items()) == list(want.registry.items())
 
 

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset
-from lineupgp.baselines import OddsModel, UniformModel
+from conftest import ARRAY_ROUTES, array_route_case, random_dataset
+from lineupgp.baselines import EloModel, OddsModel, UniformModel
 from lineupgp.data import Dataset, Outcome
 from lineupgp.errors import NumericalError
 from lineupgp.gp import Hyperparams, train_model
@@ -25,6 +25,7 @@ from lineupgp.evaluation import (
     write_summary_csv,
 )
 from lineupgp.likelihood import PredictiveDistribution
+from oracles import score_records
 
 
 def _p(w, d, l):
@@ -130,6 +131,27 @@ class TestEvaluate:
         with pytest.raises(NumericalError, match=f"{target.match_id}.*spiky"):
             evaluate([Spiky()], ds)
 
+    def test_clip_floors_and_names_match_and_model(self, caplog):
+        ds = random_dataset(np.random.default_rng(404), 3, 30)
+        target = ds.records[1]
+        probs = {o: 0.5 for o in Outcome}
+        probs[target.outcome] = 0.0
+        spiky = _p(probs[Outcome.TEAM1_WIN], probs[Outcome.DRAW], probs[Outcome.TEAM2_WIN])
+        preds = [_p(1 / 3, 1 / 3, 1 / 3), spiky, _p(1 / 3, 1 / 3, 1 / 3)]
+
+        class Spiky:
+            name = "spiky"
+
+            def predict_many(self, test):
+                return preds
+
+        with caplog.at_level("WARNING"):
+            (report,) = evaluate([Spiky()], ds, clip=True)
+        assert report == score_records("spiky", ds, preds, clip_floor=CLIP_FLOOR)
+        assert report.rows[1].loss == -math.log(CLIP_FLOOR)
+        (warning,) = [r.getMessage() for r in caplog.records]
+        assert f"match {target.match_id!r} under model 'spiky'" in warning
+
     def test_odds_model_integration(self):
         ds = random_dataset(np.random.default_rng(405), 4, 30)
         table = {ds.records[0].match_id: (2.0, 3.0, 4.0)}
@@ -146,6 +168,29 @@ class TestEvaluate:
         assert [row.probs for row in gp_report.rows] == gp_model.predict_many(ds)
         assert (odds_report.t, odds_report.skipped) == (1, 5)
         assert odds_report.rows[0].match_id == quoted
+
+
+class TestArrayPath:
+    """evaluate reads the test set's arrays and agrees bit for bit with the record-walking scorer."""
+
+    @pytest.mark.parametrize("route", ARRAY_ROUTES)
+    def test_reports_match_the_record_scorer(self, route):
+        train, test = array_route_case(route)
+        built = "records" in vars(test)
+        elo = EloModel().fit(train)
+        gp_model = train_model(train, Hyperparams.create(sigma2=0.09, sigma2_home=1.0, alpha=0.45))
+        odds = OddsModel({match_id: (2.0, 3.0, 4.5) for match_id in test.arrays.match_ids[::3]})
+        reports = evaluate([gp_model, elo, UniformModel(), odds], test)
+        assert ("records" in vars(test)) == built
+        # the GP's one-record predict agrees with its batch only to rounding
+        preds = [gp_model.predict_many(test)]
+        preds += [list(map(model.predict, test.records)) for model in (elo, UniformModel(), odds)]
+        want = [score_records(rep.model, test, p) for rep, p in zip(reports, preds)]
+        assert reports == want
+        losses = [[row.loss.hex() for row in rep.rows] for rep in reports]
+        assert losses == [[row.loss.hex() for row in rep.rows] for rep in want]
+        assert [rep.avg_log_loss.hex() for rep in reports] == [rep.avg_log_loss.hex() for rep in want]
+        assert (reports[3].t, reports[3].skipped) == (len(odds.table), test.n - len(odds.table))
 
 
 class TestReports:

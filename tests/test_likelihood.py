@@ -21,14 +21,14 @@ from lineupgp.likelihood import (
     PredictiveDistribution,
     _log_expm1,
     _probs_arrays,
-    loglik_alpha_curvature,
     loglik_alpha_derivs,
+    loglik_alpha_slope_curvature,
     loglik_derivs_vector,
     loglik_vector,
     outcome_probs,
     sigmoid,
 )
-from oracles import log_likelihood, log_likelihood_derivs
+from oracles import log_likelihood, log_likelihood_derivs, loglik_alpha_curvature
 
 OUTCOMES = (Outcome.TEAM1_WIN, Outcome.DRAW, Outcome.TEAM2_WIN)
 
@@ -292,7 +292,7 @@ class TestAlphaDerivatives:
             for alpha in np.linspace(0.5, 5.0, 10):
                 for f in np.linspace(-10.0, 10.0, 21):
                     for y in OUTCOMES:
-                        (got,) = loglik_alpha_curvature(
+                        _, (got,) = loglik_alpha_slope_curvature(
                             np.array([y.code]), np.array([f]), float(alpha)
                         )
                         a = mp.mpf(float(alpha))
@@ -300,6 +300,18 @@ class TestAlphaDerivatives:
                         want = float((c[0] - 2 * c[1] + c[2]) / (h * h))
                         assert got < 0.0
                         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+    def test_slope_and_curvature_are_the_two_pass_values(self):
+        # one set of sigmoids gives, term for term, the slope of
+        # loglik_alpha_derivs and the curvature of four sigmoids of its own
+        rng = np.random.default_rng(125)
+        f = np.concatenate([rng.normal(0.0, 0.6, 600), rng.uniform(-40.0, 40.0, 60), [0.0, -0.0]])
+        codes = rng.integers(-1, 2, size=f.size)
+        for alpha in (1e-4, 0.05, 0.4, 2.0, 10.0):
+            slope, curvature = loglik_alpha_slope_curvature(codes, f, alpha)
+            assert slope.tobytes() == loglik_alpha_derivs(codes, f, alpha)[0].tobytes()
+            assert curvature.tobytes() == loglik_alpha_curvature(codes, f, alpha).tobytes()
 
 
 class TestLogExpm1:
