@@ -12,7 +12,8 @@ costs more than many commands do.  So this module imports only the error
 types and the CSV layer at load, and each command imports the modules it
 runs: ``--help`` and ``--version`` load neither, ``simulate`` loads only
 NumPy, and SciPy loads with the first command that fits, scores or draws a
-heat map.
+heat map.  Likewise the parser names every command but adds the flags of
+only the one it runs.
 """
 
 from __future__ import annotations
@@ -78,7 +79,91 @@ def _add_elo_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> _Parser:
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--train", required=True, help="training match CSV")
+    p.add_argument("--model-out", required=True, help="where to write the model file")
+    _add_gp_flags(p)
+
+
+def _predict_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="model file from `train`")
+    p.add_argument("--test", required=True, help="match CSV to score")
+    p.add_argument("--out", default=None, help="output CSV (default stdout)")
+
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--train", required=True, help="training match CSV")
+    p.add_argument("--test", required=True, help="held-out match CSV")
+    p.add_argument(
+        "--models",
+        default="gp,elo,random",
+        help=f"comma list from {{{','.join(_MODEL_NAMES)}}} (default gp,elo,random)",
+    )
+    p.add_argument("--odds", default=None, help="odds CSV for the odds model")
+    p.add_argument(
+        "--clip",
+        action="store_true",
+        help="floor zero probabilities instead of failing",
+    )
+    p.add_argument("--summary-out", default=None, help="machine-readable summary CSV")
+    p.add_argument("--per-match-out", default=None, help="per-match loss CSV")
+    _add_gp_flags(p)
+    _add_elo_flags(p)
+
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p.add_argument("--out", default=None, help="output match CSV (default stdout)")
+    p.add_argument("--truth-out", default=None, help="JSON with true skills and latents")
+    p.add_argument("--players", type=int, default=224, help="player budget (default 224)")
+    p.add_argument("--teams", type=int, default=16, help="number of teams (default 16)")
+    p.add_argument(
+        "--matches-per-team", type=int, default=100, help="matches per team (default 100)"
+    )
+    p.add_argument("--alpha", type=float, default=0.45, help="true draw margin (default 0.45)")
+    p.add_argument(
+        "--home-effect", type=float, default=0.25, help="true home effect (default 0.25)"
+    )
+    p.add_argument(
+        "--skill-scale", type=float, default=0.3, help="player skill stdev (default 0.3)"
+    )
+
+
+def _heatmap_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="match CSV")
+    p.add_argument("--out", required=True, help="grid CSV path")
+    p.add_argument(
+        "--blocks-out",
+        default=None,
+        help="competition block sidecar (default: <out>.blocks.csv)",
+    )
+    p.add_argument("--sigma2", type=float, default=1.0, help="player kernel scale")
+    p.add_argument("--sigma2-home", type=float, default=1.0, help="home feature scale")
+
+
+def _elo_fit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--train", required=True, help="training match CSV")
+    p.add_argument("--ratings-out", default=None, help="ratings CSV (team,rating)")
+    _add_elo_flags(p)
+
+
+# each command's help line and the function that adds its flags
+_COMMANDS = {
+    "train": ("fit a model and save it", _train_flags),
+    "predict": ("score matches with a saved model", _predict_flags),
+    "evaluate": ("compare models by test log loss", _evaluate_flags),
+    "simulate": ("generate a synthetic league", _simulate_flags),
+    "heatmap": ("export |K| as a CSV grid", _heatmap_flags),
+    "elo-fit": ("fold Elo ratings and fit the draw margin", _elo_fit_flags),
+}
+
+
+def _build_parser(command: str | None) -> tuple[_Parser, argparse.ArgumentParser | None]:
+    """The parser, naming every command but adding only ``command``'s flags, and its subparser.
+
+    argparse reads no subparser but the one of the command it runs, so
+    help and errors read the same without the other commands' flags.
+    """
     parser = _Parser(
         prog="lineupgp",
         description="Win/draw/loss match prediction with a Gaussian process over lineups.",
@@ -86,91 +171,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
     sub.required = True
-
-    p_train = sub.add_parser("train", help="fit a model and save it")
-    p_train.add_argument("--train", required=True, help="training match CSV")
-    p_train.add_argument("--model-out", required=True, help="where to write the model file")
-    _add_gp_flags(p_train)
-
-    p_predict = sub.add_parser(
-        "predict", help="score matches with a saved model"
-    )
-    p_predict.add_argument("--model", required=True, help="model file from `train`")
-    p_predict.add_argument("--test", required=True, help="match CSV to score")
-    p_predict.add_argument("--out", default=None, help="output CSV (default stdout)")
-
-    p_eval = sub.add_parser(
-        "evaluate", help="compare models by test log loss"
-    )
-    p_eval.add_argument("--train", required=True, help="training match CSV")
-    p_eval.add_argument("--test", required=True, help="held-out match CSV")
-    p_eval.add_argument(
-        "--models",
-        default="gp,elo,random",
-        help=f"comma list from {{{','.join(_MODEL_NAMES)}}} (default gp,elo,random)",
-    )
-    p_eval.add_argument("--odds", default=None, help="odds CSV for the odds model")
-    p_eval.add_argument(
-        "--clip",
-        action="store_true",
-        help="floor zero probabilities instead of failing",
-    )
-    p_eval.add_argument("--summary-out", default=None, help="machine-readable summary CSV")
-    p_eval.add_argument("--per-match-out", default=None, help="per-match loss CSV")
-    _add_gp_flags(p_eval)
-    _add_elo_flags(p_eval)
-
-    p_sim = sub.add_parser(
-        "simulate", help="generate a synthetic league"
-    )
-    p_sim.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p_sim.add_argument("--out", default=None, help="output match CSV (default stdout)")
-    p_sim.add_argument(
-        "--truth-out", default=None, help="JSON with true skills and latents"
-    )
-    p_sim.add_argument("--players", type=int, default=224, help="player budget (default 224)")
-    p_sim.add_argument("--teams", type=int, default=16, help="number of teams (default 16)")
-    p_sim.add_argument(
-        "--matches-per-team", type=int, default=100, help="matches per team (default 100)"
-    )
-    p_sim.add_argument("--alpha", type=float, default=0.45, help="true draw margin (default 0.45)")
-    p_sim.add_argument(
-        "--home-effect", type=float, default=0.25, help="true home effect (default 0.25)"
-    )
-    p_sim.add_argument(
-        "--skill-scale", type=float, default=0.3, help="player skill stdev (default 0.3)"
-    )
-
-    p_heat = sub.add_parser(
-        "heatmap", help="export |K| as a CSV grid"
-    )
-    p_heat.add_argument("--data", required=True, help="match CSV")
-    p_heat.add_argument("--out", required=True, help="grid CSV path")
-    p_heat.add_argument(
-        "--blocks-out",
-        default=None,
-        help="competition block sidecar (default: <out>.blocks.csv)",
-    )
-    p_heat.add_argument("--sigma2", type=float, default=1.0, help="player kernel scale")
-    p_heat.add_argument("--sigma2-home", type=float, default=1.0, help="home feature scale")
-
-    p_elo = sub.add_parser(
-        "elo-fit", help="fold Elo ratings and fit the draw margin"
-    )
-    p_elo.add_argument("--train", required=True, help="training match CSV")
-    p_elo.add_argument("--ratings-out", default=None, help="ratings CSV (team,rating)")
-    _add_elo_flags(p_elo)
-
-    return parser
-
-
-def _subparsers(parser: _Parser) -> dict[str, argparse.ArgumentParser]:
-    return {
-        name: sp
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-        for name, sp in action.choices.items()
-    }
+    chosen = None
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_flags(p)
+            chosen = p
+    return parser, chosen
 
 
 def _actions(parser: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -226,19 +233,14 @@ def _config_value(key: str, value: object, switches: set[str]) -> object:
     return str(value)
 
 
-def _apply_config(parser: _Parser, config: dict, argv: list[str]) -> None:
-    """Make the config's values the defaults of the command that ``argv`` runs.
+def _apply_config(sub: argparse.ArgumentParser | None, command: str | None, config: dict) -> None:
+    """Make the config's values the defaults of ``command``, whose parser is ``sub``.
 
-    The command is the first token that is not an option, as the top-level
-    parser takes no option with a value; without a known one, argparse
-    reports the missing or unknown command.  A key that no flag of the
-    command takes is a usage error.
+    Without a known command (``sub`` is None), argparse reports the missing
+    or unknown one.  A key that no flag of the command takes is a usage
+    error.
     """
-    if not config:
-        return
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    sub = _subparsers(parser).get(command)
-    if sub is None:
+    if not config or sub is None:
         return
     actions = _actions(sub)
     unknown = sorted(set(config) - {a.dest for a in actions})
@@ -489,8 +491,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     try:
         config, rest = _extract_config(raw)
-        parser = _build_parser()
-        _apply_config(parser, config, rest)
+        # the command is the first token that is not an option, as the
+        # top-level parser takes no option with a value
+        command = next((tok for tok in rest if not tok.startswith("-")), None)
+        parser, sub = _build_parser(command)
+        _apply_config(sub, command, config)
         try:
             args = parser.parse_args(rest)
         except SystemExit as exc:  # --help / --version exit 0 inside argparse

@@ -11,6 +11,7 @@ import base64
 import dataclasses
 import datetime as dt
 import io
+import zlib
 from typing import Sequence
 
 import numpy as np
@@ -136,13 +137,20 @@ def array_route_case(route: str) -> tuple[Dataset, Dataset]:
             teams = {0: {"team1": "newcomer"}, 1: {"team2": "newcomer"}}.get(i, {})
             records.append(dataclasses.replace(rec, home=HomeSide.NEUTRAL, **teams))
         return train, Dataset(tuple(records), {pid: i for i, pid in enumerate(universe)})
+    if route == "split":
+        return split_by_cutoff(*split_route_league())
     league = simulate_dataset(SimConfig(seed=2, num_teams=8, matches_per_team=30, num_players=112)).dataset
     records = league.records
     cut = 3 * len(records) // 4
-    if route == "split":
-        return split_by_cutoff(parse_dataset(io.StringIO(serialize_dataset(league))), records[cut].date)
     halves = (records[:cut], records[cut:])
     return tuple(parse_dataset(io.StringIO(serialize_dataset(Dataset.from_records(h)))) for h in halves)
+
+
+def split_route_league() -> tuple[Dataset, dt.date]:
+    """The parsed league that the ``split`` route of :func:`array_route_case` splits, and its cutoff."""
+    league = simulate_dataset(SimConfig(seed=2, num_teams=8, matches_per_team=30, num_players=112)).dataset
+    cutoff = league.records[3 * league.n // 4].date
+    return parse_dataset(io.StringIO(serialize_dataset(league))), cutoff
 
 
 def dense_embedding(vec: MatchVector, num_players: int) -> np.ndarray:
@@ -211,21 +219,41 @@ def version_3_payload(payload: dict) -> dict:
     return dict(payload, version=3, hyper=dict(payload["hyper"], jitter=None), jitter_used=jitter)
 
 
+def inflated(obj: dict) -> np.ndarray:
+    """A model file's array: its data, base64 then zlib (version 7), in its dtype and shape."""
+    raw = zlib.decompress(base64.b64decode(obj["data"]))
+    return np.frombuffer(raw, obj["dtype"]).reshape(obj["shape"])
+
+
+def deflated(arr: np.ndarray) -> str:
+    """An array's bytes as a model file stores them: the base64 of their zlib stream."""
+    return base64.b64encode(zlib.compress(np.ascontiguousarray(arr).tobytes())).decode()
+
+
 def version_4_payload(payload: dict) -> dict:
     """A model payload laid out as version 4 wrote it: 4-byte lineups and home signs as a list."""
     signs = {"1": 1, "2": -1, "0": 0}
 
     def wide(obj: dict) -> dict:
-        arr = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).astype("<i4")
+        arr = inflated(obj).astype("<i4")
         return dict(obj, dtype="<i4", data=base64.b64encode(arr.tobytes()).decode())
 
     v4 = {"version": 4, "homes": [signs[t] for t in payload["homes"]]}
-    return dict(payload, **v4, plus=wide(payload["plus"]), minus=wide(payload["minus"]))
+    return dict(version_6_payload(payload), **v4, plus=wide(payload["plus"]), minus=wide(payload["minus"]))
 
 
 def version_5_payload(payload: dict) -> dict:
     """A model payload laid out as version 5 wrote it: the mode and dual coefficients, not weights."""
     n = len(payload["outcomes"])
     zeros = {"dtype": "<f8", "shape": [n], "data": base64.b64encode(np.zeros(n).tobytes()).decode()}
-    v5 = {k: v for k, v in payload.items() if k != "weights"}
+    v5 = {k: v for k, v in version_6_payload(payload).items() if k != "weights"}
     return dict(v5, version=5, mode=zeros, dual_coef=zeros)
+
+
+def version_6_payload(payload: dict) -> dict:
+    """A model payload laid out as version 6 wrote it: each array's bytes, not deflated."""
+    raw = {
+        key: dict(payload[key], data=base64.b64encode(inflated(payload[key]).tobytes()).decode())
+        for key in ("plus", "minus", "weights")
+    }
+    return dict(payload, version=6, **raw)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import base64
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +23,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    deflated,
+    inflated,
     version_1_payload,
     version_2_payload,
     version_3_payload,
     version_4_payload,
     version_5_payload,
+    version_6_payload,
 )
 import lineupgp
 from lineupgp import __version__, cli, gp
@@ -138,7 +143,7 @@ class TestTrainPredict:
     def test_model_file_shape(self, workspace):
         payload = json.loads(workspace["model"].read_text())
         assert payload["magic"] == "lineupgp/model"
-        assert payload["version"] == 6
+        assert payload["version"] == 7
         assert payload["hyper"]["sigma2"] == 1.0
         # 56 players: one byte per lineup index, one token per home
         assert payload["plus"]["dtype"] == payload["minus"]["dtype"] == "<u1"
@@ -597,7 +602,8 @@ _PATHS = [
     *[(key, part) for key in _ARRAYS for part in ("dtype", "shape", "data")],
 ]
 # one edit of a model payload: drop a field, give it a value of another
-# type, or xor one byte of an array's data with a mask
+# type, or xor one byte of an array with a mask, either of its values
+# ("flip", deflated again) or of its zlib stream ("garble")
 _EDIT = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(_PATHS), st.none()),
     st.tuples(
@@ -606,7 +612,7 @@ _EDIT = st.one_of(
         st.sampled_from([None, True, -1, 0, 2.5, float("nan"), 10**400, "x", [], [1], {}]),
     ),
     st.tuples(
-        st.just("flip"),
+        st.sampled_from(["flip", "garble"]),
         st.sampled_from([(key, "data") for key in _ARRAYS]),
         st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
     ),
@@ -635,6 +641,14 @@ def _numeric_flags(draw) -> tuple[str, list[str]]:
     return name, flags
 
 
+def _inflates(stream: bytes) -> bool:
+    try:
+        zlib.decompress(stream)
+    except zlib.error:
+        return False
+    return True
+
+
 def _damaged(payload: dict, edits: list) -> dict:
     for kind, path, arg in edits:
         parent = payload
@@ -648,9 +662,11 @@ def _damaged(payload: dict, edits: list) -> dict:
         elif kind == "swap":
             parent[path[-1]] = arg
         elif isinstance(parent[path[-1]], str) and parent[path[-1]] != "x":  # not swapped in
-            raw = bytearray(base64.b64decode(parent[path[-1]]))
+            stream = base64.b64decode(parent[path[-1]])
+            flip = kind == "flip" and _inflates(stream)  # an earlier garble may leave no stream
+            raw = bytearray(zlib.decompress(stream) if flip else stream)
             raw[arg[0] % len(raw)] ^= arg[1]
-            parent[path[-1]] = base64.b64encode(bytes(raw)).decode()
+            parent[path[-1]] = deflated(raw) if flip else base64.b64encode(raw).decode()
     return payload
 
 
@@ -661,6 +677,30 @@ class TestExitCodes:
         for command in ("train", "predict", "evaluate", "simulate", "heatmap", "elo-fit"):
             assert cli.run([command, "--help"]) == 0
             assert "usage" in capsys.readouterr().out
+
+    # cli_wording.json: the exit code, stdout and stderr of each argv, as the
+    # parser that added every command's flags on each run printed them under
+    # Python 3.11 at 80 columns; "{config}" stands for a config file that
+    # sets a flag only evaluate takes
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's wording differs across Python versions")
+    def test_help_and_usage_errors_read_as_when_every_command_was_built(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clip": True}))
+        cases = json.loads((Path(__file__).parent / "cli_wording.json").read_text(encoding="utf-8"))
+        for case in cases:
+            argv = [str(config) if tok == "{config}" else tok for tok in case["argv"]]
+            assert cli.run(argv) == case["code"], argv
+            assert capsys.readouterr() == (case["stdout"], case["stderr"]), argv
+
+    def test_parser_adds_only_the_flags_of_the_command_run(self):
+        for command in (None, "frobnicate", *cli._COMMANDS):
+            parser, sub = cli._build_parser(command)
+            (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            assert list(commands.choices) == list(cli._COMMANDS)
+            assert sub is commands.choices.get(command)
+            for name, p in commands.choices.items():
+                assert (len(p._actions) > 1) == (name == command), (command, name)
 
     def test_usage_errors_exit_1(self, workspace, tmp_path):
         train = str(workspace["train"])
@@ -750,8 +790,14 @@ class TestExitCodes:
             version_3_payload(payload),
             version_4_payload(payload),
             version_5_payload(payload),
+            version_6_payload(payload),
         )
-        for i, bad in enumerate((no_mode, misshaped, *old, huge_alpha, wrong_width, bad_homes)):
+        # zlib streams that are not one, end early, run on, inflate short or inflate past the shape
+        raw = inflated(payload["plus"]).tobytes()
+        stream = zlib.compress(raw)
+        streams = [raw, stream[:-5], stream + b"x", zlib.compress(raw[:-1]), zlib.compress(2 * raw)]
+        bad_streams = [dict(payload, plus=dict(payload["plus"], data=base64.b64encode(s).decode())) for s in streams]
+        for i, bad in enumerate((no_mode, misshaped, *old, *bad_streams, huge_alpha, wrong_width, bad_homes)):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(bad))
             assert cli.run(["predict", "--model", str(path), "--test", str(workspace["test"])]) == 2

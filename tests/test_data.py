@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE_DATE, make_record, player_ids, random_dataset
+from conftest import BASE_DATE, make_record, player_ids, random_dataset, split_route_league
 from lineupgp import data
 from lineupgp.data import (
     CSV_HEADER,
@@ -181,8 +181,9 @@ class TestDataset:
         again = Dataset(records=ds.records, registry=reordered)
         assert np.array_equal(again.arrays.lineups, ds.arrays.lineups)
 
-    def test_team_column_whichever_way_built(self):
-        # team1 and team2 of every record, in dataset order, on each route to the arrays
+    @staticmethod
+    def _built_every_way() -> tuple[Dataset, Dataset, list[Dataset]]:
+        """A random dataset, its parse, and datasets of its records from each route to the arrays."""
         ds = random_dataset(np.random.default_rng(12), 40, 50, num_teams=12)
         union = dict(reversed(ds.registry.items()))
         parsed = parse_dataset(io.StringIO(serialize_dataset(ds)))
@@ -195,12 +196,31 @@ class TestDataset:
             *split_by_cutoff(parsed, ds.records[15].date),
             *split_by_cutoff(ds, ds.records[15].date),
         ]
+        return ds, parsed, built
+
+    def test_team_column_whichever_way_built(self):
+        # team1 and team2 of every record, in dataset order, on each route to the arrays
+        ds, parsed, built = self._built_every_way()
         for each in built:
             teams = each.arrays.teams
             assert teams.dtype == object and teams.shape == (each.n, 2)
             assert teams.tolist() == [[rec.team1, rec.team2] for rec in each.records]
             assert all(type(team) is str for team in teams.ravel())
         assert parsed.arrays.teams.tolist() == ds.arrays.teams.tolist()
+
+    def test_date_column_whichever_way_built(self):
+        # every record's date, in dataset order, so ascending, on each route to the arrays
+        ds, parsed, built = self._built_every_way()
+        for each in built:
+            dates = each.arrays.dates
+            assert dates.dtype == np.dtype("datetime64[D]") and dates.shape == (each.n,)
+            assert dates.tolist() == [rec.date for rec in each.records]
+            assert np.all(dates[1:] >= dates[:-1])
+        # the far ends of the date range, through both paths
+        ends = [dt.date(1, 1, 1), dt.date(9999, 12, 31)]
+        far = Dataset.from_records(make_record(f"e{i}", P[:11], P[11:22], date=d) for i, d in enumerate(ends))
+        for each in (far, parse_dataset(io.StringIO(serialize_dataset(far)))):
+            assert each.arrays.dates.tolist() == ends
 
     def test_explicit_superset_registry_allowed(self):
         rec = make_record("m1", P[:11], P[11:22])
@@ -338,6 +358,31 @@ class TestParseErrors:
 
 
 class TestSplit:
+    def test_builds_no_records(self):
+        # the halves of the split route, and halves at the ends and between
+        # dates, against a filter of the parent's records, read after the split
+        parent, cutoff = split_route_league()
+        dates = sorted(set(parent.arrays.dates.tolist()))
+        between = dates[5] + dt.timedelta(days=1)
+        assert between not in dates
+        cutoffs = [cutoff, dates[0], dates[-1], dates[-1] + dt.timedelta(days=1), between]
+        for at in cutoffs:
+            parent, _ = split_route_league()
+            halves = split_by_cutoff(parent, at)
+            for ds in (parent, *halves):
+                assert "records" not in vars(ds)
+            before = np.array([rec.date < at for rec in parent.records])
+            for half, rows in zip(halves, (before, ~before)):
+                assert "records" not in vars(half)
+                assert half.registry is parent.registry
+                for name in ("lineups", "homes", "codes", "match_ids", "teams", "dates"):
+                    got, want = getattr(half.arrays, name), getattr(parent.arrays, name)[rows]
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+                assert half.records == tuple(rec for rec, row in zip(parent.records, rows) if row)
+            # a half of a half reads its records through its parent's
+            early, late = split_by_cutoff(halves[1], dates[-1])
+            assert early.records + late.records == halves[1].records
+
     def test_matches_brute_filter(self):
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, 30, 50)
@@ -560,7 +605,7 @@ def _assert_alike(got: Dataset | str, want: Dataset | str) -> None:
         assert got == want
     else:
         assert got.records == want.records
-        for name in ("lineups", "homes", "codes", "match_ids", "teams"):
+        for name in ("lineups", "homes", "codes", "match_ids", "teams", "dates"):
             assert getattr(got.arrays, name).tolist() == getattr(want.arrays, name).tolist()
         assert list(got.registry.items()) == list(want.registry.items())
 

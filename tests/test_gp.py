@@ -21,6 +21,7 @@ import logging
 import math
 import re
 import tracemalloc
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,8 @@ import scipy.linalg as sla
 
 from conftest import (
     brute_force_evidence,
+    deflated,
+    inflated,
     make_record,
     player_ids,
     random_dataset,
@@ -38,6 +41,7 @@ from conftest import (
     version_3_payload,
     version_4_payload,
     version_5_payload,
+    version_6_payload,
 )
 from lineupgp import gp
 from lineupgp.data import (
@@ -1546,12 +1550,11 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(fresh, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 6
-        lineups = [
-            np.frombuffer(base64.b64decode(payload[key]["data"]), payload[key]["dtype"])
-            for key in ("plus", "minus")
-        ]
+        assert payload["version"] == 7
+        lineups = [inflated(payload[key]) for key in ("plus", "minus")]
         assert [payload[key]["dtype"] for key in ("plus", "minus")] == [dtype, dtype]
+        # each inflates to 11 indices a match at that width
+        assert [arr.nbytes for arr in lineups] == [wide.n * 11 * np.dtype(dtype).itemsize] * 2
         assert max(int(arr.max()) for arr in lineups) == players - 1
         back = load_model(path)
         assert back.registry == fresh.registry
@@ -1599,6 +1602,10 @@ class TestModelPersistence:
         bad.write_text(json.dumps(version_5_payload(json.loads(path.read_text()))))
         with pytest.raises(DataError, match="version 5.*retrain"):
             load_model(bad)
+        # a version 6 file holds each array's bytes, not deflated
+        bad.write_text(json.dumps(version_6_payload(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="version 6.*retrain"):
+            load_model(bad)
 
     def test_rejects_corrupt_payloads(self, tmp_path):
         _, model = self._trained(seed=255)
@@ -1611,12 +1618,16 @@ class TestModelPersistence:
         null = sla.null_space(model.posterior.parts.x.toarray())[:, 0]
 
         def decoded(key):
-            obj = good[key]
-            return np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).reshape(obj["shape"])
+            return inflated(good[key])
 
         def with_array(key, arr, dtype=None):
-            data = base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode()
+            return with_data(key, deflated(arr), dtype)
+
+        def with_data(key, data, dtype=None):
             return dict(good, **{key: dict(good[key], dtype=dtype or good[key]["dtype"], data=data)})
+
+        def with_stream(key, stream):
+            return with_data(key, base64.b64encode(stream).decode())
 
         def with_entry(key, index, value):
             arr = decoded(key).copy()
@@ -1662,6 +1673,36 @@ class TestModelPersistence:
             path.write_text(json.dumps(bad))
             with pytest.raises(DataError):
                 load_model(path)
+        # each fault of an array's zlib stream, and the check that names it
+        raw = plus.tobytes()
+        stream = zlib.compress(raw)
+        need = len(raw)
+        bad_streams = [
+            (with_stream("plus", raw), "'plus' is not a valid zlib stream"),
+            (with_stream("plus", stream[:-5]), "'plus' ends before its zlib stream does"),
+            (with_stream("plus", stream + b"xyz"), "'plus' has 3 bytes after its zlib stream"),
+            (with_stream("plus", zlib.compress(raw[:-1])), f"'plus' holds {need - 1} bytes, its shape needs {need}"),
+        ]
+        for i, (bad, message) in enumerate(bad_streams):
+            path = tmp_path / f"stream{i}.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(DataError, match=message):
+                load_model(path)
+        # a small stream of 64 MB of zeros stops inflating at the array's size
+        deflater = zlib.compressobj()
+        chunk = bytes(1 << 20)
+        bomb = b"".join([*(deflater.compress(chunk) for _ in range(64)), deflater.flush()])
+        assert len(bomb) < 100_000
+        path = tmp_path / "bomb.json"
+        path.write_text(json.dumps(with_stream("plus", bomb)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"'plus' inflates past the {need} bytes its shape needs"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
     def test_rejects_non_finite_mode(self, tmp_path):
         # the mode and the factor are rebuilt from the weights, and prediction
@@ -1670,10 +1711,9 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        obj = payload["weights"]
-        weights = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).copy()
+        weights = inflated(payload["weights"]).copy()
         weights[1] = np.nan
-        payload["weights"] = dict(obj, data=base64.b64encode(weights.tobytes()).decode())
+        payload["weights"] = dict(payload["weights"], data=deflated(weights))
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="non-finite"):
             load_model(path)
