@@ -12,8 +12,8 @@ costs more than many commands do.  So this module imports only the error
 types and the CSV layer at load, and each command imports the modules it
 runs: ``--help`` and ``--version`` load neither, ``simulate`` loads only
 NumPy, and SciPy loads with the first command that fits, scores or draws a
-heat map.  Likewise the parser names every command but adds the flags of
-only the one it runs.
+heat map.  Likewise the parser adds the flags of only the command it runs,
+and names the other commands only where its help or errors could list them.
 """
 
 from __future__ import annotations
@@ -158,11 +158,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> tuple[_Parser, argparse.ArgumentParser | None]:
-    """The parser, naming every command but adding only ``command``'s flags, and its subparser.
+def _build_parser(
+    command: str | None, first: bool = False
+) -> tuple[_Parser, argparse.ArgumentParser | None]:
+    """The parser and its subparser for ``command``, the only one given flags.
 
-    argparse reads no subparser but the one of the command it runs, so
-    help and errors read the same without the other commands' flags.
+    argparse reads no subparser but the one of the command it runs, so help
+    and errors read the same without the other commands' flags.  The
+    top-level parser names the commands only in its own help and errors,
+    and those come only from tokens before the command: with a known
+    command ``first`` in the arguments, it adds no other command.
     """
     parser = _Parser(
         prog="lineupgp",
@@ -172,7 +177,10 @@ def _build_parser(command: str | None) -> tuple[_Parser, argparse.ArgumentParser
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
     sub.required = True
     chosen = None
+    alone = first and command in _COMMANDS
     for name, (help_text, add_flags) in _COMMANDS.items():
+        if alone and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         if name == command:
             add_flags(p)
@@ -494,7 +502,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         # the command is the first token that is not an option, as the
         # top-level parser takes no option with a value
         command = next((tok for tok in rest if not tok.startswith("-")), None)
-        parser, sub = _build_parser(command)
+        parser, sub = _build_parser(command, first=rest[:1] == [command])
         _apply_config(sub, command, config)
         try:
             args = parser.parse_args(rest)

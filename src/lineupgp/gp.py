@@ -69,18 +69,22 @@ evaluations, against 14-43 from an identity start.  The gradient's traces
 come from C^{-1}, packed and scaled in place, so a gradient builds no N x N
 array.
 
-A model file (version 7) stores the training set, hyperparameters and the
+A model file (version 8) stores the training set, hyperparameters and the
 weight mean m; loading rebuilds the record from them through the function
 a fit ends with, so under the same BLAS threads it is the fitted posterior
-bit for bit.  The lineups are most of a file, so each registry index is
-written in the narrowest little-endian unsigned type that holds P-1 (one
-byte up to 256 players, two up to 65,536, else four), and the outcomes and
-home signs as the CSV's tokens; the P+1 weights stay 8-byte floats.  Every
-array is stored as the base64 of the zlib stream (RFC 1950) of its bytes,
-which shrinks the lineups' sorted, often repeated indices by 60-80 % (the
-weights by under 10 %); load inflates each to no more than the bytes its
-dtype and a shape taken from the outcomes and the registry need.  The same
-fit always writes the same bytes with the same zlib.
+bit for bit.  Every array is stored as the base64 of the zlib stream (RFC
+1950) of its bytes: the registry as the UTF-8 of its JSON list of ids, the
+outcome codes and home signs as one signed byte each, and the P+1 weights
+as 8-byte floats.  The lineups are most of a file.  Each side of a lineup,
+its 11 registry indices sorted, is written as its first index and then the
+10 gaps between neighbours, each >= 1, in the narrowest little-endian
+unsigned type that holds P-1 (one byte up to 256 players, two up to
+65,536, else four), its bytes split into planes (every low byte, then
+every high byte), which deflate well.  The file's match count N and the
+registry's byte count fix the size every stream must inflate to before
+load inflates it, and a stream too short to reach that size, since deflate
+packs at most 1032 bytes into one byte, is rejected unread.  The same fit
+always writes the same bytes with the same zlib.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .data import _CODE_BY_TOKEN, _SIGN_BY_TOKEN, Dataset, MatchRecord
+from .data import Dataset, MatchRecord
 from .errors import DataError, NumericalError
 from .kernel import (
     PLAYERS_PER_SIDE,
@@ -138,7 +142,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "lineupgp/model"
-MODEL_VERSION = 7
+MODEL_VERSION = 8
 
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -927,11 +931,11 @@ def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
 
     used = 0
     init_ev = best_ev = -math.inf
-    best = init
+    best, best_theta = init, theta0
     last: LaplacePosterior | None = None
 
-    def evaluate(h: Hyperparams) -> LaplacePosterior:
-        nonlocal used, init_ev, best_ev, best, last
+    def evaluate(h: Hyperparams, theta: np.ndarray) -> LaplacePosterior:
+        nonlocal used, init_ev, best_ev, best, best_theta, last
         used += 1
         post = _laplace(parts, h) if last is None else _laplace(parts, h, last.weights, last.factor)
         # the next evaluation's Newton starts from this posterior's weights,
@@ -940,13 +944,13 @@ def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
         if h is init:
             init_ev = post.evidence
         if post.evidence > best_ev:
-            best_ev, best = post.evidence, h
+            best_ev, best, best_theta = post.evidence, h, theta
         return post
 
     def value(theta: np.ndarray) -> tuple[float, LaplacePosterior]:
         # round-tripping init through exp(log(.)) can slip an ulp, so its
         # point keeps the caller's exact object
-        post = evaluate(init if np.array_equal(theta, theta0) else hyper_at(theta))
+        post = evaluate(init if np.array_equal(theta, theta0) else hyper_at(theta), theta)
         # per match, so that the stopping tests do not depend on N
         return -post.evidence / n, post
 
@@ -958,11 +962,19 @@ def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
     try:
         if not np.array_equal(x0, theta0):
             # an init outside the box is still a candidate
-            _log_evaluation("init", evaluate(init))
+            _log_evaluation("init", evaluate(init, theta0))
+        stop = "evaluation budget used up"
         if used < budget:
-            stop = _projected_bfgs(value, gradient, x0, lo, hi, budget - used)
-        else:
-            stop = "evaluation budget used up"
+            stop, x, g = _projected_bfgs(value, gradient, x0, lo, hi, budget - used)
+            stuck = _on_plateau(x, g, lo)
+            if stuck.any() and used < budget:
+                # once, each stuck log moved back to its start, or to the
+                # middle of its range where the start was near the bound too
+                inside = np.where(x0 > lo + _MAX_MOVE, x0, 0.5 * (lo + hi))
+                restart, _, _ = _projected_bfgs(
+                    value, gradient, np.where(stuck, inside, x), lo, hi, budget - used
+                )
+                stop = f"{stop} on a plateau at a lower bound, then {restart} after a restart"
     except NumericalError as exc:
         stop = f"an evaluation failed: {exc}"
     logger.info(
@@ -973,7 +985,39 @@ def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
         init_ev,
         best_ev,
     )
+    # a probe step from a bound is on it
+    on_lo, on_hi = (np.abs(best_theta - b) <= _PROBE_STEP for b in (lo, hi))
+    if on_lo.any() or on_hi.any():
+        logger.warning(
+            "the search ended on a bound of its box (%s): sigma2 %.6g, sigma2_home %.6g, alpha %.6g",
+            ", ".join(
+                f"{name} at its {side} bound"
+                for name, low, high in zip(("sigma2", "sigma2_home", "alpha"), on_lo, on_hi)
+                for side, on in (("lower", low), ("upper", high))
+                if on
+            ),
+            best.kernel.sigma2,
+            best.kernel.sigma2_home,
+            best.alpha,
+        )
     return best
+
+
+def _on_plateau(x: np.ndarray, g: np.ndarray | None, lo: np.ndarray) -> np.ndarray:
+    """The logs within a step's largest move of their lower bound where f still falls inward.
+
+    Each coordinate is the log of a variable v = e^x, and df/dx = v df/dv:
+    as v -> 0 the gradient in x vanishes however steeply f falls in v, so
+    the box's lower corner is a plateau that the tests in x take for an
+    optimum (at sigma2 = 1e-12 on a 600-match league, df/dx is -8.5e-12 a
+    match, under gtol, where df/dv is -8.5; a search stopped there at
+    sigma2 = 1.00015e-12).  The test here is on the gradient in v,
+    -g e^{-x}, against gtol.  ``g`` is None where the search spent its
+    budget before a gradient at x.
+    """
+    if g is None:
+        return np.zeros(len(x), dtype=bool)
+    return (x <= lo + _MAX_MOVE) & (-g * np.exp(-x) > _SEARCH_OPTIONS["gtol"])
 
 
 def _log_evaluation(role: str, post: LaplacePosterior) -> None:
@@ -997,8 +1041,8 @@ def _projected_bfgs(
     lo: np.ndarray,
     hi: np.ndarray,
     evaluations: int,
-) -> str:
-    """Minimize a smooth function over the box [lo, hi] from x; return why it stopped.
+) -> tuple[str, np.ndarray, np.ndarray | None]:
+    """Minimize a smooth function over the box [lo, hi] from x; return why it stopped, and where.
 
     ``value(x)`` gives f(x) and the posterior ``gradient`` takes to give f's
     gradient there.  A gradient is computed only at x, at the probes and at
@@ -1019,13 +1063,15 @@ def _projected_bfgs(
     step s with gradient change y and s'y > 0.  The search stops when the
     projected gradient is within gtol, when the reduction the quadratic
     model predicts for a step, -g'd / 2, or the reduction a step made is
-    within ftol of max(|f|, 1), or when a line search fails.
+    within ftol of max(|f|, 1), or when a line search fails.  It returns
+    the reason, the last point accepted and f's gradient there (None if the
+    budget ran out at x).
     """
     f, post = value(x)
     _log_evaluation("init", post)
     evaluations -= 1
     if evaluations == 0:
-        return "evaluation budget used up"
+        return "evaluation budget used up", x, None
     g = gradient(post)
     n = len(x)
     diffs = np.empty((n, n))
@@ -1037,14 +1083,14 @@ def _projected_bfgs(
         _log_evaluation("probe", post)
         evaluations -= 1
         if evaluations == 0:
-            return "evaluation budget used up"
+            return "evaluation budget used up", x, g
         diffs[i] = (gradient(post) - g) / step
     curv, vecs = np.linalg.eigh(0.5 * (diffs + diffs.T))
     h = (vecs / np.maximum(np.abs(curv), _CURVATURE_FLOOR)) @ vecs.T
     eye = np.eye(n)
     while True:
         if np.max(np.abs(np.clip(x - g, lo, hi) - x)) <= _SEARCH_OPTIONS["gtol"]:
-            return "projected gradient within gtol"
+            return "projected gradient within gtol", x, g
         blocked = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
         d = -(h @ g)
         d[blocked] = 0.0
@@ -1053,24 +1099,24 @@ def _projected_bfgs(
             d[blocked] = 0.0
         d /= max(1.0, float(np.max(np.abs(d))) / _MAX_MOVE)
         if -0.5 * float(g @ d) <= _SEARCH_OPTIONS["ftol"] * max(abs(f), 1.0):
-            return "predicted reduction within ftol"
+            return "predicted reduction within ftol", x, g
         t = 1.0
         for _ in range(_LINE_SEARCH_TRIALS):
             x_t = np.clip(x + t * d, lo, hi)
             s = x_t - x
             if not s.any():
-                return "line search failed: the step vanished"
+                return "line search failed: the step vanished", x, g
             f_t, post = value(x_t)
             accepted = f_t <= f + _ARMIJO * float(g @ s)
             _log_evaluation("accepted" if accepted else "trial", post)
             evaluations -= 1
             if evaluations == 0:
-                return "evaluation budget used up"
+                return "evaluation budget used up", x, g
             if accepted:
                 break
             t *= 0.5
         else:
-            return f"line search failed: no sufficient decrease in {_LINE_SEARCH_TRIALS} trials"
+            return f"line search failed: no sufficient decrease in {_LINE_SEARCH_TRIALS} trials", x, g
         g_t = gradient(post)
         y = g_t - g
         sy = float(s @ y)
@@ -1080,7 +1126,7 @@ def _projected_bfgs(
         reduction = (f - f_t) / max(abs(f), abs(f_t), 1.0)
         x, f, g = x_t, f_t, g_t
         if reduction <= _SEARCH_OPTIONS["ftol"]:
-            return "relative reduction within ftol"
+            return "relative reduction within ftol", x, g
 
 
 @dataclass
@@ -1145,14 +1191,35 @@ def train_model(
     return GPModel(posterior=post, registry=dict(train.registry))
 
 
-def _encode_array(arr: np.ndarray, dtype: str) -> dict:
-    """``arr`` as ``dtype``: its shape, and the base64 of the zlib stream of its bytes."""
+def _encode_array(arr: np.ndarray, dtype: str, planes: bool = False) -> dict:
+    """``arr`` as ``dtype``: its shape, and the base64 of the zlib stream of its bytes.
+
+    With ``planes`` the bytes go plane by plane, the lowest byte of every
+    value, then the next byte of every value, and so on, so that small
+    integers leave runs of zero bytes; such a stream deflates at
+    ``_PLANES_LEVEL``, any other at zlib's default level.
+    """
     cast = np.ascontiguousarray(arr.astype(dtype))
+    raw = cast.reshape(-1, 1).view(np.uint8).T if planes else cast
+    level = _PLANES_LEVEL if planes else zlib.Z_DEFAULT_COMPRESSION
     return {
         "dtype": dtype,
         "shape": list(cast.shape),
-        "data": base64.b64encode(zlib.compress(cast.tobytes())).decode("ascii"),
+        "data": base64.b64encode(zlib.compress(raw.tobytes(), level)).decode("ascii"),
     }
+
+
+# the lineups' gaps repeat less than their indices did, and zlib's default
+# level 6 takes twice as long on them as level 4: 1.1 against 0.6 ms for
+# one side of cup3's 1290 matches (two-byte indices), for a model file
+# 2.2 % smaller
+_PLANES_LEVEL = 4
+
+
+def _encode_lineups(indices: np.ndarray, dtype: str) -> dict:
+    """One side of every lineup, its 11 indices sorted: each row's first index, then its gaps."""
+    side = indices.reshape(-1, PLAYERS_PER_SIDE)
+    return _encode_array(np.diff(side, axis=1, prepend=0), dtype, planes=True)
 
 
 def _index_dtype(p: int) -> str:
@@ -1169,6 +1236,14 @@ def _field(obj: dict, key: str, kind: type | tuple[type, ...]):
     return obj[key]
 
 
+def _count(obj: dict, key: str) -> int:
+    """``obj[key]``, checked to be an integer >= 1."""
+    value = _field(obj, key, int)
+    if isinstance(value, bool) or value < 1:
+        raise DataError(f"model field {key!r} must be an integer >= 1")
+    return value
+
+
 def _finite(obj: dict, key: str) -> float:
     value = _field(obj, key, (int, float))
     # false for NaN, for infinities and for integers past the float range
@@ -1177,12 +1252,18 @@ def _finite(obj: dict, key: str) -> float:
     return value
 
 
-def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``payload[key]`` checked against ``dtype``, ``shape`` and finiteness, as float64 or int64.
+# deflate codes at most 258 bytes in two bits, so no zlib stream inflates to
+# more than 1032 times its length
+_DEFLATE_RATIO = 1032
+
+
+def _inflate(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -> bytes:
+    """The bytes of ``payload[key]``, checked against ``dtype`` and ``shape``.
 
     ``shape`` comes from the rest of the file, never from the array, and
-    fixes the bytes its stream must inflate to, ``need`` (> 0, as a file
-    holds at least one match): inflation stops there, so a stream that
+    fixes the bytes its stream must inflate to, ``need`` (> 0, as every
+    count in a file is at least 1).  A stream too short to inflate to
+    ``need`` is not inflated, and inflation stops at ``need``: a stream that
     would inflate further costs no more memory than a valid one.
     """
     obj = _field(payload, key, dict)
@@ -1196,6 +1277,11 @@ def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise DataError(f"model array {key!r} is not base64: {exc}") from None
     need = np.dtype(dtype).itemsize * math.prod(shape)
+    if need > _DEFLATE_RATIO * len(stream):
+        raise DataError(
+            f"model array {key!r} needs {need} bytes, more than its {len(stream)}-byte "
+            "zlib stream can hold"
+        )
     inflater = zlib.decompressobj()
     try:
         raw = inflater.decompress(stream, need)
@@ -1211,7 +1297,20 @@ def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -
         raise DataError(f"model array {key!r} has {len(inflater.unused_data)} bytes after its zlib stream")
     if len(raw) != need:
         raise DataError(f"model array {key!r} holds {len(raw)} bytes, its shape needs {need}")
-    arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return raw
+
+
+def _decode_array(
+    payload: dict, key: str, dtype: str, shape: tuple[int, ...], planes: bool = False
+) -> np.ndarray:
+    """``payload[key]`` inflated (see _inflate) and checked for finiteness, as float64 or int64.
+
+    ``planes``: its bytes are stored plane by plane (see _encode_array).
+    """
+    raw = np.frombuffer(_inflate(payload, key, dtype, shape), dtype=np.uint8)
+    if planes:
+        raw = np.ascontiguousarray(raw.reshape(np.dtype(dtype).itemsize, -1).T)
+    arr = raw.view(dtype).reshape(shape)
     if arr.dtype.kind != "f":
         return arr.astype(np.int64)
     if not np.all(np.isfinite(arr)):
@@ -1219,28 +1318,47 @@ def _decode_array(payload: dict, key: str, dtype: str, shape: tuple[int, ...]) -
     return arr.astype(np.float64)
 
 
-def _encode_tokens(values: np.ndarray, table: dict[str, int]) -> str:
-    """The token of each value, under a table from tokens to values."""
-    token = dict(zip(table.values(), table))
-    return "".join(map(token.__getitem__, values.tolist()))
+def _decode_lineups(payload: dict, key: str, n: int, p: int) -> np.ndarray:
+    """One side of the N lineups from its first indices and gaps, checked against P players."""
+    gaps = _decode_array(payload, key, _index_dtype(p), (n, PLAYERS_PER_SIDE), planes=True)
+    if np.any(gaps[:, 1:] < 1):
+        raise DataError(f"model lineups {key!r} hold a gap below 1")
+    # in int64, so no sum of 11 indices overflows
+    side = np.cumsum(gaps, axis=1)
+    if np.any(side[:, -1] >= p):
+        raise DataError("model lineups index players outside the registry")
+    return side
 
 
-def _decode_tokens(payload: dict, key: str, table: dict[str, int], what: str) -> np.ndarray:
-    """The values of the tokens in ``payload[key]``, under a table from tokens to values."""
+def _decode_registry(payload: dict) -> list[str]:
+    """The player ids, from the UTF-8 of their JSON list, checked to be unique strings."""
+    raw = _inflate(payload, "registry", "<u1", (_count(payload, "registry_bytes"),))
     try:
-        return np.array([table[t] for t in _field(payload, key, str)], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"unknown {what} token {exc.args[0]!r} in the model file") from None
+        ids = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise DataError(f"model registry is not a JSON list in UTF-8: {exc}") from None
+    if not isinstance(ids, list) or not all(isinstance(pid, str) for pid in ids):
+        raise DataError("model registry must list player ids")
+    if len(set(ids)) != len(ids):
+        raise DataError("model registry must list unique player ids")
+    return ids
 
 
 def save_model(model: GPModel, path: str | Path) -> None:
     """Versioned JSON of all a fit cannot derive; load_model rebuilds the rest bit for bit.
 
-    Each array goes through :func:`_encode_array`, deflated at zlib's
-    default level; the other fields stay plain JSON.
+    Every array goes through :func:`_encode_array`, deflated: the registry
+    as the UTF-8 of its JSON list of ids, the outcome codes and home signs
+    as one signed byte each, each side of every lineup as its first
+    registry index and then its gaps, in byte planes, and the weights as
+    8-byte floats.  ``matches`` and ``registry_bytes`` fix the size of every
+    stream before load_model inflates it; the hyperparameters and the other
+    scalars stay plain JSON.
     """
     post = model.posterior
     ids = sorted(model.registry, key=model.registry.__getitem__)
+    # ASCII: json escapes every other character, so any id string round-trips
+    registry = json.dumps(ids, separators=(",", ":")).encode("utf-8")
     parts = post.parts
     z = parts.z
     index = _index_dtype(len(ids))
@@ -1256,12 +1374,14 @@ def save_model(model: GPModel, path: str | Path) -> None:
         # and load_model ignores it
         "jitter_used": 0.0,
         "newton_iters": post.newton_iters,
-        "registry": ids,
-        "outcomes": _encode_tokens(parts.codes, _CODE_BY_TOKEN),
-        "homes": _encode_tokens(parts.homes, _SIGN_BY_TOKEN),
+        "matches": len(parts.codes),
+        "registry_bytes": len(registry),
+        "registry": _encode_array(np.frombuffer(registry, dtype=np.uint8), "<u1"),
+        "outcomes": _encode_array(parts.codes, "<i1"),
+        "homes": _encode_array(parts.homes, "<i1"),
         # rows of Z hold their 22 entries sorted by column
-        "plus": _encode_array(z.indices[z.data > 0].reshape(-1, PLAYERS_PER_SIDE), index),
-        "minus": _encode_array(z.indices[z.data < 0].reshape(-1, PLAYERS_PER_SIDE), index),
+        "plus": _encode_lineups(z.indices[z.data > 0], index),
+        "minus": _encode_lineups(z.indices[z.data < 0], index),
         "weights": _encode_array(post.weights, "<f8"),
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
@@ -1271,7 +1391,7 @@ def load_model(path: str | Path) -> GPModel:
     """Read a model file and rebuild its posterior at its weights; defects raise DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
         raise DataError(f"cannot read model file {path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
         raise DataError(f"{path} is not a lineupgp model file")
@@ -1292,25 +1412,15 @@ def load_model(path: str | Path) -> GPModel:
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer past the float range
         raise DataError(f"model hyperparameters are invalid: {exc}") from None
 
-    ids = _field(payload, "registry", list)
-    if not all(isinstance(pid, str) for pid in ids) or len(set(ids)) != len(ids):
-        raise DataError("model registry must list unique player ids")
-    codes = _decode_tokens(payload, "outcomes", _CODE_BY_TOKEN, "outcome")
-    n = len(codes)
-    if n < 1:
-        raise DataError("model file holds no training matches")
-    homes = _decode_tokens(payload, "homes", _SIGN_BY_TOKEN, "home")
-    if len(homes) != n:
-        raise DataError(f"model 'homes' holds {len(homes)} home tokens, expected {n}")
-    index = _index_dtype(len(ids))
-    plus = _decode_array(payload, "plus", index, (n, PLAYERS_PER_SIDE))
-    minus = _decode_array(payload, "minus", index, (n, PLAYERS_PER_SIDE))
-    lineups = np.concatenate([plus, minus], axis=1)
-    if np.any(lineups >= len(ids)):
-        raise DataError("model lineups index players outside the registry")
-    if np.any(np.diff(plus, axis=1) <= 0) or np.any(np.diff(minus, axis=1) <= 0):
-        raise DataError("model lineups must be strictly increasing")
-    if np.any(np.diff(np.sort(lineups, axis=1), axis=1) == 0):
+    n = _count(payload, "matches")
+    ids = _decode_registry(payload)
+    codes = _decode_array(payload, "outcomes", "<i1", (n,))
+    homes = _decode_array(payload, "homes", "<i1", (n,))
+    for key, values in (("outcomes", codes), ("homes", homes)):
+        if np.any(np.abs(values) > 1):
+            raise DataError(f"model {key!r} holds a value other than -1, 0 or 1")
+    plus, minus = (_decode_lineups(payload, key, n, len(ids)) for key in ("plus", "minus"))
+    if np.any(np.diff(np.sort(np.concatenate([plus, minus], axis=1), axis=1), axis=1) == 0):
         raise DataError("a model lineup puts a player on both sides")
     newton_iters = _field(payload, "newton_iters", int)
     if newton_iters < 0:

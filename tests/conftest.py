@@ -11,6 +11,7 @@ import base64
 import dataclasses
 import datetime as dt
 import io
+import json
 import zlib
 from typing import Sequence
 
@@ -194,15 +195,17 @@ def brute_force_evidence(
 
 def version_1_payload(payload: dict) -> dict:
     """A model payload laid out as version 1 wrote it: the full N x N factor of B."""
-    n = len(payload["outcomes"])
+    v6 = version_6_payload(payload)
+    n = len(v6["outcomes"])
     eye = base64.b64encode(np.eye(n).tobytes()).decode()
-    v1 = {k: v for k, v in payload.items() if k != "chol"}
+    v1 = {k: v for k, v in v6.items() if k != "chol"}
     return dict(v1, version=1, chol_b={"dtype": "<f8", "shape": [n, n], "data": eye})
 
 
 def version_2_payload(payload: dict) -> dict:
     """A model payload laid out as version 2 wrote it: derived arrays and one packed factor."""
-    n = len(payload["outcomes"])
+    v6 = version_6_payload(payload)
+    n = len(v6["outcomes"])
 
     def array(values: np.ndarray) -> dict:
         data = base64.b64encode(values.tobytes()).decode()
@@ -210,17 +213,21 @@ def version_2_payload(payload: dict) -> dict:
 
     packed = np.eye(n)[np.tri(n, dtype=bool)]
     derived = {"grad": array(np.zeros(n)), "sqrt_w": array(np.ones(n)), "loglik": 0.0}
-    return dict(payload, version=2, chol=array(packed), **derived)
+    return dict(v6, version=2, chol=array(packed), **derived)
 
 
 def version_3_payload(payload: dict) -> dict:
     """A model payload laid out as version 3 wrote it: with the jitter its fit added to K."""
     jitter = 1e-6 * payload["hyper"]["sigma2"]
-    return dict(payload, version=3, hyper=dict(payload["hyper"], jitter=None), jitter_used=jitter)
+    v6 = version_6_payload(payload)
+    return dict(v6, version=3, hyper=dict(payload["hyper"], jitter=None), jitter_used=jitter)
 
 
 def inflated(obj: dict) -> np.ndarray:
-    """A model file's array: its data, base64 then zlib (version 7), in its dtype and shape."""
+    """A model file's array: its data, base64 then zlib, as its dtype in its shape.
+
+    The lineups' data are their gaps in byte planes: :func:`lineup_side` reads them.
+    """
     raw = zlib.decompress(base64.b64decode(obj["data"]))
     return np.frombuffer(raw, obj["dtype"]).reshape(obj["shape"])
 
@@ -230,30 +237,90 @@ def deflated(arr: np.ndarray) -> str:
     return base64.b64encode(zlib.compress(np.ascontiguousarray(arr).tobytes())).decode()
 
 
+def lineup_side(obj: dict) -> np.ndarray:
+    """One side of a version 8 file's lineups, (N, 11) registry indices, as int64.
+
+    The file holds each row's first index, then its gaps, in the narrowest
+    unsigned width, its bytes split into planes: every value's low byte,
+    then every value's next byte.
+    """
+    raw = zlib.decompress(base64.b64decode(obj["data"]))
+    width = np.dtype(obj["dtype"]).itemsize
+    planes = np.frombuffer(raw, np.uint8).reshape(width, -1)
+    gaps = np.ascontiguousarray(planes.T).view(obj["dtype"]).reshape(obj["shape"])
+    return np.cumsum(gaps.astype(np.int64), axis=1)
+
+
+def side_data(side: np.ndarray, dtype: str) -> str:
+    """The data of one side of the lineups, (N, 11) indices, as a version 8 file stores it.
+
+    Gaps that are 0 or negative wrap around in the unsigned width, as a file could hold them.
+    """
+    gaps = np.diff(np.asarray(side, dtype=np.int64), axis=1, prepend=0).astype(dtype)
+    return deflated(gaps.reshape(-1, 1).view(np.uint8).T)
+
+
+def registry_ids(payload: dict) -> list[str]:
+    """A version 8 file's player ids: its registry holds the UTF-8 of their JSON list."""
+    return json.loads(zlib.decompress(base64.b64decode(payload["registry"]["data"])).decode("utf-8"))
+
+
+def with_registry_text(payload: dict, text: bytes) -> dict:
+    """The payload with its registry stream holding ``text``, and its byte count to match."""
+    registry = dict(payload["registry"], shape=[len(text)], data=deflated(np.frombuffer(text, np.uint8)))
+    return dict(payload, registry=registry, registry_bytes=len(text))
+
+
+def version_7_payload(payload: dict) -> dict:
+    """A model payload laid out as version 7 wrote it from a version 8 one.
+
+    The registry as a JSON list, the outcomes and home signs as the CSV's
+    tokens, and the lineups' indices deflated as they are, not as gaps.
+    """
+    outcome = {1: "W", 0: "D", -1: "L"}
+    home = {1: "1", -1: "2", 0: "0"}
+    v7 = {k: v for k, v in payload.items() if k not in ("matches", "registry_bytes")}
+    lineups = {
+        key: dict(payload[key], data=deflated(lineup_side(payload[key]).astype(payload[key]["dtype"])))
+        for key in ("plus", "minus")
+    }
+    return dict(
+        v7,
+        version=7,
+        registry=registry_ids(payload),
+        outcomes="".join(outcome[c] for c in inflated(payload["outcomes"]).tolist()),
+        homes="".join(home[h] for h in inflated(payload["homes"]).tolist()),
+        **lineups,
+    )
+
+
 def version_4_payload(payload: dict) -> dict:
     """A model payload laid out as version 4 wrote it: 4-byte lineups and home signs as a list."""
     signs = {"1": 1, "2": -1, "0": 0}
+    v6 = version_6_payload(payload)
 
     def wide(obj: dict) -> dict:
-        arr = inflated(obj).astype("<i4")
+        arr = np.frombuffer(base64.b64decode(obj["data"]), obj["dtype"]).astype("<i4")
         return dict(obj, dtype="<i4", data=base64.b64encode(arr.tobytes()).decode())
 
-    v4 = {"version": 4, "homes": [signs[t] for t in payload["homes"]]}
-    return dict(version_6_payload(payload), **v4, plus=wide(payload["plus"]), minus=wide(payload["minus"]))
+    v4 = {"version": 4, "homes": [signs[t] for t in v6["homes"]]}
+    return dict(v6, **v4, plus=wide(v6["plus"]), minus=wide(v6["minus"]))
 
 
 def version_5_payload(payload: dict) -> dict:
     """A model payload laid out as version 5 wrote it: the mode and dual coefficients, not weights."""
-    n = len(payload["outcomes"])
+    v6 = version_6_payload(payload)
+    n = len(v6["outcomes"])
     zeros = {"dtype": "<f8", "shape": [n], "data": base64.b64encode(np.zeros(n).tobytes()).decode()}
-    v5 = {k: v for k, v in version_6_payload(payload).items() if k != "weights"}
+    v5 = {k: v for k, v in v6.items() if k != "weights"}
     return dict(v5, version=5, mode=zeros, dual_coef=zeros)
 
 
 def version_6_payload(payload: dict) -> dict:
-    """A model payload laid out as version 6 wrote it: each array's bytes, not deflated."""
+    """A model payload laid out as version 6 wrote it: version 7's arrays, not deflated."""
+    v7 = version_7_payload(payload)
     raw = {
-        key: dict(payload[key], data=base64.b64encode(inflated(payload[key]).tobytes()).decode())
+        key: dict(v7[key], data=base64.b64encode(inflated(v7[key]).tobytes()).decode())
         for key in ("plus", "minus", "weights")
     }
-    return dict(payload, version=6, **raw)
+    return dict(v7, version=6, **raw)

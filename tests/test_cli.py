@@ -31,6 +31,7 @@ from conftest import (
     version_4_payload,
     version_5_payload,
     version_6_payload,
+    version_7_payload,
 )
 import lineupgp
 from lineupgp import __version__, cli, gp
@@ -143,12 +144,15 @@ class TestTrainPredict:
     def test_model_file_shape(self, workspace):
         payload = json.loads(workspace["model"].read_text())
         assert payload["magic"] == "lineupgp/model"
-        assert payload["version"] == 7
+        assert payload["version"] == 8
         assert payload["hyper"]["sigma2"] == 1.0
-        # 56 players: one byte per lineup index, one token per home
+        # 56 players: one byte per lineup index; one signed byte per outcome and per home
         assert payload["plus"]["dtype"] == payload["minus"]["dtype"] == "<u1"
-        assert len(payload["homes"]) == len(payload["outcomes"])
-        assert set(payload["homes"]) <= {"1", "2", "0"}
+        for key in ("outcomes", "homes"):
+            assert payload[key]["dtype"] == "<i1" and payload[key]["shape"] == [payload["matches"]]
+            assert set(inflated(payload[key]).tolist()) <= {-1, 0, 1}
+        registry = zlib.decompress(base64.b64decode(payload["registry"]["data"]))
+        assert len(registry) == payload["registry_bytes"] and len(json.loads(registry)) == 56
 
     def test_predict_to_file(self, workspace, tmp_path):
         out = tmp_path / "preds.csv"
@@ -219,7 +223,7 @@ class TestTrainPredict:
         out = tmp_path / "model.json"
         hyper = ["--sigma2", "0.0528", "--sigma2-home", "0.9995", "--alpha", "0.4274"]
         assert cli.run(["train", "--train", str(train), "--model-out", str(out), *hyper]) == 0
-        assert len(json.loads(out.read_text())["outcomes"]) == 600
+        assert json.loads(out.read_text())["matches"] == 600
 
     def test_train_where_newton_residual_stalls(self, tmp_path):
         # seed 65's first 600 matches at extreme hyperparameters: Psi stops
@@ -594,10 +598,10 @@ class TestConfigFile:
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "s.csv").exists()
 
 
-_ARRAYS = ("plus", "minus", "weights")
+_ARRAYS = ("registry", "outcomes", "homes", "plus", "minus", "weights")
 _PATHS = [
     *[(key,) for key in ("magic", "version", "hyper", "jitter_used", "newton_iters")],
-    *[(key,) for key in ("registry", "outcomes", "homes", *_ARRAYS)],
+    *[(key,) for key in ("matches", "registry_bytes", *_ARRAYS)],
     *[("hyper", key) for key in ("sigma2", "sigma2_home", "log_alpha")],
     *[(key, part) for key in _ARRAYS for part in ("dtype", "shape", "data")],
 ]
@@ -693,14 +697,49 @@ class TestExitCodes:
             assert cli.run(argv) == case["code"], argv
             assert capsys.readouterr() == (case["stdout"], case["stderr"]), argv
 
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's wording differs across Python versions")
+    def test_help_before_a_command_names_every_command(self, monkeypatch, capsys):
+        # the top level's help, as --help prints it, though a command follows
+        monkeypatch.setenv("COLUMNS", "80")
+        cases = json.loads((Path(__file__).parent / "cli_wording.json").read_text(encoding="utf-8"))
+        (top,) = [case for case in cases if case["argv"] == ["--help"]]
+        for argv in (["-h", "train"], ["--help", "elo-fit", "--train", "a.csv"]):
+            assert cli.run(argv) == 0, argv
+            assert capsys.readouterr() == (top["stdout"], top["stderr"]), argv
+
     def test_parser_adds_only_the_flags_of_the_command_run(self):
         for command in (None, "frobnicate", *cli._COMMANDS):
-            parser, sub = cli._build_parser(command)
-            (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            assert list(commands.choices) == list(cli._COMMANDS)
-            assert sub is commands.choices.get(command)
-            for name, p in commands.choices.items():
-                assert (len(p._actions) > 1) == (name == command), (command, name)
+            for first in (False, True):
+                parser, sub = cli._build_parser(command, first)
+                (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+                alone = first and command in cli._COMMANDS
+                assert list(commands.choices) == ([command] if alone else list(cli._COMMANDS))
+                assert sub is commands.choices.get(command)
+                for name, p in commands.choices.items():
+                    assert (len(p._actions) > 1) == (name == command), (command, name)
+
+    def test_a_command_given_first_builds_two_parsers(self, monkeypatch, capsys):
+        # the top level and the command's own; a token before the command
+        # may print the top level's help, which names every command
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        for argv, parsers in (
+            (["train", "--help"], 2),
+            (["elo-fit", "--train"], 2),
+            (["-h", "train"], 1 + len(cli._COMMANDS)),
+            (["--version"], 1 + len(cli._COMMANDS)),
+            (["frobnicate"], 1 + len(cli._COMMANDS)),
+        ):
+            built.clear()
+            cli.run(argv)
+            assert len(built) == parsers, (argv, built)
+        capsys.readouterr()
 
     def test_usage_errors_exit_1(self, workspace, tmp_path):
         train = str(workspace["train"])
@@ -742,18 +781,26 @@ class TestExitCodes:
         not_model.write_text('{"magic": "something-else"}')
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{broken")
+        # model files that are not UTF-8, or nest deeper than the JSON decoder recurses
+        not_utf8 = tmp_path / "binary.json"
+        not_utf8.write_bytes(b"\xff\xfe{")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
         test = str(workspace["test"])
         cases = [
             ["train", "--train", missing, "--model-out", str(tmp_path / "m.json")],
             ["train", "--train", str(malformed), "--model-out", str(tmp_path / "m.json")],
             ["predict", "--model", str(not_model), "--test", test],
             ["predict", "--model", str(garbage), "--test", test],
+            ["predict", "--model", str(not_utf8), "--test", test],
+            ["predict", "--model", str(deep), "--test", test],
             ["predict", "--model", str(workspace["model"]), "--test", missing],
             ["elo-fit", "--train", str(malformed)],
         ]
         for argv in cases:
             assert cli.run(argv) == 2, argv
-            assert "data error" in capsys.readouterr().err
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and err[0].startswith("data error:"), (argv, err)
 
     def test_undecodable_or_overlong_input_exits_2(self, workspace, tmp_path, capsys):
         lines = workspace["train"].read_bytes().split(b"\n")
@@ -783,7 +830,10 @@ class TestExitCodes:
         misshaped = dict(payload, weights=dict(payload["weights"], shape=[n + 1]))
         huge_alpha = dict(payload, hyper=dict(payload["hyper"], log_alpha=math.log(400.0)))
         wrong_width = dict(payload, plus=dict(payload["plus"], dtype="<u2"))
-        bad_homes = dict(payload, homes="H" + payload["homes"][1:])
+        homes = inflated(payload["homes"]).copy()
+        homes[0] = 2
+        bad_homes = dict(payload, homes=dict(payload["homes"], data=deflated(homes)))
+        no_count = {k: v for k, v in payload.items() if k != "matches"}
         old = (
             version_1_payload(payload),
             version_2_payload(payload),
@@ -791,13 +841,18 @@ class TestExitCodes:
             version_4_payload(payload),
             version_5_payload(payload),
             version_6_payload(payload),
+            version_7_payload(payload),
         )
-        # zlib streams that are not one, end early, run on, inflate short or inflate past the shape
-        raw = inflated(payload["plus"]).tobytes()
-        stream = zlib.compress(raw)
-        streams = [raw, stream[:-5], stream + b"x", zlib.compress(raw[:-1]), zlib.compress(2 * raw)]
-        bad_streams = [dict(payload, plus=dict(payload["plus"], data=base64.b64encode(s).decode())) for s in streams]
-        for i, bad in enumerate((no_mode, misshaped, *old, *bad_streams, huge_alpha, wrong_width, bad_homes)):
+        # zlib streams that are not one, end early, run on, inflate short or
+        # inflate past the shape, in each of the file's streams
+        bad_streams = []
+        for key in _ARRAYS:
+            raw = zlib.decompress(base64.b64decode(payload[key]["data"]))
+            stream = zlib.compress(raw)
+            for s in (raw, stream[:-5], stream + b"x", zlib.compress(raw[:-1]), zlib.compress(2 * raw)):
+                bad_streams.append(dict(payload, **{key: dict(payload[key], data=base64.b64encode(s).decode())}))
+        cases = (no_mode, misshaped, *old, *bad_streams, huge_alpha, wrong_width, bad_homes, no_count)
+        for i, bad in enumerate(cases):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(bad))
             assert cli.run(["predict", "--model", str(path), "--test", str(workspace["test"])]) == 2

@@ -42,6 +42,11 @@ from conftest import (
     version_4_payload,
     version_5_payload,
     version_6_payload,
+    version_7_payload,
+    lineup_side,
+    registry_ids,
+    side_data,
+    with_registry_text,
 )
 from lineupgp import gp
 from lineupgp.data import (
@@ -1479,6 +1484,56 @@ class TestOptimize:
         monkeypatch.undo()
         assert log_marginal(fit(default_league, best)) >= log_marginal(fit(default_league, init))
 
+    # the fixed grid of starts: sigma2, sigma2_home and alpha each at three values
+    _GRID = list(itertools.product((0.01, 0.09, 3.0), (0.01, 1.0, 10.0), (0.1, 0.45, 2.0)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_start_reaches_the_best_evidence(self, seed, caplog):
+        # the first 600 matches of `simulate --seed`; at seed 1 the three
+        # starts at sigma2 = 0.01, alpha = 2 stopped on the plateau at
+        # sigma2 = 1e-12 (evidence -623.289, against -608.682)
+        league = Dataset.from_records(simulate_dataset(SimConfig(seed=seed)).dataset.records[:600])
+        found = {}
+        with caplog.at_level(logging.INFO, logger=gp.__name__):
+            for start in self._GRID:
+                caplog.clear()
+                best = optimize_hyperparams(league, Hyperparams.create(*start), budget=200)
+                found[start] = (log_marginal(fit(league, best)), _search_summary(caplog)[1])
+                assert not [r for r in caplog.records if r.levelno >= logging.WARNING], start
+        top = max(ev for ev, _ in found.values())
+        for start, (ev, stop) in found.items():
+            assert top - ev <= 1e-6 * abs(top), (start, ev, top, stop)
+        restarted = [start for start, (_, stop) in found.items() if "restart" in stop]
+        assert restarted == ([(0.01, s, 2.0) for s in (0.01, 1.0, 10.0)] if seed else []), restarted
+
+    def test_plateau_at_the_lower_bound_restarts_once(self, caplog):
+        # a start whose search ran onto the plateau (above) restarts from
+        # its sigma2 and reaches the other starts' optimum
+        league = Dataset.from_records(simulate_dataset(SimConfig(seed=1)).dataset.records[:600])
+        with caplog.at_level(logging.INFO, logger=gp.__name__):
+            best = optimize_hyperparams(league, Hyperparams.create(0.01, 1.0, 2.0), budget=200)
+        used, stop = _search_summary(caplog)
+        assert stop.startswith("projected gradient within gtol on a plateau at a lower bound, then ")
+        assert stop.endswith(" after a restart") and used <= 40, (used, stop)
+        assert log_marginal(fit(league, best)) >= -608.6819039
+
+    def test_warns_when_the_search_ends_on_a_bound(self, caplog):
+        # the first 600 matches of `simulate --seed 16`: the evidence rises
+        # as sigma2_home -> 0 (test_home_scale_towards_zero), and a search
+        # that starts there stays on the bound; a gradient pointing out of
+        # the box is no plateau, so the search does not restart
+        league = Dataset.from_records(simulate_dataset(SimConfig(seed=16)).dataset.records[:600])
+        init = Hyperparams.create(sigma2=0.09, sigma2_home=0.0, alpha=0.45)
+        with caplog.at_level(logging.INFO, logger=gp.__name__):
+            best = optimize_hyperparams(league, init, budget=200)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "the search ended on a bound of its box (sigma2_home at its lower bound): "
+            f"sigma2 {best.kernel.sigma2:.6g}, sigma2_home {best.kernel.sigma2_home:.6g}, alpha {best.alpha:.6g}"
+        ]
+        assert best.kernel.sigma2_home <= 1.001e-12
+        assert "restart" not in _search_summary(caplog)[1]
+
 
 def _search_summary(caplog) -> tuple[int, str]:
     """The evaluations used and the stop reason, from the search's one INFO line."""
@@ -1550,11 +1605,12 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(fresh, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 7
-        lineups = [inflated(payload[key]) for key in ("plus", "minus")]
+        assert payload["version"] == 8
+        lineups = [lineup_side(payload[key]) for key in ("plus", "minus")]
         assert [payload[key]["dtype"] for key in ("plus", "minus")] == [dtype, dtype]
-        # each inflates to 11 indices a match at that width
-        assert [arr.nbytes for arr in lineups] == [wide.n * 11 * np.dtype(dtype).itemsize] * 2
+        # each inflates to 11 values a match at that width
+        raw = [zlib.decompress(base64.b64decode(payload[key]["data"])) for key in ("plus", "minus")]
+        assert [len(r) for r in raw] == [wide.n * 11 * np.dtype(dtype).itemsize] * 2
         assert max(int(arr.max()) for arr in lineups) == players - 1
         back = load_model(path)
         assert back.registry == fresh.registry
@@ -1606,13 +1662,18 @@ class TestModelPersistence:
         bad.write_text(json.dumps(version_6_payload(json.loads(path.read_text()))))
         with pytest.raises(DataError, match="version 6.*retrain"):
             load_model(bad)
+        # a version 7 file holds the registry, outcomes and homes as plain JSON
+        bad.write_text(json.dumps(version_7_payload(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match=r"unsupported model version 7 \(this build reads version 8; retrain"):
+            load_model(bad)
 
     def test_rejects_corrupt_payloads(self, tmp_path):
         _, model = self._trained(seed=255)
         path = tmp_path / "model.json"
         save_model(model, path)
         good = json.loads(path.read_text())
-        width = len(good["registry"]) + 1
+        width = len(registry_ids(good)) + 1
+        n = good["matches"]
         # 18 matches over 40 players: X has a null space, along which the
         # weights move and the mode does not
         null = sla.null_space(model.posterior.parts.x.toarray())[:, 0]
@@ -1626,19 +1687,23 @@ class TestModelPersistence:
         def with_data(key, data, dtype=None):
             return dict(good, **{key: dict(good[key], dtype=dtype or good[key]["dtype"], data=data)})
 
-        def with_stream(key, stream):
-            return with_data(key, base64.b64encode(stream).decode())
-
         def with_entry(key, index, value):
             arr = decoded(key).copy()
             arr[index] = value
             return with_array(key, arr)
 
-        plus = decoded("plus")
+        def with_side(key, side, dtype="<u1"):
+            return with_data(key, side_data(side, dtype), dtype)
+
+        def with_lineup_entry(key, index, value):
+            side = lineup_side(good[key])
+            side[index] = value
+            return with_side(key, side)
+
+        plus = lineup_side(good["plus"])
         assert good["plus"]["dtype"] == "<u1"
-        # lineups are unsigned: the largest index their width holds stands
-        # for a negative one, outside the registry either way
-        top = np.iinfo(plus.dtype).max
+        ids = registry_ids(good)
+        text = json.dumps(ids).encode()
         bad_payloads = [
             {k: v for k, v in good.items() if k != "weights"},
             {k: v for k, v in good.items() if k != "hyper"},
@@ -1648,21 +1713,36 @@ class TestModelPersistence:
             dict(good, weights=dict(good["weights"], shape=[width + 1])),
             dict(good, weights=dict(good["weights"], dtype="<f4")),
             with_array("weights", decoded("weights")[:-1]),
-            dict(good, outcomes=good["outcomes"][:-1]),
-            dict(good, outcomes="X" + good["outcomes"][1:]),
-            dict(good, homes=good["homes"][:-1]),
-            dict(good, homes="3" + good["homes"][1:]),
-            dict(good, homes="-" + good["homes"][1:]),
-            # version 4's home signs
-            dict(good, homes=[{"1": 1, "2": -1, "0": 0}[t] for t in good["homes"]]),
-            dict(good, registry=good["registry"][:-1] + good["registry"][:1]),
-            with_entry("plus", (0, -1), len(good["registry"])),
-            with_entry("plus", (0, 0), top),
-            with_array("plus", plus[:, ::-1]),
+            # the counts: missing, floats, or off by one (below 1: see below)
+            *({k: v for k, v in good.items() if k != key} for key in ("matches", "registry_bytes")),
+            *(dict(good, **{key: 1.0}) for key in ("matches", "registry_bytes")),
+            dict(good, matches=n - 1),
+            dict(good, matches=n + 1),
+            dict(good, registry_bytes=good["registry_bytes"] + 1),
+            # outcome codes and home signs: one short, in version 7's tokens, or
+            # four bytes wide (out of range: see below)
+            with_array("outcomes", decoded("outcomes")[:-1]),
+            dict(good, outcomes=version_7_payload(good)["outcomes"]),
+            dict(good, homes=version_7_payload(good)["homes"]),
+            with_array("homes", decoded("homes").astype("<i4"), "<i4"),
+            # the registry: a repeated id, not a list of strings, not UTF-8, not JSON
+            with_registry_text(good, json.dumps(ids[:-1] + ids[:1]).encode()),
+            with_registry_text(good, json.dumps(ids[:-1] + [7]).encode()),
+            with_registry_text(good, json.dumps({"ids": ids}).encode()),
+            with_registry_text(good, text.replace(b'"', b"\xff", 1)),
+            with_registry_text(good, text[:-1]),
+            with_registry_text(good, b"[" * 100_000),
+            # version 7's registry, a plain JSON list
+            dict(good, registry=ids),
+            with_lineup_entry("plus", (0, -1), width - 1),
+            with_lineup_entry("plus", (0, 0), -1),
+            with_side("plus", plus[:, ::-1]),
             # a valid lineup in the wrong width, version 4's among them
-            with_array("plus", plus.astype("<u2"), "<u2"),
-            with_array("plus", plus.astype("<i4"), "<i4"),
-            with_entry("minus", 0, plus[0]),
+            with_side("plus", plus, "<u2"),
+            with_side("plus", plus, "<i4"),
+            # a side not split into byte planes
+            with_data("plus", deflated(np.diff(plus, axis=1, prepend=0).astype("<u2")), "<u2"),
+            with_lineup_entry("minus", 0, plus[0]),
             with_entry("weights", 0, np.nan),
             # finite and well formed, but not the stationary point of the fit
             with_array("weights", 1.01 * decoded("weights")),
@@ -1673,36 +1753,88 @@ class TestModelPersistence:
             path.write_text(json.dumps(bad))
             with pytest.raises(DataError):
                 load_model(path)
-        # each fault of an array's zlib stream, and the check that names it
-        raw = plus.tobytes()
-        stream = zlib.compress(raw)
-        need = len(raw)
-        bad_streams = [
-            (with_stream("plus", raw), "'plus' is not a valid zlib stream"),
-            (with_stream("plus", stream[:-5]), "'plus' ends before its zlib stream does"),
-            (with_stream("plus", stream + b"xyz"), "'plus' has 3 bytes after its zlib stream"),
-            (with_stream("plus", zlib.compress(raw[:-1])), f"'plus' holds {need - 1} bytes, its shape needs {need}"),
-        ]
-        for i, (bad, message) in enumerate(bad_streams):
-            path = tmp_path / f"stream{i}.json"
+        # a gap of 0, a side whose gaps sum past P-1, a code or sign out of
+        # range, and a count that is not an integer >= 1, each named
+        repeat = plus.copy()
+        repeat[0, 1] = repeat[0, 0]
+        past = plus.copy()
+        past[0, -1] = width - 1
+        for bad, message in (
+            (with_side("plus", repeat), "lineups 'plus' hold a gap below 1"),
+            (with_side("plus", past), "outside the registry"),
+            (with_entry("outcomes", 0, 2), "'outcomes' holds a value other than -1, 0 or 1"),
+            (with_entry("homes", 0, -2), "'homes' holds a value other than -1, 0 or 1"),
+            *((dict(good, **{key: value}), f"'{key}' must be an integer >= 1")
+              for key in ("matches", "registry_bytes") for value in (True, 0, -1)),
+        ):
             path.write_text(json.dumps(bad))
             with pytest.raises(DataError, match=message):
                 load_model(path)
-        # a small stream of 64 MB of zeros stops inflating at the array's size
+        # each fault of each stream's zlib stream, and the check that names it
+        for key in ("registry", "outcomes", "homes", "plus", "minus", "weights"):
+            raw = zlib.decompress(base64.b64decode(good[key]["data"]))
+            stream = zlib.compress(raw)
+            need = len(raw)
+            bad_streams = [
+                (raw, f"'{key}' is not a valid zlib stream"),
+                (stream[:-5], f"'{key}' ends before its zlib stream does"),
+                (stream + b"xyz", f"'{key}' has 3 bytes after its zlib stream"),
+                (zlib.compress(raw[:-1]), f"'{key}' holds {need - 1} bytes, its shape needs {need}"),
+                (zlib.compress(raw + raw[:1]), f"'{key}' inflates past the {need} bytes its shape needs"),
+            ]
+            for stream, message in bad_streams:
+                path.write_text(json.dumps(with_data(key, base64.b64encode(stream).decode())))
+                with pytest.raises(DataError, match=re.escape(message)):
+                    load_model(path)
+        # a small stream of 64 MB of zeros stops inflating at each array's size
         deflater = zlib.compressobj()
         chunk = bytes(1 << 20)
         bomb = b"".join([*(deflater.compress(chunk) for _ in range(64)), deflater.flush()])
         assert len(bomb) < 100_000
-        path = tmp_path / "bomb.json"
-        path.write_text(json.dumps(with_stream("plus", bomb)))
-        tracemalloc.start()
-        try:
-            with pytest.raises(DataError, match=f"'plus' inflates past the {need} bytes its shape needs"):
-                load_model(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20, peak
+        bombs = {key: base64.b64encode(bomb).decode() for key in ("registry", "outcomes", "plus")}
+        # a count past what the stream could hold is rejected before it
+        # inflates, and so is a count of 0, for which zlib sets no bound
+        huge = dict(good, matches=10**12, outcomes=dict(good["outcomes"], shape=[10**12], data=bombs["outcomes"]))
+        empty = {
+            key: dict(good, **{key: 0, array: dict(good[array], shape=[0], data=bombs[array])})
+            for key, array in (("matches", "outcomes"), ("registry_bytes", "registry"))
+        }
+        for key, bad in (*((k, with_data(k, v)) for k, v in bombs.items()), ("outcomes", huge), *empty.items()):
+            path.write_text(json.dumps(bad))
+            tracemalloc.start()
+            try:
+                with pytest.raises(DataError, match=f"'{key}' (inflates past|needs|must be an integer >= 1)"):
+                    load_model(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20, (key, peak)
+
+    @pytest.mark.parametrize(
+        "bench",
+        [
+            ["a;b", "c,d", "back\\slash", "new\nline", " spaced ", "\ud800", "Łukasz Fabiański"],
+            [f"b{i}" for i in range(300)],
+        ],
+    )
+    def test_any_id_round_trips(self, tmp_path, bench):
+        # the registry may name players that no match fields, with ids that
+        # no CSV file could carry; with 300 of them, a lineup index takes two
+        # bytes
+        rng = np.random.default_rng(259)
+        on_pitch = ['quote"d', "naïve", "孫興慜", *player_ids(30)]
+        records = [random_record(rng, on_pitch, f"m{i:03d}") for i in range(14)]
+        registry = {pid: i for i, pid in enumerate([*bench, *on_pitch])}
+        fresh = train_model(Dataset.from_records(records, registry), Hyperparams.create(sigma2=0.2, alpha=0.5))
+        path = tmp_path / "model.json"
+        save_model(fresh, path)
+        assert registry_ids(json.loads(path.read_text())) == [*bench, *on_pitch]
+        back = load_model(path)
+        assert back.registry == fresh.registry
+        assert np.array_equal(back.posterior.factor.rfp, fresh.posterior.factor.rfp)
+        again = tmp_path / "again.json"
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_rejects_non_finite_mode(self, tmp_path):
         # the mode and the factor are rebuilt from the weights, and prediction

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from lineupgp.data import Dataset, HomeSide
-from lineupgp.gp import Hyperparams, optimize_hyperparams, train_model
+from lineupgp.gp import Hyperparams, load_model, optimize_hyperparams, save_model, train_model
 from lineupgp.simulate import SimConfig, simulate_dataset
 
 LEDGER = Path(__file__).with_name("ledger.json")
@@ -74,21 +74,31 @@ def _case(train: Dataset, tests: list, hyper: Hyperparams) -> dict:
     }
 
 
-def compute() -> dict:
-    """The ledger's three cases, from the package as it stands."""
+def _folds() -> dict[str, tuple[Dataset, list, Hyperparams]]:
+    """Each case's training set, the records it scores, and its hyperparameters."""
     league = simulate_dataset(SimConfig(seed=0)).dataset.records
     searched = Dataset.from_records(league[:600])
     best = optimize_hyperparams(searched, INIT, budget=200)
     return {
-        "league": _case(Dataset.from_records(league[:300]), league[300:340], INIT),
-        "cup": _case(*_cup_fold(), INIT),
-        "searched": _case(searched, league[600:640], best),
+        "league": (Dataset.from_records(league[:300]), league[300:340], INIT),
+        "cup": (*_cup_fold(), INIT),
+        "searched": (searched, league[600:640], best),
     }
 
 
+def compute(folds: dict | None = None) -> dict:
+    """The ledger's three cases, from the package as it stands."""
+    return {name: _case(*fold) for name, fold in (folds or _folds()).items()}
+
+
 @pytest.fixture(scope="module")
-def pinned_and_now() -> tuple[dict, dict]:
-    return json.loads(LEDGER.read_text(encoding="utf-8")), compute()
+def folds() -> dict[str, tuple[Dataset, list, Hyperparams]]:
+    return _folds()
+
+
+@pytest.fixture(scope="module")
+def pinned_and_now(folds) -> tuple[dict, dict]:
+    return json.loads(LEDGER.read_text(encoding="utf-8")), compute(folds)
 
 
 def _close(got, want, rtol: float) -> bool:
@@ -103,6 +113,16 @@ def test_answers_match_the_ledger(pinned_and_now, name):
     assert _close(now["theta"], pinned["theta"], THETA_RTOL if name == "searched" else 0.0)
     assert _close(now["evidence"], pinned["evidence"], RTOL), (now["evidence"], pinned["evidence"])
     assert _close(now["probs"], pinned["probs"], RTOL)
+
+
+@pytest.mark.parametrize("name", ["league", "cup", "searched"])
+def test_model_file_rewrites_byte_for_byte(folds, tmp_path, name):
+    # a loaded model saves to the bytes it was loaded from
+    train, _, hyper = folds[name]
+    first, again = tmp_path / "model.json", tmp_path / "again.json"
+    save_model(train_model(train, hyper), first)
+    save_model(load_model(first), again)
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_ledger_covers_both_shapes(pinned_and_now):
