@@ -986,16 +986,16 @@ def _search(parts: _TrainParts, init: Hyperparams, budget: int) -> Hyperparams:
         best_ev,
     )
     # a probe step from a bound is on it
-    on_lo, on_hi = (np.abs(best_theta - b) <= _PROBE_STEP for b in (lo, hi))
-    if on_lo.any() or on_hi.any():
+    bounds = [
+        f"{name} at its {side} bound"
+        for name, theta, low, high in zip(("sigma2", "sigma2_home", "alpha"), best_theta, lo, hi)
+        for side, bound in (("lower", low), ("upper", high))
+        if abs(theta - bound) <= _PROBE_STEP
+    ]
+    if bounds:
         logger.warning(
             "the search ended on a bound of its box (%s): sigma2 %.6g, sigma2_home %.6g, alpha %.6g",
-            ", ".join(
-                f"{name} at its {side} bound"
-                for name, low, high in zip(("sigma2", "sigma2_home", "alpha"), on_lo, on_hi)
-                for side, on in (("lower", low), ("upper", high))
-                if on
-            ),
+            ", ".join(bounds),
             best.kernel.sigma2,
             best.kernel.sigma2_home,
             best.alpha,
